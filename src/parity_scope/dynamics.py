@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import schur
 
 from .errors import DegenerateResponse, SingularResponseMatrix, StepTooLarge
 
@@ -29,6 +30,7 @@ DEFAULT_STEP_FACTOR = 1e-3
 STEP_MARGIN = 0.01          # dt <= STEP_MARGIN * min(1/kappa, 1/|D + 3 chi|)
 PROBE_RTOL = 1e-8
 RECORD_TARGET = 2800        # aim for ~2801 stored samples per trajectory
+RECURRENCE_CHUNK = 1024     # steps summed at once; bounds lam^-k and the scratch arrays
 
 
 def hamming_prefactor(hamming_weight):
@@ -171,25 +173,48 @@ def _rk4_coefficients(m, dt, u):
     return step, w_left, w_mid, w_right
 
 
+def _scalar_recurrence(powers, inverse_powers, x, carry):
+    """y[k] for k = 1..len(x) of y[k] = lam y[k-1] + x[k-1] from y[0] = carry,
+    as lam^k (carry + sum_{j<k} lam^-(j+1) x[j])."""
+    n = x.size
+    return powers[:n] * (carry + np.cumsum(inverse_powers[:n] * x))
+
+
 def _integrate(m, u, beta_nodes, beta_mid, dt, n_steps, stride):
-    step, w_left, w_mid, w_right = _rk4_coefficients(m, dt, u)
-    s11, s12 = step[0]
-    s21, s22 = step[1]
-    a1 = a2 = 0.0 + 0.0j
+    """RK4 recurrence a[n+1] = S a[n] + f[n] from vacuum, recorded every ``stride`` steps.
+
+    Solved in the complex Schur basis of the generator, M = Q T Q^H, which
+    exists for every M (defective ones included): there S = Q p(dt T) Q^H
+    is upper triangular, the second component is a scalar recurrence and it
+    feeds the first.  Both are summed in closed form over chunks of
+    RECURRENCE_CHUNK steps, carrying the last value across chunk boundaries
+    so lam^-k stays of order one; only the recorded samples are rotated back.
+    """
+    t, q = schur(m, output="complex")
+    r, v_left, v_mid, v_right = _rk4_coefficients(t, dt, q.conj().T @ u)
+    log_powers = np.log(np.diag(r))[:, None] * np.arange(1, RECURRENCE_CHUNK + 1)
+    powers, inverse_powers = np.exp(log_powers), np.exp(-log_powers)
     n_rec = n_steps // stride + 1
-    rec1 = np.empty(n_rec, dtype=complex)
-    rec2 = np.empty(n_rec, dtype=complex)
-    rec1[0] = rec2[0] = 0.0
-    k = 1
-    for i in range(n_steps):
-        b0, bm, b1 = beta_nodes[i], beta_mid[i], beta_nodes[i + 1]
-        a1, a2 = (s11 * a1 + s12 * a2 + w_left[0] * b0 + w_mid[0] * bm + w_right[0] * b1,
-                  s21 * a1 + s22 * a2 + w_left[1] * b0 + w_mid[1] * bm + w_right[1] * b1)
-        if (i + 1) % stride == 0:
-            rec1[k] = a1
-            rec2[k] = a2
-            k += 1
-    return rec1, rec2
+    rec1 = np.zeros(n_rec, dtype=complex)
+    rec2 = np.zeros(n_rec, dtype=complex)
+    y1 = y2 = 0.0 + 0.0j
+    for start in range(0, n_steps, RECURRENCE_CHUNK):
+        stop = min(start + RECURRENCE_CHUNK, n_steps)
+        b0, bm, b1 = beta_nodes[start:stop], beta_mid[start:stop], beta_nodes[start + 1:stop + 1]
+        g1 = v_left[0] * b0 + v_mid[0] * bm + v_right[0] * b1
+        g2 = v_left[1] * b0 + v_mid[1] * bm + v_right[1] * b1
+        z2 = _scalar_recurrence(powers[1], inverse_powers[1], g2, y2)
+        # the first component sees y2 before each step: y2[start .. stop-1]
+        g1[0] += r[0, 1] * y2
+        g1[1:] += r[0, 1] * z2[:-1]
+        z1 = _scalar_recurrence(powers[0], inverse_powers[0], g1, y1)
+        y1, y2 = z1[-1], z2[-1]
+        # recorded steps n = k * stride with start < n <= stop sit at z[n - start - 1]
+        first, last = start // stride + 1, stop // stride
+        offset = first * stride - start - 1
+        rec1[first:last + 1] = z1[offset::stride]
+        rec2[first:last + 1] = z2[offset::stride]
+    return q[0, 0] * rec1 + q[0, 1] * rec2, q[1, 0] * rec1 + q[1, 1] * rec2
 
 
 def evolve(setup, hamming_weight, t_final, dt=None, stride=None, probe=True):

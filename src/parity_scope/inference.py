@@ -364,6 +364,8 @@ def _sweep_single(args):
     trajectories = [evolve(setup, hw, tau) for hw in range(4)]
     integrals = [output_integral(tr, tau) for tr in trajectories]
     phi, _ = optimal_phase(integrals, tau, variance_convention)
+    for tr in trajectories:
+        integrated_signal(tr, phi, tau)  # Richardson guard only: raises GridTooCoarse
     gain_hw, gain_parity = info_gains(
         SignalModel(tau, phi, means_from_integrals(integrals, phi), variance_convention))
     return SweepPoint(chi1, chi2, gain_parity, gain_hw, phi)

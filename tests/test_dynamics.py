@@ -1,6 +1,7 @@
 """Tests for the driven two-resonator dynamics and reflection."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,8 +9,11 @@ import scipy.linalg as sla
 
 from parity_scope.dispersive import DispersiveModel, parity_detunings
 from parity_scope.dynamics import (
+    RECURRENCE_CHUNK,
     DrivePulse,
     MeasurementSetup,
+    _integrate,
+    _rk4_coefficients,
     decay_envelope_bound,
     drive_envelope,
     evolve,
@@ -158,6 +162,85 @@ def test_evolve_probe_passes_at_default_step():
     traj = evolve(setup, 2, 28.0, probe=True)
     assert traj.times.size == 2801
     assert traj.times[-1] == pytest.approx(28.0)
+
+
+# ---------------------------------------------------------------------------
+# RK4 recurrence against the step-by-step loop
+# ---------------------------------------------------------------------------
+
+def reference_integrate(m, u, beta_nodes, beta_mid, dt, n_steps, stride):
+    """One RK4 step at a time from vacuum, recording every ``stride`` steps."""
+    step, w_left, w_mid, w_right = _rk4_coefficients(m, dt, u)
+    a = np.zeros(2, dtype=complex)
+    rec = [a]
+    for i in range(n_steps):
+        a = step @ a + w_left * beta_nodes[i] + w_mid * beta_mid[i] + w_right * beta_nodes[i + 1]
+        if (i + 1) % stride == 0:
+            rec.append(a)
+    rec = np.array(rec)
+    return rec[:, 0], rec[:, 1]
+
+
+def assert_matches_reference(m, u, pulse, dt, n_steps, stride):
+    nodes = np.arange(n_steps + 1) * dt
+    args = (m, u, drive_envelope(nodes, pulse), drive_envelope(nodes[:-1] + dt / 2.0, pulse),
+            dt, n_steps, stride)
+    got1, got2 = _integrate(*args)
+    ref1, ref2 = reference_integrate(*args)
+    assert got1.size == got2.size == ref1.size == n_steps // stride + 1
+    scale = max(np.abs(ref1).max(), np.abs(ref2).max())
+    assert scale > 0
+    assert np.abs(got1 - ref1).max() <= 1e-12 * scale
+    assert np.abs(got2 - ref2).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("hw", range(4))
+def test_integrate_matches_loop_non_normal(hw):
+    # chi12 != 0 and kappa1 != kappa2: the generator is not normal
+    setup = make_setup(chi1=0.45, chi2=0.6, chi12=0.15, kappa1=1.0, kappa2=1.7)
+    m = mode_matrix(setup, hw)
+    assert np.abs(m @ m.conj().T - m.conj().T @ m).max() > 1e-2
+    u = -1j * np.array([1.0, math.sqrt(1.7)])
+    n_steps = 47600
+    assert_matches_reference(m, u, setup.pulse, 28.0 / n_steps, n_steps, 17)
+
+
+def test_integrate_matches_loop_defective_generator():
+    # a Jordan block in a non-orthogonal basis has one eigenvector direction,
+    # so any shortcut through an eigen-decomposition would be wrong here
+    jordan = np.array([[-0.4 - 0.9j, 1.0], [0.0, -0.4 - 0.9j]])
+    basis = np.array([[1.0, 0.7], [0.2, 1.3]])
+    m = basis @ jordan @ np.linalg.inv(basis)
+    assert np.linalg.cond(np.linalg.eig(m)[1]) > 1e6
+    pulse = DrivePulse(amplitude=0.5, ramp=4.0, t_on=1.0, t_off=16.0)
+    assert_matches_reference(m, np.array([-0.3j, -0.8j]), pulse, 1e-3, 28000, 10)
+
+
+@pytest.mark.parametrize("n_steps, stride", [
+    (RECURRENCE_CHUNK // 3, 7),                                 # shorter than one chunk
+    (2 * RECURRENCE_CHUNK + 37, 1),                             # not a multiple of the chunk
+    (3 * RECURRENCE_CHUNK, 3),                                  # stride does not divide the chunk
+    (2 * RECURRENCE_CHUNK + 37, 2 * RECURRENCE_CHUNK + 37),     # the probe's end-point call
+])
+def test_integrate_chunk_boundaries(n_steps, stride):
+    setup = make_setup(chi1=0.45, chi2=0.6, chi12=0.15, kappa1=1.0, kappa2=1.7)
+    pulse = DrivePulse(amplitude=0.5, ramp=0.2, t_on=0.0, t_off=1.0)
+    assert_matches_reference(mode_matrix(setup, 1), -1j * np.array([1.0, math.sqrt(1.7)]),
+                             pulse, 1e-3, n_steps, stride)
+
+
+def test_evolve_allocation_peak():
+    # the per-step loop this recurrence replaced peaked at 2.85 MB (Python 3.11,
+    # numpy 2.4), nearly all of it the probe's 56k-node drive arrays
+    setup = make_setup()
+    evolve(setup, 2, 28.0)
+    tracemalloc.start()
+    try:
+        evolve(setup, 2, 28.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 2.85e6
 
 
 # ---------------------------------------------------------------------------

@@ -284,6 +284,14 @@ def test_sweep_bit_identical_across_worker_counts():
     assert serial == parallel
 
 
+def test_sweep_runs_richardson_guard(monkeypatch):
+    from parity_scope import dynamics
+    from parity_scope.inference import chi_sweep
+    monkeypatch.setattr(dynamics, "RECORD_TARGET", 50)
+    with pytest.raises(GridTooCoarse):
+        chi_sweep([(0.5, 0.5)], 1.0, reference_pulse(), 28.0, workers=1)
+
+
 def test_rates_zero_for_constant_gain():
     taus = np.linspace(0, 10, 57)
     rates = measurement_rates(taus, np.full(57, 0.25))
