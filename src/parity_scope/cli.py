@@ -171,11 +171,15 @@ def cmd_simulate(args):
     tau = cfg.analysis.resolve_measurement_time(kappa)
     weights = range(4) if args.hw == "all" else [int(args.hw)]
 
+    trajectories = [evolve(setup, hw, tau) for hw in weights]
+    intervals = trajectories[0].times.size - 1
+    if args.hw == "all" and intervals % (cfg.analysis.tau_points - 1):
+        raise ConfigError(
+            f"analysis.tau_points: {cfg.analysis.tau_points} points do not land on the "
+            f"{intervals}-interval trajectory grid (tau_points - 1 must divide {intervals})")
+
     summary = {"scenario": cfg.name, "files": {}, "reflection": {}}
-    trajectories = []
-    for hw in weights:
-        traj = evolve(setup, hw, tau)
-        trajectories.append(traj)
+    for hw, traj in zip(weights, trajectories):
         path = Path(cfg.output_dir) / f"trajectory_hw{hw}.csv"
         write_csv(path, TRAJECTORY_HEADER, trajectory_rows(traj))
         summary["files"][f"hw{hw}"] = str(path)
@@ -242,8 +246,11 @@ def cmd_sweep(args):
         "diagonal": [(chi, chi) for chi in grid],
         "asymmetric": [(chi, sweep.asymmetric_chi2) for chi in grid],
     }
+    # one sweep (one worker pool) over both cuts, split back by position
+    swept = iter(chi_sweep([pair for pairs in cuts.values() for pair in pairs],
+                           kappa, pulse, tau, workers=workers))
     for cut_name, pairs in cuts.items():
-        points = chi_sweep(pairs, kappa, pulse, tau, workers=workers)
+        points = [next(swept) for _ in pairs]
         path = Path(cfg.output_dir) / f"sweep_{cut_name}.csv"
         write_csv(path, SWEEP_HEADER, sweep_rows(points))
         best = min(points, key=lambda p: p.missing_parity)

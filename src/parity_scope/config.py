@@ -47,9 +47,13 @@ def _require(mapping, key, where):
     return mapping[key]
 
 
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _number(mapping, key, where):
     value = _require(mapping, key, where)
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
+    if not _is_number(value):
         raise ConfigError(f"{where}.{key}: expected a number, got {value!r}")
     return float(value)
 
@@ -196,11 +200,23 @@ def parse_config(tree, name="config"):
     )
     if sweep.points < 1 or sweep.minimum <= 0 or sweep.maximum < sweep.minimum:
         raise ConfigError("analysis.sweep: invalid range")
+    tau_points = raw_analysis.get("tau_points", 57)
+    if not (_is_number(tau_points) and tau_points >= 3
+            and (isinstance(tau_points, int) or tau_points.is_integer())):
+        raise ConfigError(
+            f"analysis.tau_points: expected an integer of at least 3, got {tau_points!r}")
+    phase = raw_analysis.get("phase", "optimal")
+    if phase != "optimal" and not (_is_number(phase) and math.isfinite(phase)):
+        raise ConfigError(
+            f"analysis.phase: expected a number or 'optimal', got {phase!r}")
+    time_unit = raw_analysis.get("time_unit", "1/kappa")
+    if time_unit not in ("1/kappa", "us"):
+        raise ConfigError(f"analysis.time_unit: unknown unit {time_unit!r}")
     analysis = AnalysisConfig(
         measurement_time=float(raw_analysis.get("measurement_time", 28.0)),
-        time_unit=raw_analysis.get("time_unit", "1/kappa"),
-        tau_points=int(raw_analysis.get("tau_points", 57)),
-        phase=raw_analysis.get("phase", "optimal"),
+        time_unit=time_unit,
+        tau_points=int(tau_points),
+        phase=phase,
         sweep=sweep,
     )
     raw_validation = tree.get("validation", {})

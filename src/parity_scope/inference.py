@@ -20,20 +20,23 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import simpson
-from scipy.special import logsumexp
 
 from .dispersive import DispersiveModel, parity_detunings
 from .dynamics import MeasurementSetup, evolve
-from .errors import GridTooCoarse, QuadratureNonconvergent
+from .errors import ConfigError, GridTooCoarse, QuadratureNonconvergent
 
 LOG2 = math.log(2.0)
 DEFAULT_QUADRATURE_POINTS = 4001
 QUADRATURE_PADDING = 8.0         # integration range: means +/- padding * sqrt(tau)
 QUADRATURE_RTOL = 1e-6           # doubling check, in bits
 PHASE_COARSE_POINTS = 256
+PHASE_SCAN_POINTS = 201          # quadrature of the coarse phase scan, which only ranks phases
+PHASE_SCAN_FLOOR = 1e-12         # bits; rounding-level ties are re-scored too
+GAIN_CHUNK = 4096                # grid samples (models x points) per stacked kernel pass
 PHASE_TOLERANCE = 1e-4
 RATE_CONSISTENCY_BITS = 1e-3
 
@@ -68,62 +71,105 @@ class SignalModel:
         return _variance(self.measurement_time, self.variance_convention)
 
 
+def _tau_index(trajectory, tau):
+    """Sample index of each measurement time (a number or an array of them)."""
+    times = trajectory.times
+    tau = np.asarray(tau, dtype=float)
+    if np.any(tau > times[-1] * (1 + 1e-12)):
+        raise ValueError(f"tau = {np.max(tau)} beyond trajectory horizon {times[-1]}")
+    right = np.minimum(np.searchsorted(times, tau), times.size - 1)
+    left = np.maximum(right - 1, 0)
+    idx = np.where(np.abs(times[left] - tau) <= np.abs(times[right] - tau), left, right)
+    spacing = times[1] - times[0] if times.size > 1 else 1.0
+    if np.any(np.abs(times[idx] - tau) > 1e-6 * spacing + 1e-12 * np.maximum(tau, 1.0)):
+        raise ValueError("tau does not land on the trajectory grid")
+    return idx
+
+
+def _cumulative_simpson(t, y):
+    """Composite Simpson integral of y over [t_0, t_k] for every sample k.
+
+    Each value equals ``scipy.integrate.simpson(y[:k+1], x=t[:k+1])`` up to
+    summation order: two-interval panels (any spacing) are summed
+    cumulatively, an odd k closes with the same last-interval (Cartwright)
+    correction and k = 1 is a trapezoid.
+    """
+    out = np.zeros(y.shape, dtype=np.result_type(y, float))
+    if y.size < 2:
+        return out
+    h = np.diff(t)
+    h0, h1 = h[:-1:2], h[1::2]
+    hsum, ratio = h0 + h1, h0 / h1
+    panels = hsum / 6.0 * (y[:-2:2] * (2.0 - 1.0 / ratio)
+                           + y[1:-1:2] * (hsum * (hsum / (h0 * h1)))
+                           + y[2::2] * (2.0 - ratio))
+    out[2::2] = np.cumsum(panels)
+    out[1] = 0.5 * h[0] * (y[0] + y[1])
+    k = np.arange(3, y.size, 2)
+    h0, h1 = h[k - 2], h[k - 1]
+    alpha = (2.0 * h1 ** 2 + 3.0 * h0 * h1) / (6.0 * (h1 + h0))
+    beta = (h1 ** 2 + 3.0 * h0 * h1) / (6.0 * h0)
+    eta = h1 ** 3 / (6.0 * h0 * (h0 + h1))
+    out[k] = out[k - 1] + alpha * y[k] + beta * y[k - 1] - eta * y[k - 2]
+    return out
+
+
+def _project(integrals, phase):
+    """Conditional means 2 Re(exp(-i phi) B) of complex output integrals B;
+    the homodyne mean is linear in exp(+-i phi)."""
+    return 2.0 * np.real(np.exp(-1j * phase) * integrals)
+
+
 def output_integral(trajectory, tau):
     """Complex integral of beta_out over [0, tau] on the trajectory grid."""
     idx = _tau_index(trajectory, tau)
-    t = trajectory.times[: idx + 1]
-    return complex(simpson(trajectory.output[: idx + 1].real, x=t),
-                   simpson(trajectory.output[: idx + 1].imag, x=t))
-
-
-def _tau_index(trajectory, tau):
-    times = trajectory.times
-    if tau > times[-1] * (1 + 1e-12):
-        raise ValueError(f"tau = {tau} beyond trajectory horizon {times[-1]}")
-    idx = int(np.argmin(np.abs(times - tau)))
-    spacing = times[1] - times[0] if times.size > 1 else 1.0
-    if abs(times[idx] - tau) > 1e-6 * spacing + 1e-12 * max(tau, 1.0):
-        raise ValueError("tau does not land on the trajectory grid")
-    return idx
+    t, y = trajectory.times[: idx + 1], trajectory.output[: idx + 1]
+    return complex(_cumulative_simpson(t, y)[-1])
 
 
 def integrated_signal(trajectory, phase, tau):
     """Mean integrated homodyne signal, composite Simpson on the stored grid.
 
-    A Richardson check against the half-resolution grid guards the quadrature
-    (GridTooCoarse beyond 1e-6 relative).
+    ``tau`` is one measurement time or an array of them, all served by one
+    cumulative pass.  A Richardson check against the half-resolution grid
+    guards every tau with at least five samples (GridTooCoarse beyond 1e-6
+    relative); the half grid closes an odd sample count with a trapezoid.
     """
-    idx = _tau_index(trajectory, tau)
-    t = trajectory.times[: idx + 1]
-    integrand = 2.0 * np.real(np.exp(-1j * phase) * trajectory.output[: idx + 1])
-    fine = float(simpson(integrand, x=t))
-    if idx >= 4:
-        half = idx if idx % 2 == 0 else idx - 1
-        coarse = float(simpson(integrand[:half + 1:2], x=t[:half + 1:2]))
-        if half != idx:
-            coarse += float(np.trapezoid(integrand[half:idx + 1], t[half:idx + 1]))
-        if abs(fine - coarse) > QUADRATURE_RTOL * max(abs(fine), 1.0):
-            raise GridTooCoarse(
-                f"Simpson refinement moved the signal by {abs(fine - coarse):.3e}")
-    return fine
+    idx = np.atleast_1d(_tau_index(trajectory, tau))
+    t, y = trajectory.times[: idx.max() + 1], trajectory.output[: idx.max() + 1]
+    means = _project(_cumulative_simpson(t, y)[idx], phase)
+    checked = idx >= 4
+    guarded = idx[checked]
+    half = guarded - guarded % 2
+    coarse = _cumulative_simpson(t[::2], y[::2])[half // 2]
+    coarse += (t[guarded] - t[half]) * (y[half] + y[guarded]) / 2.0
+    fine = means[checked]
+    moved = np.abs(fine - _project(coarse, phase))
+    if np.any(moved > QUADRATURE_RTOL * np.maximum(np.abs(fine), 1.0)):
+        raise GridTooCoarse(
+            f"Simpson refinement moved the signal by {np.max(moved):.3e}")
+    return float(means[0]) if np.ndim(tau) == 0 else means
 
 
-def signal_model(trajectories, phase, tau, variance_convention="tau"):
-    """Conditional-mean model from the four Hamming-weight trajectories."""
+def _ordered(trajectories):
     if len(trajectories) != 4:
         raise ValueError("need one trajectory per Hamming weight")
     ordered = sorted(trajectories, key=lambda tr: tr.hamming_weight)
     if [tr.hamming_weight for tr in ordered] != [0, 1, 2, 3]:
         raise ValueError("trajectories must cover Hamming weights 0..3")
-    means = tuple(integrated_signal(tr, phase, tau) for tr in ordered)
+    return ordered
+
+
+def signal_model(trajectories, phase, tau, variance_convention="tau"):
+    """Conditional-mean model from the four Hamming-weight trajectories."""
+    means = tuple(integrated_signal(tr, phase, tau) for tr in _ordered(trajectories))
     return SignalModel(tau, phase, means, variance_convention)
 
 
 def means_from_integrals(integrals, phase):
     """Conditional means for any local-oscillator phase, from cached complex
     output integrals (the means are linear in exp(+-i phi))."""
-    z = np.exp(-1j * phase)
-    return tuple(2.0 * float(np.real(z * b)) for b in integrals)
+    return tuple(float(m) for m in _project(np.asarray(integrals), phase))
 
 
 def conditional_density(value, model, hamming_weight):
@@ -135,12 +181,22 @@ def conditional_density(value, model, hamming_weight):
     return float(out) if out.ndim == 0 else out
 
 
-def _log_likelihoods(values, model):
-    values = np.atleast_1d(np.asarray(values, dtype=float))
-    var = model.variance
-    mus = np.asarray(model.means)
-    return (-(values[None, :] - mus[:, None]) ** 2 / (2.0 * var)
-            - 0.5 * math.log(2.0 * math.pi * var))
+def _log_likelihoods(values, means, variance):
+    """log p(I | h_w) at ``values`` (..., p) for ``means`` (..., 4) and
+    ``variance`` (...): shape (..., 4, p)."""
+    var = np.asarray(variance, dtype=float)[..., None, None]
+    return (-(values[..., None, :] - means[..., :, None]) ** 2 / (2.0 * var)
+            - 0.5 * np.log(2.0 * math.pi * var))
+
+
+def _posterior(logp):
+    """Hamming-weight posterior (uniform priors) and log evidence from log
+    likelihoods (..., 4, p); the largest term is factored out (log-sum-exp)
+    so far-tail values stay finite."""
+    top = logp.max(axis=-2, keepdims=True)
+    weights = np.exp(logp - top)
+    total = weights.sum(axis=-2, keepdims=True)
+    return weights / total, (top + np.log(total))[..., 0, :]
 
 
 def posteriors(value, model):
@@ -151,8 +207,8 @@ def posteriors(value, model):
     finite).
     """
     scalar = np.isscalar(value)
-    logp = _log_likelihoods(value, model)
-    post = np.exp(logp - logsumexp(logp, axis=0))
+    values = np.atleast_1d(np.asarray(value, dtype=float))
+    post, _ = _posterior(_log_likelihoods(values, np.asarray(model.means), model.variance))
     p_even = post[0] + post[2]
     p_odd = post[1] + post[3]
     if scalar:
@@ -164,19 +220,53 @@ def _xlog2x(p):
     return np.where(p > 0.0, p * np.log2(np.maximum(p, 1e-320)), 0.0)
 
 
+class _ModelStack(NamedTuple):
+    means: np.ndarray       # (n, 4)
+    variance: np.ndarray    # (n,)
+
+
 def _gain_integrands(model, points):
-    sigma = math.sqrt(model.variance)
-    means = np.asarray(model.means)
-    grid = np.linspace(means.min() - QUADRATURE_PADDING * sigma,
-                       means.max() + QUADRATURE_PADDING * sigma, points)
-    logp = _log_likelihoods(grid, model)
-    logz = logsumexp(logp, axis=0)
-    post = np.exp(logp - logz)
-    density = np.exp(logz) / 4.0
-    info_hw = 2.0 + _xlog2x(post).sum(axis=0)
-    p_even = post[0] + post[2]
+    """Quadrature grid and integrands of the average gains, for one signal
+    model or a stack of them, in one array pass.
+
+    ``model.means`` is (4,) or (n, 4) and ``model.variance`` a number or
+    (n,).  Returns the grid on means +/- 8 sigma, the mixture density and the
+    pointwise Hamming-weight and parity information, each (n, points).
+    """
+    means = np.reshape(np.asarray(model.means, dtype=float), (-1, 4))
+    variance = np.broadcast_to(np.asarray(model.variance, dtype=float), means.shape[:1])
+    sigma = np.sqrt(variance)
+    grid = np.ascontiguousarray(np.linspace(
+        means.min(axis=1) - QUADRATURE_PADDING * sigma,
+        means.max(axis=1) + QUADRATURE_PADDING * sigma, points, axis=-1))
+    post, log_evidence = _posterior(_log_likelihoods(grid, means, variance))
+    density = np.exp(log_evidence) / 4.0
+    info_hw = 2.0 + _xlog2x(post).sum(axis=1)
+    p_even = post[:, 0] + post[:, 2]
     info_parity = 1.0 + _xlog2x(p_even) + _xlog2x(1.0 - p_even)
     return grid, density, info_hw, info_parity
+
+
+def _integrand_chunks(means, variance, points):
+    """Yield ``(rows, grid, hamming integrand, parity integrand)`` over a
+    stack of models, at most GAIN_CHUNK grid samples per pass so the
+    (rows, 4, points) scratch arrays stay small."""
+    step = max(1, GAIN_CHUNK // points)
+    for start in range(0, len(means), step):
+        rows = slice(start, start + step)
+        grid, density, info_hw, info_parity = _gain_integrands(
+            _ModelStack(means[rows], variance[rows]), points)
+        yield rows, grid, density * info_hw, density * info_parity
+
+
+def _stack_gains(means, variance, points):
+    """Average (Hamming-weight, parity) gains in bits of n models, (n, 2),
+    by composite Simpson on ``points`` samples."""
+    gains = np.empty((len(means), 2))
+    for rows, grid, hamming, parity in _integrand_chunks(means, variance, points):
+        gains[rows, 0] = simpson(hamming, x=grid)
+        gains[rows, 1] = simpson(parity, x=grid)
+    return gains
 
 
 def info_gains(model, points=DEFAULT_QUADRATURE_POINTS, check=True):
@@ -186,26 +276,48 @@ def info_gains(model, points=DEFAULT_QUADRATURE_POINTS, check=True):
     ``check=True`` the quadrature is repeated at doubled resolution and must
     agree within 1e-6 bits (QuadratureNonconvergent otherwise).
     """
-    grid, density, info_hw, info_parity = _gain_integrands(model, points)
-    gain_hw = float(simpson(density * info_hw, x=grid))
-    gain_parity = float(simpson(density * info_parity, x=grid))
+    means = np.reshape(np.asarray(model.means, dtype=float), (1, 4))
+    variance = np.array([model.variance], dtype=float)
+    gain_hw, gain_parity = _stack_gains(means, variance, points)[0]
     if check:
-        grid2, density2, info_hw2, info_parity2 = _gain_integrands(model, 2 * (points - 1) + 1)
-        ref_hw = float(simpson(density2 * info_hw2, x=grid2))
-        ref_parity = float(simpson(density2 * info_parity2, x=grid2))
+        ref_hw, ref_parity = _stack_gains(means, variance, 2 * (points - 1) + 1)[0]
         if abs(ref_hw - gain_hw) > QUADRATURE_RTOL or abs(ref_parity - gain_parity) > QUADRATURE_RTOL:
             raise QuadratureNonconvergent(
                 f"doubling the grid moved the gains by "
                 f"({abs(ref_hw - gain_hw):.2e}, {abs(ref_parity - gain_parity):.2e}) bits")
-    return gain_hw, gain_parity
+    return float(gain_hw), float(gain_parity)
+
+
+def _phase_bracket(integrals, phis, tau, variance_convention):
+    """Index of the coarse phase around which the parity gain peaks.
+
+    Every phase is scored in one stacked pass at PHASE_SCAN_POINTS, and the
+    scan measures its own error against its every-other-point sub-grid.  The
+    cheap quadrature only has to rank the phases: all phases within that
+    error (plus a rounding floor) of the best are re-scored at the full
+    quadrature before one is chosen.
+    """
+    means = _project(np.asarray(integrals), phis[:, None])
+    variance = np.full(phis.size, _variance(tau, variance_convention))
+    values, errors = np.empty(phis.size), np.empty(phis.size)
+    for rows, grid, _, parity in _integrand_chunks(means, variance, PHASE_SCAN_POINTS):
+        values[rows] = simpson(parity, x=grid)
+        errors[rows] = np.abs(values[rows] - simpson(parity[:, ::2], x=grid[:, ::2]))
+    best = int(np.argmax(values))
+    rivals = np.flatnonzero(values[best] - values <= errors[best] + errors + PHASE_SCAN_FLOOR)
+    if rivals.size > 1:
+        rescored = _stack_gains(means[rivals], variance[rivals], DEFAULT_QUADRATURE_POINTS)
+        best = int(rivals[np.argmax(rescored[:, 1])])
+    return best
 
 
 def optimal_phase(integrals, tau, variance_convention="tau",
                   coarse_points=PHASE_COARSE_POINTS, tolerance=PHASE_TOLERANCE):
     """Local-oscillator phase maximizing the parity information gain.
 
-    Coarse scan over [0, pi) followed by golden-section refinement to the
-    requested tolerance; the objective is pi-periodic.  Returns
+    Coarse scan over [0, pi) on a cheap quadrature (it only picks the
+    bracket) followed by golden-section refinement at the full quadrature
+    to the requested tolerance; the objective is pi-periodic.  Returns
     ``(phase, info_parity)``.
     """
     def objective(phi):
@@ -214,8 +326,7 @@ def optimal_phase(integrals, tau, variance_convention="tau",
         return info_gains(model, check=False)[1]
 
     phis = np.linspace(0.0, math.pi, coarse_points, endpoint=False)
-    values = [objective(p) for p in phis]
-    best = int(np.argmax(values))
+    best = _phase_bracket(integrals, phis, tau, variance_convention)
     span = math.pi / coarse_points
     lo, hi = phis[best] - span, phis[best] + span
 
@@ -289,6 +400,27 @@ class InfoGainReport:
         return self.info_hamming - self.info_parity
 
 
+def _score(trajectories, tau, phase="optimal", variance_convention="tau", taus=None):
+    """Integrate, pick the phase, guard and score four trajectories.
+
+    The complex output integrals at ``tau`` choose the phase ("optimal") or
+    a number is taken as it is; one guarded cumulative pass per trajectory
+    then gives the means at every time of ``taus`` (ending at ``tau``,
+    default ``[tau]``).  Returns ``(phase, (gain_hw, gain_parity), means)``,
+    means (len(taus), 4); the gains at ``tau`` carry the doubling check.
+    """
+    ordered = _ordered(trajectories)
+    if phase == "optimal":
+        phase, _ = optimal_phase([output_integral(tr, tau) for tr in ordered],
+                                 tau, variance_convention)
+    else:
+        phase = float(phase)
+    taus = np.array([tau] if taus is None else taus, dtype=float)
+    means = np.stack([integrated_signal(tr, phase, taus) for tr in ordered], axis=1)
+    gains = info_gains(SignalModel(tau, phase, tuple(means[-1]), variance_convention))
+    return phase, gains, means
+
+
 def analyze_trajectories(trajectories, tau, phase="optimal", tau_points=57,
                          variance_convention="tau", with_rates=True):
     """Full information-gain report for a set of four evolved trajectories.
@@ -296,27 +428,22 @@ def analyze_trajectories(trajectories, tau, phase="optimal", tau_points=57,
     ``phase`` may be a number or "optimal"; with ``with_rates`` the gains are
     also computed on a uniform ``tau_points`` grid over [0, tau] (requires
     the grid to be commensurate with the trajectory sampling) and
-    differentiated into measurement rates.
+    differentiated into measurement rates.  All tau points come from one
+    cumulative quadrature per trajectory and one stacked gain evaluation.
     """
-    ordered = sorted(trajectories, key=lambda tr: tr.hamming_weight)
-    integrals = [output_integral(tr, tau) for tr in ordered]
-    if phase == "optimal":
-        phi, _ = optimal_phase(integrals, tau, variance_convention)
-    else:
-        phi = float(phase)
-    model = signal_model(ordered, phi, tau, variance_convention)
-    gain_hw, gain_parity = info_gains(model)
+    if with_rates and tau_points < 3:
+        raise ValueError("need at least 3 grid points")
+    tau_grid = np.linspace(0.0, tau, tau_points) if with_rates else None
+    phi, (gain_hw, gain_parity), means = _score(
+        trajectories, tau, phase, variance_convention,
+        None if tau_grid is None else tau_grid[1:])  # gains vanish at tau=0
 
-    tau_grid = rate_hw = rate_parity = series_hw = series_parity = None
+    rate_hw = rate_parity = series_hw = series_parity = None
     if with_rates:
-        tau_grid = np.linspace(0.0, tau, tau_points)[1:]  # gains vanish at tau=0
-        series_hw = np.empty(tau_grid.size + 1)
-        series_parity = np.empty(tau_grid.size + 1)
-        series_hw[0] = series_parity[0] = 0.0
-        for j, t in enumerate(tau_grid):
-            m = signal_model(ordered, phi, t, variance_convention)
-            series_hw[j + 1], series_parity[j + 1] = info_gains(m, check=False)
-        tau_grid = np.concatenate(([0.0], tau_grid))
+        series = _stack_gains(means, _variance(tau_grid[1:], variance_convention),
+                              DEFAULT_QUADRATURE_POINTS)
+        series_hw = np.concatenate(([0.0], series[:, 0]))
+        series_parity = np.concatenate(([0.0], series[:, 1]))
         rate_hw = measurement_rates(tau_grid, series_hw)
         rate_parity = measurement_rates(tau_grid, series_parity)
 
@@ -362,21 +489,22 @@ def _sweep_single(args):
     det = parity_detunings(model, kappa, kappa).plus_branch
     setup = MeasurementSetup(kappa, kappa, det[0], det[1], model, pulse)
     trajectories = [evolve(setup, hw, tau) for hw in range(4)]
-    integrals = [output_integral(tr, tau) for tr in trajectories]
-    phi, _ = optimal_phase(integrals, tau, variance_convention)
-    for tr in trajectories:
-        integrated_signal(tr, phi, tau)  # Richardson guard only: raises GridTooCoarse
-    gain_hw, gain_parity = info_gains(
-        SignalModel(tau, phi, means_from_integrals(integrals, phi), variance_convention))
+    phi, (gain_hw, gain_parity), _ = _score(
+        trajectories, tau, variance_convention=variance_convention)
     return SweepPoint(chi1, chi2, gain_parity, gain_hw, phi)
 
 
 def worker_count(workers=None):
+    """Worker processes for a sweep: ``workers``, else PARITY_SCOPE_WORKERS,
+    else every core; values below one mean one."""
     if workers is not None:
         return max(1, int(workers))
     env = os.environ.get(WORKERS_ENV)
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ConfigError(f"{WORKERS_ENV}: expected an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 

@@ -291,3 +291,40 @@ def test_cli_determinism(tmp_path):
     a = (tmp_path / "first" / "trajectory_hw0.csv").read_bytes()
     b = (tmp_path / "second" / "trajectory_hw0.csv").read_bytes()
     assert a == b
+
+
+def _write_variant(tmp_path, name, edit):
+    from parity_scope.config import PRESETS
+    tree = json.loads(json.dumps(PRESETS["paper-sec5-symmetric"]))
+    edit(tree)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(tree))
+    return path
+
+
+@pytest.mark.parametrize("field, value", [("phase", "best"), ("tau_points", 50),
+                                          ("tau_points", 2), ("time_unit", "ns")])
+def test_cli_simulate_rejects_bad_analysis_field(tmp_path, capsys, field, value):
+    path = _write_variant(tmp_path, field,
+                          lambda tree: tree["analysis"].__setitem__(field, value))
+    code = run(["simulate", "--config", str(path), "--out", str(tmp_path), "--quiet"])
+    assert code == 2
+    assert f"analysis.{field}" in capsys.readouterr().err
+
+
+def test_cli_sweep_rejects_bad_worker_count(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("PARITY_SCOPE_WORKERS", "abc")
+    code = run(["sweep", "--preset", "fig4-cuts", "--out", str(tmp_path), "--quiet"])
+    assert code == 2
+    assert "PARITY_SCOPE_WORKERS" in capsys.readouterr().err
+
+
+def test_cli_sweep_splits_cuts_in_order(tmp_path):
+    # both cuts run through one sweep; each file holds its own cut in grid order
+    path = _write_variant(tmp_path, "two", lambda tree: tree["analysis"].__setitem__(
+        "sweep", {"minimum": 0.4, "maximum": 0.6, "points": 2, "asymmetric_chi2": 0.3}))
+    assert run(["sweep", "--config", str(path), "--out", str(tmp_path), "--quiet"]) == 0
+    _, diagonal = read_csv(tmp_path / "sweep_diagonal.csv")
+    _, asymmetric = read_csv(tmp_path / "sweep_asymmetric.csv")
+    assert [row[:2] for row in diagonal] == [[0.4, 0.4], [0.6, 0.6]]
+    assert [row[:2] for row in asymmetric] == [[0.4, 0.3], [0.6, 0.3]]

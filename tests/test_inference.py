@@ -354,3 +354,175 @@ def test_output_integral_matches_means(reference_trajectories):
     means = means_from_integrals(integrals, phi)
     for tr, mean in zip(reference_trajectories, means):
         assert integrated_signal(tr, phi, tau) == pytest.approx(mean, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# stacked gain kernel, coarse phase scan and cumulative signal layer
+# ---------------------------------------------------------------------------
+
+def reference_optimal_phase(integrals, tau, variance_convention="tau"):
+    """Per-call phase search: every coarse phase scored by its own
+    ``info_gains`` call at the full quadrature, then the golden-section
+    refinement.  Returns ``(bracket index, phase, info_parity)``."""
+    from parity_scope.inference import PHASE_COARSE_POINTS, PHASE_TOLERANCE
+
+    def objective(phi):
+        model = SignalModel(tau, phi, means_from_integrals(integrals, phi),
+                            variance_convention)
+        return info_gains(model, check=False)[1]
+
+    phis = np.linspace(0.0, math.pi, PHASE_COARSE_POINTS, endpoint=False)
+    best = int(np.argmax([objective(p) for p in phis]))
+    span = math.pi / PHASE_COARSE_POINTS
+    lo, hi = phis[best] - span, phis[best] + span
+    ratio = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
+    fc, fd = objective(c), objective(d)
+    while hi - lo > PHASE_TOLERANCE:
+        if fc > fd:
+            hi, d, fd = d, c, fc
+            c = hi - ratio * (hi - lo)
+            fc = objective(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + ratio * (hi - lo)
+            fd = objective(d)
+    phi_star = ((lo + hi) / 2.0) % math.pi
+    return best, phi_star, objective(phi_star)
+
+
+@pytest.mark.parametrize("convention", ["tau", "tau-squared"])
+@pytest.mark.parametrize("points", [201, 4001])
+def test_stacked_gains_match_single_calls(convention, points):
+    from parity_scope.inference import _stack_gains, _variance
+    rng = np.random.default_rng(41)
+    means = rng.uniform(-5.0, 5.0, size=(45, 4))
+    taus = rng.uniform(0.5, 6.0, size=45)
+    stacked = _stack_gains(means, _variance(taus, convention), points)
+    for row, mu, tau in zip(stacked, means, taus):
+        single = info_gains(SignalModel(tau, 0.0, tuple(mu), convention),
+                            points=points, check=False)
+        assert np.max(np.abs(row - single)) <= 1e-13
+
+
+def test_optimal_phase_matches_per_call_scan():
+    from parity_scope.config import preset
+    from parity_scope.inference import _phase_bracket, PHASE_COARSE_POINTS
+    cfg = preset("fig4-cuts")
+    kappa = max(cfg.kappa1, cfg.kappa2)
+    pulse = cfg.pulse.resolve(kappa)
+    tau = cfg.analysis.resolve_measurement_time(kappa)
+    sweep = cfg.analysis.sweep
+    grid = np.linspace(sweep.minimum, sweep.maximum, sweep.points)
+    phis = np.linspace(0.0, math.pi, PHASE_COARSE_POINTS, endpoint=False)
+    for chi1, chi2 in [(grid[0], grid[0]), (grid[22], grid[22]), (grid[60], grid[60]),
+                       (grid[10], sweep.asymmetric_chi2), (grid[45], sweep.asymmetric_chi2)]:
+        model = DispersiveModel(0.0, 0.0, 0.0, chi1 * kappa, chi2 * kappa, 0.0, 0.0)
+        det = parity_detunings(model, kappa, kappa).plus_branch
+        setup = MeasurementSetup(kappa, kappa, det[0], det[1], model, pulse)
+        integrals = [output_integral(evolve(setup, hw, tau), tau) for hw in range(4)]
+        best, phi_ref, gain_ref = reference_optimal_phase(integrals, tau)
+        assert _phase_bracket(integrals, phis, tau, "tau") == best
+        assert optimal_phase(integrals, tau) == (phi_ref, gain_ref)
+
+
+def test_phase_scan_rescores_near_ties(monkeypatch):
+    # on a 9-point quadrature the cheap scan ranks a far peak first; its
+    # measured error puts the true peak within reach, so the candidates are
+    # re-scored at the full quadrature and the per-call bracket is kept
+    from parity_scope import inference
+    integrals = [complex(0.002, -0.682), complex(0.448, -1.487),
+                 complex(-0.411, 0.09), complex(-1.336, 2.01)]
+    tau = 1.0
+    phis = np.linspace(0.0, math.pi, inference.PHASE_COARSE_POINTS, endpoint=False)
+    means = inference._project(np.asarray(integrals), phis[:, None])
+    variance = np.full(phis.size, tau)
+    cheap = inference._stack_gains(means, variance, 9)[:, 1]
+    best, phi_ref, gain_ref = reference_optimal_phase(integrals, tau)
+    assert int(np.argmax(cheap)) != best
+
+    monkeypatch.setattr(inference, "PHASE_SCAN_POINTS", 9)
+    rescored = []
+    stack_gains = inference._stack_gains
+
+    def spy(means, variance, points):
+        if points == inference.DEFAULT_QUADRATURE_POINTS:
+            rescored.append(len(means))
+        return stack_gains(means, variance, points)
+
+    monkeypatch.setattr(inference, "_stack_gains", spy)
+    assert inference._phase_bracket(integrals, phis, tau, "tau") == best
+    assert rescored and rescored[0] > 1
+    assert optimal_phase(integrals, tau) == (phi_ref, gain_ref)
+
+
+def test_analyze_runs_richardson_guard(monkeypatch):
+    from parity_scope import dynamics
+    monkeypatch.setattr(dynamics, "RECORD_TARGET", 50)
+    trajectories = [evolve(reference_setup(), hw, 28.0) for hw in range(4)]
+    with pytest.raises(GridTooCoarse):
+        analyze_trajectories(trajectories, 28.0, tau_points=26)
+    with pytest.raises(GridTooCoarse):
+        analyze_trajectories(trajectories, 28.0, with_rates=False)
+
+
+def test_analysis_memory_peaks(reference_trajectories):
+    # tracemalloc peaks of the per-call implementation (numpy 2.4, scipy
+    # 1.17): 1.01 MB for one phase search, 2.11 MB for one full report
+    import tracemalloc
+    integrals = [output_integral(tr, 28.0) for tr in reference_trajectories]
+    for run, bound in ((lambda: optimal_phase(integrals, 28.0), 1.01e6),
+                       (lambda: analyze_trajectories(reference_trajectories, 28.0), 2.11e6)):
+        run()
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * bound
+
+
+def test_cumulative_simpson_matches_scipy_prefixes():
+    from scipy.integrate import simpson
+    from parity_scope.inference import _cumulative_simpson
+    rng = np.random.default_rng(3)
+    t = np.cumsum(rng.uniform(0.5, 1.5, 40))
+    y = rng.normal(size=40) + 1j * rng.normal(size=40)
+    cumulative = _cumulative_simpson(t, y)
+    assert cumulative[0] == 0.0
+    for k in range(1, t.size):
+        direct = complex(simpson(y[:k + 1].real, x=t[:k + 1]),
+                         simpson(y[:k + 1].imag, x=t[:k + 1]))
+        assert abs(cumulative[k] - direct) <= 1e-13 * max(1.0, abs(direct))
+
+
+def test_signal_series_matches_per_tau_quadrature(reference_trajectories):
+    # one cumulative pass gives every tau what re-integrating from 0 gives
+    from scipy.integrate import simpson
+    traj, phase = reference_trajectories[1], 0.9
+    taus = np.linspace(0.0, 28.0, 57)[1:]
+    series = integrated_signal(traj, phase, taus)
+    integrand = 2.0 * np.real(np.exp(-1j * phase) * traj.output)
+    for tau, mean in zip(taus, series):
+        idx = int(np.argmin(np.abs(traj.times - tau)))
+        direct = simpson(integrand[:idx + 1], x=traj.times[:idx + 1])
+        assert mean == pytest.approx(direct, rel=1e-12, abs=1e-12)
+        assert integrated_signal(traj, phase, tau) == mean
+
+
+def test_report_guards_every_tau_of_the_series():
+    # a +/- pair of spikes on odd samples cancels in the full-grid quadrature
+    # by the end, so only the intermediate tau points see the half grid
+    # disagree: the final-tau report passes, the rate series must not
+    from parity_scope.dynamics import Trajectory
+    t = np.linspace(0.0, 10.0, 201)
+    output = np.zeros(t.size, dtype=complex)
+    output[51], output[151] = 1.0, -1.0
+    trajectories = [Trajectory(times=t, alpha1=np.zeros_like(output),
+                               alpha2=np.zeros_like(output), drive=np.zeros_like(t),
+                               output=output, hamming_weight=hw, step=t[1] - t[0])
+                    for hw in range(4)]
+    analyze_trajectories(trajectories, 10.0, phase=0.0, with_rates=False)
+    with pytest.raises(GridTooCoarse):
+        analyze_trajectories(trajectories, 10.0, phase=0.0, tau_points=11)
