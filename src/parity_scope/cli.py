@@ -31,16 +31,6 @@ from .errors import (
     StepTooLarge,
 )
 from .inference import analyze_trajectories, chi_sweep, worker_count
-from .spectral import (
-    ChargeBasisConfig,
-    LadderConfig,
-    charge_dispersion,
-    chi_oracle,
-    dressed_tcq_check,
-    switch_splitting,
-    tcq_charge_spectrum,
-    transmon_charge_spectrum,
-)
 
 CONFIG_EXIT = 2
 PHYSICS_EXIT = 3
@@ -157,10 +147,10 @@ TRAJECTORY_HEADER = ["t", "re_a1", "im_a1", "re_a2", "im_a2", "re_bout", "im_bou
 
 
 def trajectory_rows(traj):
-    return [
-        [float(t), a1.real, a1.imag, a2.real, a2.imag, b.real, b.imag]
-        for t, a1, a2, b in zip(traj.times, traj.alpha1, traj.alpha2, traj.output)
-    ]
+    # tolist() yields Python floats, whose repr is what _fmt writes
+    return np.column_stack([traj.times, traj.alpha1.real, traj.alpha1.imag,
+                            traj.alpha2.real, traj.alpha2.imag,
+                            traj.output.real, traj.output.imag]).tolist()
 
 
 def cmd_simulate(args):
@@ -275,6 +265,19 @@ def cmd_sweep(args):
 # ---------------------------------------------------------------------------
 
 def _validation_checks(cfg):
+    # the exact-diagonalization oracles are the only users of scipy, so no
+    # other command pays for importing it
+    from .spectral import (
+        ChargeBasisConfig,
+        LadderConfig,
+        charge_dispersion,
+        chi_oracle,
+        dressed_tcq_check,
+        switch_splitting,
+        tcq_charge_spectrum,
+        transmon_charge_spectrum,
+    )
+
     ratio = cfg.validation.coupling_ratio
     checks = []
 

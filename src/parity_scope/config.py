@@ -32,7 +32,7 @@ from .dispersive import (
     transmon_dispersive,
     transmon_levels,
 )
-from .dynamics import DrivePulse
+from .dynamics import DrivePulse, MeasurementSetup
 from .errors import ConfigError, ParityConditionUnsatisfiable
 
 # ordinary frequency in MHz -> angular rad/us: omega = 2 pi f
@@ -51,11 +51,37 @@ def _is_number(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _number(mapping, key, where):
-    value = _require(mapping, key, where)
-    if not _is_number(value):
-        raise ConfigError(f"{where}.{key}: expected a number, got {value!r}")
+def _number(mapping, key, where, default=None):
+    """Finite number at ``mapping[key]``; required unless a default is given."""
+    value = _require(mapping, key, where) if default is None else mapping.get(key, default)
+    if not (_is_number(value) and math.isfinite(value)):
+        raise ConfigError(f"{where}.{key}: expected a finite number, got {value!r}")
     return float(value)
+
+
+def _positive(mapping, key, where, default=None):
+    value = _number(mapping, key, where, default)
+    if value <= 0:
+        raise ConfigError(f"{where}.{key}: expected a positive number, got {value!r}")
+    return value
+
+
+def _integer(mapping, key, where, default, minimum):
+    """Integer of at least ``minimum`` (integral floats accepted); optional."""
+    value = mapping.get(key, default)
+    if not (_is_number(value) and math.isfinite(value) and value == int(value)
+            and value >= minimum):
+        raise ConfigError(
+            f"{where}.{key}: expected an integer of at least {minimum}, got {value!r}")
+    return int(value)
+
+
+def _section(mapping, key, prefix=""):
+    """Optional sub-object; absent means all its defaults."""
+    value = mapping.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"{prefix}{key}: expected an object, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -164,14 +190,12 @@ def parse_config(tree, name="config"):
     raw_r2 = _require(bus, "resonator2_mhz", "bus")
     if raw_r2 == "auto-parity":
         resonator2 = "auto-parity"
-    elif isinstance(raw_r2, (int, float)) and not isinstance(raw_r2, bool):
+    elif _is_number(raw_r2) and math.isfinite(raw_r2):
         resonator2 = float(raw_r2) * MHZ
     else:
         raise ConfigError(f"bus.resonator2_mhz: expected a number or 'auto-parity', got {raw_r2!r}")
-    kappa1 = _number(bus, "kappa1_mhz", "bus") * MHZ
-    kappa2 = _number(bus, "kappa2_mhz", "bus") * MHZ
-    if kappa1 <= 0 or kappa2 <= 0:
-        raise ConfigError("bus: decay rates must be positive")
+    kappa1 = _positive(bus, "kappa1_mhz", "bus") * MHZ
+    kappa2 = _positive(bus, "kappa2_mhz", "bus") * MHZ
 
     targets = tree.get("targets")
     chi_targets = None
@@ -189,22 +213,21 @@ def parse_config(tree, name="config"):
     )
     if pulse.time_unit not in ("1/kappa", "us"):
         raise ConfigError(f"pulse.time_unit: unknown unit {pulse.time_unit!r}")
+    try:
+        pulse.resolve(1.0)      # the pulse-shape checks are scale-free
+    except ValueError as exc:
+        raise ConfigError(f"pulse: {exc}") from exc
 
-    raw_analysis = tree.get("analysis", {})
-    raw_sweep = raw_analysis.get("sweep", {})
+    raw_analysis = _section(tree, "analysis")
+    raw_sweep = _section(raw_analysis, "sweep", "analysis.")
     sweep = SweepConfig(
-        minimum=float(raw_sweep.get("minimum", 0.1)),
-        maximum=float(raw_sweep.get("maximum", 1.2)),
-        points=int(raw_sweep.get("points", 61)),
-        asymmetric_chi2=float(raw_sweep.get("asymmetric_chi2", 0.3)),
+        minimum=_number(raw_sweep, "minimum", "analysis.sweep", 0.1),
+        maximum=_number(raw_sweep, "maximum", "analysis.sweep", 1.2),
+        points=_integer(raw_sweep, "points", "analysis.sweep", 61, 1),
+        asymmetric_chi2=_number(raw_sweep, "asymmetric_chi2", "analysis.sweep", 0.3),
     )
-    if sweep.points < 1 or sweep.minimum <= 0 or sweep.maximum < sweep.minimum:
+    if sweep.minimum <= 0 or sweep.maximum < sweep.minimum:
         raise ConfigError("analysis.sweep: invalid range")
-    tau_points = raw_analysis.get("tau_points", 57)
-    if not (_is_number(tau_points) and tau_points >= 3
-            and (isinstance(tau_points, int) or tau_points.is_integer())):
-        raise ConfigError(
-            f"analysis.tau_points: expected an integer of at least 3, got {tau_points!r}")
     phase = raw_analysis.get("phase", "optimal")
     if phase != "optimal" and not (_is_number(phase) and math.isfinite(phase)):
         raise ConfigError(
@@ -213,17 +236,17 @@ def parse_config(tree, name="config"):
     if time_unit not in ("1/kappa", "us"):
         raise ConfigError(f"analysis.time_unit: unknown unit {time_unit!r}")
     analysis = AnalysisConfig(
-        measurement_time=float(raw_analysis.get("measurement_time", 28.0)),
+        measurement_time=_positive(raw_analysis, "measurement_time", "analysis", 28.0),
         time_unit=time_unit,
-        tau_points=int(tau_points),
+        tau_points=_integer(raw_analysis, "tau_points", "analysis", 57, 3),
         phase=phase,
         sweep=sweep,
     )
-    raw_validation = tree.get("validation", {})
+    raw_validation = _section(tree, "validation")
     validation = ValidationConfig(
-        coupling_ratio=float(raw_validation.get("coupling_ratio", 0.05)),
-        charge_cutoff=int(raw_validation.get("charge_cutoff", 12)),
-        dispersion_grid=int(raw_validation.get("dispersion_grid", 21)),
+        coupling_ratio=_positive(raw_validation, "coupling_ratio", "validation", 0.05),
+        charge_cutoff=_integer(raw_validation, "charge_cutoff", "validation", 12, 8),
+        dispersion_grid=_integer(raw_validation, "dispersion_grid", "validation", 21, 1),
     )
 
     return ScenarioConfig(
@@ -349,9 +372,6 @@ class ScenarioReport:
         return max(self.config.kappa1, self.config.kappa2)
 
     def measurement_setup(self):
-        from .dynamics import MeasurementSetup
-        from .errors import ParityConditionUnsatisfiable
-
         if not self.parity_satisfiable:
             raise ParityConditionUnsatisfiable(self.parity_error)
         pulse = self.config.pulse.resolve(self.kappa)

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.constants import e as _ELEMENTARY_CHARGE, hbar as _HBAR
 
 from .errors import (
     DegenerateDenominator,
@@ -26,6 +25,10 @@ from .errors import (
     ParityConditionUnsatisfiable,
     SingularCapacitanceMatrix,
 )
+
+# SI elementary charge (C) and reduced Planck constant (J s), from the exact SI e and h
+_ELEMENTARY_CHARGE = 1.602176634e-19
+_HBAR = 1.0545718176461565e-34
 
 # |g/Delta| (and |sqrt(2) g/(Delta+delta)|) above this only warns, never raises:
 # users may deliberately probe the breakdown of the dispersive approximation.

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import schur
 
 from .errors import DegenerateResponse, SingularResponseMatrix, StepTooLarge
 
@@ -180,6 +179,21 @@ def _scalar_recurrence(powers, inverse_powers, x, carry):
     return powers[:n] * (carry + np.cumsum(inverse_powers[:n] * x))
 
 
+def _schur2(m):
+    """Complex Schur form of a 2x2 matrix, M = Q T Q^H with T upper triangular.
+
+    One unit eigenvector v of M and its orthonormal complement w make the
+    unitary Q = [v, w]; then (Q^H M Q)[1, 0] = lam w^H v = 0.  A single
+    eigenpair exists for every M, so defective M need no special case.
+    """
+    v = np.linalg.eig(m)[1][:, 0]
+    v = v / np.linalg.norm(v)
+    q = np.array([[v[0], -v[1].conjugate()], [v[1], v[0].conjugate()]])
+    t = q.conj().T @ m @ q
+    t[1, 0] = 0.0
+    return t, q
+
+
 def _integrate(m, u, beta_nodes, beta_mid, dt, n_steps, stride):
     """RK4 recurrence a[n+1] = S a[n] + f[n] from vacuum, recorded every ``stride`` steps.
 
@@ -190,7 +204,7 @@ def _integrate(m, u, beta_nodes, beta_mid, dt, n_steps, stride):
     RECURRENCE_CHUNK steps, carrying the last value across chunk boundaries
     so lam^-k stays of order one; only the recorded samples are rotated back.
     """
-    t, q = schur(m, output="complex")
+    t, q = _schur2(m)
     r, v_left, v_mid, v_right = _rk4_coefficients(t, dt, q.conj().T @ u)
     log_powers = np.log(np.diag(r))[:, None] * np.arange(1, RECURRENCE_CHUNK + 1)
     powers, inverse_powers = np.exp(log_powers), np.exp(-log_powers)

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .dispersive import DispersiveModel, parity_detunings
 from .dynamics import MeasurementSetup, evolve
@@ -84,6 +83,24 @@ def _tau_index(trajectory, tau):
     if np.any(np.abs(times[idx] - tau) > 1e-6 * spacing + 1e-12 * np.maximum(tau, 1.0)):
         raise ValueError("tau does not land on the trajectory grid")
     return idx
+
+
+def _simpson(y, x):
+    """Composite Simpson integral of y over x along the last axis, for an odd
+    sample count; x is (p,) or shaped like y.
+
+    The arithmetic of ``scipy.integrate.simpson`` on an odd count (two-interval
+    panels for any spacing, then one ``np.sum``), so values agree bitwise.
+    """
+    if y.shape[-1] % 2 == 0:
+        raise ValueError(f"simpson needs an odd number of samples, got {y.shape[-1]}")
+    h = np.diff(x, axis=-1)
+    h0, h1 = h[..., ::2], h[..., 1::2]
+    hsum, ratio = h0 + h1, h0 / h1
+    panels = hsum / 6.0 * (y[..., :-2:2] * (2.0 - 1.0 / ratio)
+                           + y[..., 1:-1:2] * (hsum * (hsum / (h0 * h1)))
+                           + y[..., 2::2] * (2.0 - ratio))
+    return np.sum(panels, axis=-1)
 
 
 def _cumulative_simpson(t, y):
@@ -264,8 +281,8 @@ def _stack_gains(means, variance, points):
     by composite Simpson on ``points`` samples."""
     gains = np.empty((len(means), 2))
     for rows, grid, hamming, parity in _integrand_chunks(means, variance, points):
-        gains[rows, 0] = simpson(hamming, x=grid)
-        gains[rows, 1] = simpson(parity, x=grid)
+        gains[rows, 0] = _simpson(hamming, grid)
+        gains[rows, 1] = _simpson(parity, grid)
     return gains
 
 
@@ -301,8 +318,8 @@ def _phase_bracket(integrals, phis, tau, variance_convention):
     variance = np.full(phis.size, _variance(tau, variance_convention))
     values, errors = np.empty(phis.size), np.empty(phis.size)
     for rows, grid, _, parity in _integrand_chunks(means, variance, PHASE_SCAN_POINTS):
-        values[rows] = simpson(parity, x=grid)
-        errors[rows] = np.abs(values[rows] - simpson(parity[:, ::2], x=grid[:, ::2]))
+        values[rows] = _simpson(parity, grid)
+        errors[rows] = np.abs(values[rows] - _simpson(parity[:, ::2], grid[:, ::2]))
     best = int(np.argmax(values))
     rivals = np.flatnonzero(values[best] - values <= errors[best] + errors + PHASE_SCAN_FLOOR)
     if rivals.size > 1:

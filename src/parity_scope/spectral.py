@@ -16,13 +16,19 @@ All Hamiltonians are dense real-symmetric; sizes stay at desk scale
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg as sla
 from scipy.optimize import minimize_scalar
 
-from .dispersive import DressedTcq, tcq_mixing
+from .dispersive import (
+    DressedTcq,
+    attach_resonators,
+    tcq_dispersive,
+    tcq_mixing,
+    tcq_state_shifts,
+)
 from .errors import ConvergenceFailure, LevelIdentificationFailure
 
 CONVERGENCE_RTOL = 1e-8
@@ -77,18 +83,48 @@ def transmon_charge_spectrum(josephson, charging, offset=0.0, cutoff=20, levels=
 
 
 def tcq_charge_hamiltonian(cfg, cutoff):
-    """Two-island Hamiltonian with the 4 E_I (n+ - ng+)(n- - ng-) cross term."""
+    """Two-island Hamiltonian with the 4 E_I (n+ - ng+)(n- - ng-) cross term.
+
+    Built entry by entry; it equals H+ (x) 1 + 1 (x) H- + 4 E_I N+ (x) N-
+    with each island's Hamiltonian and charge operator N = n - ng.  Basis
+    state (n+, n-) sits at index (n+ + cutoff) * dim + (n- + cutoff).
+    """
     dim = 2 * cutoff + 1
     n = np.arange(-cutoff, cutoff + 1, dtype=float)
-    eye = np.eye(dim)
-    h_plus = transmon_charge_hamiltonian(cfg.josephson_plus, cfg.charging_plus,
-                                         cfg.offset_plus, cutoff)
-    h_minus = transmon_charge_hamiltonian(cfg.josephson_minus, cfg.charging_minus,
-                                          cfg.offset_minus, cutoff)
-    charge_plus = np.diag(n - cfg.offset_plus)
-    charge_minus = np.diag(n - cfg.offset_minus)
-    return (np.kron(h_plus, eye) + np.kron(eye, h_minus)
-            + 4.0 * cfg.interaction * np.kron(charge_plus, charge_minus))
+    charge_plus, charge_minus = n - cfg.offset_plus, n - cfg.offset_minus
+    onsite = (4.0 * cfg.charging_plus * charge_plus[:, None] ** 2
+              + 4.0 * cfg.charging_minus * charge_minus ** 2)
+    onsite += 4.0 * cfg.interaction * np.outer(charge_plus, charge_minus)
+    h = np.diag(onsite.ravel())
+    # plus-island hopping n+ -> n+ + 1 moves by dim; minus-island hopping
+    # n- -> n- + 1 moves by 1 except across the end of a row of n-
+    plus = np.arange(dim * dim - dim)
+    minus = np.flatnonzero(np.arange(dim * dim - 1) % dim != dim - 1)
+    h[plus, plus + dim] = h[plus + dim, plus] = -cfg.josephson_plus / 2.0
+    h[minus, minus + 1] = h[minus + 1, minus] = -cfg.josephson_minus / 2.0
+    return h
+
+
+def _lowest_levels(cfg, cutoff, levels):
+    return sla.eigh(tcq_charge_hamiltonian(cfg, cutoff), eigvals_only=True,
+                    subset_by_index=(0, levels - 1))
+
+
+def _converge_cutoff(cfg, levels):
+    """The cutoff loop of tcq_charge_spectrum and converged_charge_cutoff:
+    the converged cutoff and its lowest levels."""
+    cutoff = cfg.charge_cutoff
+    values = _lowest_levels(cfg, cutoff, levels)
+    tol = CONVERGENCE_RTOL * cfg.charging_scale
+    while True:
+        probe = _lowest_levels(cfg, cutoff + 4, levels)
+        if np.max(np.abs(probe - values)) <= tol:
+            return cutoff, values
+        cutoff += 4
+        values = probe
+        if cutoff > cfg.cutoff_ceiling:
+            raise ConvergenceFailure(
+                f"charge-basis spectrum not converged at cutoff {cfg.cutoff_ceiling}")
 
 
 def tcq_charge_spectrum(cfg, levels=6):
@@ -98,38 +134,12 @@ def tcq_charge_spectrum(cfg, levels=6):
     1e-8 of the charging scale; failure at the ceiling raises
     ConvergenceFailure.
     """
-    cutoff = cfg.charge_cutoff
-    values = sla.eigh(tcq_charge_hamiltonian(cfg, cutoff), eigvals_only=True,
-                      subset_by_index=(0, levels - 1))
-    tol = CONVERGENCE_RTOL * cfg.charging_scale
-    while True:
-        probe = sla.eigh(tcq_charge_hamiltonian(cfg, cutoff + 4), eigvals_only=True,
-                         subset_by_index=(0, levels - 1))
-        if np.max(np.abs(probe - values)) <= tol:
-            return values
-        cutoff += 4
-        values = probe
-        if cutoff > cfg.cutoff_ceiling:
-            raise ConvergenceFailure(
-                f"charge-basis spectrum not converged at cutoff {cfg.cutoff_ceiling}")
+    return _converge_cutoff(cfg, levels)[1]
 
 
 def converged_charge_cutoff(cfg, levels=6):
     """Smallest cutoff (from cfg.charge_cutoff in steps of 4) passing the probe."""
-    cutoff = cfg.charge_cutoff
-    values = sla.eigh(tcq_charge_hamiltonian(cfg, cutoff), eigvals_only=True,
-                      subset_by_index=(0, levels - 1))
-    tol = CONVERGENCE_RTOL * cfg.charging_scale
-    while True:
-        probe = sla.eigh(tcq_charge_hamiltonian(cfg, cutoff + 4), eigvals_only=True,
-                         subset_by_index=(0, levels - 1))
-        if np.max(np.abs(probe - values)) <= tol:
-            return cutoff
-        cutoff += 4
-        values = probe
-        if cutoff > cfg.cutoff_ceiling:
-            raise ConvergenceFailure(
-                f"charge-basis spectrum not converged at cutoff {cfg.cutoff_ceiling}")
+    return _converge_cutoff(cfg, levels)[0]
 
 
 def charge_dispersion(cfg, levels=6, grid_points=21):
@@ -138,8 +148,6 @@ def charge_dispersion(cfg, levels=6, grid_points=21):
     One convergence probe (at the corner and the center of the square) fixes
     the cutoff for the whole sweep.
     """
-    from dataclasses import replace
-
     cutoff = max(
         converged_charge_cutoff(replace(cfg, offset_plus=0.0, offset_minus=0.0), levels),
         converged_charge_cutoff(replace(cfg, offset_plus=0.5, offset_minus=0.5), levels),
@@ -150,8 +158,7 @@ def charge_dispersion(cfg, levels=6, grid_points=21):
     for ng_plus in grid:
         for ng_minus in grid:
             probe = replace(cfg, offset_plus=float(ng_plus), offset_minus=float(ng_minus))
-            vals = sla.eigh(tcq_charge_hamiltonian(probe, cutoff), eigvals_only=True,
-                            subset_by_index=(0, levels - 1))
+            vals = _lowest_levels(probe, cutoff, levels)
             lows = np.minimum(lows, vals)
             highs = np.maximum(highs, vals)
     return highs - lows
@@ -408,10 +415,6 @@ def _perturbative_chis(cfg):
         delta = cfg.anharmonicity
         return (g1 ** 2 / d1 - g1 ** 2 / (d1 + delta),
                 g2 ** 2 / d2 - g2 ** 2 / (d2 + delta))
-    from dataclasses import replace
-
-    from .dispersive import attach_resonators, tcq_dispersive, tcq_state_shifts
-
     dressed = attach_resonators(cfg.dressed, cfg.resonator1_frequency,
                                 cfg.resonator2_frequency)
     g1p, g1m, g2p, g2m = cfg.couplings

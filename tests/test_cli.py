@@ -2,10 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import parity_scope
 from parity_scope.cli import main, read_csv
 from parity_scope.config import (
     MHZ,
@@ -208,6 +212,20 @@ def test_cli_trajectory_round_trip(tmp_path):
     assert np.array_equal(data[:, 1] + 1j * data[:, 2], traj.alpha1)
 
 
+def test_trajectory_rows_write_what_per_sample_rows_write(tmp_path):
+    # the per-sample rows the array writer replaced, kept as the reference
+    from parity_scope.cli import trajectory_rows, write_csv
+    from parity_scope.dynamics import evolve
+
+    report = derive_scenario(preset("paper-sec5-symmetric"))
+    traj = evolve(report.measurement_setup(), 1, 28.0 / report.kappa)
+    reference = [[float(t), a1.real, a1.imag, a2.real, a2.imag, b.real, b.imag]
+                 for t, a1, a2, b in zip(traj.times, traj.alpha1, traj.alpha2, traj.output)]
+    write_csv(tmp_path / "rows.csv", ["c"] * 7, trajectory_rows(traj))
+    write_csv(tmp_path / "reference.csv", ["c"] * 7, reference)
+    assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
 def test_cli_sweep_single_point_matches_direct(tmp_path):
     # a one-point sweep reproduces the direct info-gain computation
     from parity_scope.config import PRESETS
@@ -328,3 +346,72 @@ def test_cli_sweep_splits_cuts_in_order(tmp_path):
     _, asymmetric = read_csv(tmp_path / "sweep_asymmetric.csv")
     assert [row[:2] for row in diagonal] == [[0.4, 0.4], [0.6, 0.6]]
     assert [row[:2] for row in asymmetric] == [[0.4, 0.3], [0.6, 0.3]]
+
+
+@pytest.mark.parametrize("command, path, value, message", [
+    ("sweep", "analysis.sweep.points", "many", "analysis.sweep.points"),
+    ("simulate", "analysis.measurement_time", -1, "analysis.measurement_time"),
+    ("dispersive", "bus.kappa1_mhz", math.nan, "bus.kappa1_mhz"),
+    ("simulate", "pulse.ramp", -1.0, "pulse: ramp"),
+    ("validate", "validation.coupling_ratio", 0.0, "validation.coupling_ratio"),
+])
+def test_cli_rejects_malformed_field(tmp_path, capsys, command, path, value, message):
+    *sections, field = path.split(".")
+
+    def edit(tree):
+        node = tree
+        for key in sections:
+            node = node.setdefault(key, {})
+        node[field] = value
+    config = _write_variant(tmp_path, field, edit)
+    code = run([command, "--config", str(config), "--out", str(tmp_path), "--quiet"])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# start-up: scipy is loaded by validate only
+# ---------------------------------------------------------------------------
+
+def _scipy_modules_after(code, tmp_path):
+    """scipy modules loaded in a fresh interpreter after running ``code``."""
+    src = os.path.dirname(os.path.dirname(parity_scope.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]), PARITY_SCOPE_WORKERS="1")
+    probe = code + "\nimport sys\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, check=True, timeout=300)
+    return out.stdout.strip().splitlines()[-1]
+
+
+def test_cli_import_loads_no_scipy(tmp_path):
+    assert _scipy_modules_after("import parity_scope.cli", tmp_path) == "[]"
+
+
+def test_design_commands_load_no_scipy(tmp_path):
+    path = _write_variant(tmp_path, "small", lambda tree: tree["analysis"].__setitem__(
+        "sweep", {"minimum": 0.5, "maximum": 0.5, "points": 1}))
+    code = "\n".join(
+        f"assert main({argv!r}) == 0" for argv in (
+            ["scenario-list"],
+            ["dispersive", "--config", str(path), "--out", "out", "--quiet"],
+            ["simulate", "--config", str(path), "--out", "out", "--quiet"],
+            ["sweep", "--config", str(path), "--out", "out", "--quiet"]))
+    assert _scipy_modules_after("from parity_scope.cli import main\n" + code, tmp_path) == "[]"
+
+
+def test_validate_loads_scipy(tmp_path):
+    path = _write_variant(tmp_path, "tiny", lambda tree: tree.__setitem__(
+        "validation", {"charge_cutoff": 8, "dispersion_grid": 1}))
+    code = ("from parity_scope.cli import main\n"
+            f"main(['validate', '--config', {str(path)!r}, '--out', 'out', '--quiet'])")
+    assert "'scipy.linalg'" in _scipy_modules_after(code, tmp_path)
+
+
+def test_package_exports_resolve():
+    assert parity_scope.__all__
+    for name in parity_scope.__all__:
+        assert getattr(parity_scope, name) is not None
+    assert set(parity_scope.__all__) <= set(dir(parity_scope))
+    with pytest.raises(AttributeError):
+        parity_scope.no_such_name

@@ -551,3 +551,10 @@ def test_capacitance_deviation_quadratic_scaling():
 def test_capacitance_singular():
     with pytest.raises(SingularCapacitanceMatrix):
         capacitance_inverse(np.array([1.0, 1.0]), 1.0, 1.0)
+
+
+def test_si_constants_equal_scipy():
+    import scipy.constants
+    from parity_scope import dispersive
+    assert dispersive._ELEMENTARY_CHARGE == scipy.constants.e
+    assert dispersive._HBAR == scipy.constants.hbar

@@ -14,6 +14,7 @@ from parity_scope.dynamics import (
     MeasurementSetup,
     _integrate,
     _rk4_coefficients,
+    _schur2,
     decay_envelope_bound,
     drive_envelope,
     evolve,
@@ -227,6 +228,29 @@ def test_integrate_chunk_boundaries(n_steps, stride):
     pulse = DrivePulse(amplitude=0.5, ramp=0.2, t_on=0.0, t_off=1.0)
     assert_matches_reference(mode_matrix(setup, 1), -1j * np.array([1.0, math.sqrt(1.7)]),
                              pulse, 1e-3, n_steps, stride)
+
+
+_JORDAN_BASIS = np.array([[1.0, 0.7], [0.2, 1.3]])
+SCHUR_CASES = {
+    "normal": -0.5 * np.eye(2) - 1j * np.array([[0.3, 0.2 - 0.1j], [0.2 + 0.1j, -0.1]]),
+    "non-normal": mode_matrix(make_setup(chi1=0.45, chi2=0.6, chi12=0.15,
+                                         kappa1=1.0, kappa2=1.7), 1),
+    "complex": np.array([[1.0, 0.5j], [2.0 - 1.0j, -0.5 + 1.0j]]),
+    "jordan": np.array([[-0.4 - 0.9j, 1.0], [0.0, -0.4 - 0.9j]]),
+    "defective": _JORDAN_BASIS @ np.array([[-0.4 - 0.9j, 1.0], [0.0, -0.4 - 0.9j]])
+                 @ np.linalg.inv(_JORDAN_BASIS),
+    "scalar": (-0.4 - 0.9j) * np.eye(2),
+    "zero": np.zeros((2, 2), dtype=complex),
+}
+
+
+@pytest.mark.parametrize("name", SCHUR_CASES)
+def test_schur2_is_a_unitary_triangularization(name):
+    m = SCHUR_CASES[name]
+    t, q = _schur2(m)
+    assert np.abs(q.conj().T @ q - np.eye(2)).max() <= 1e-14
+    assert t[1, 0] == 0.0
+    assert np.abs(q @ t @ q.conj().T - m).max() <= 1e-14 * np.linalg.norm(m)
 
 
 def test_evolve_allocation_peak():

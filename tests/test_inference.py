@@ -497,6 +497,24 @@ def test_cumulative_simpson_matches_scipy_prefixes():
         assert abs(cumulative[k] - direct) <= 1e-13 * max(1.0, abs(direct))
 
 
+@pytest.mark.parametrize("points", [101, 201, 4001, 8001])
+def test_simpson_bitwise_equals_scipy(points):
+    # the gain kernel's own grids and integrands, a stack of models at once
+    from scipy.integrate import simpson
+    from parity_scope.inference import _gain_integrands, _ModelStack, _simpson
+    rng = np.random.default_rng(points)
+    stack = _ModelStack(rng.normal(scale=3.0, size=(3, 4)), rng.uniform(0.5, 30.0, 3))
+    grid, density, info_hw, info_parity = _gain_integrands(stack, points)
+    for y in (density * info_hw, density * info_parity):
+        for sub in (slice(None), slice(None, None, 2)):
+            assert np.array_equal(_simpson(y[:, sub], grid[:, sub]),
+                                  simpson(y[:, sub], x=grid[:, sub]))
+    t = np.cumsum(rng.uniform(0.5, 1.5, points))
+    assert np.array_equal(_simpson(y, t), simpson(y, x=t))
+    with pytest.raises(ValueError, match="odd"):
+        _simpson(y[:, 1:], grid[:, 1:])
+
+
 def test_signal_series_matches_per_tau_quadrature(reference_trajectories):
     # one cumulative pass gives every tau what re-integrating from 0 gives
     from scipy.integrate import simpson

@@ -19,6 +19,7 @@ from parity_scope.spectral import (
     switch_splitting,
     tcq_charge_hamiltonian,
     tcq_charge_spectrum,
+    transmon_charge_hamiltonian,
     transmon_charge_spectrum,
     _ladder_hamiltonian,
 )
@@ -39,6 +40,32 @@ def test_charge_hamiltonians_symmetric():
     cfg = charge_config(offset_plus=0.13, offset_minus=0.41, charge_cutoff=8)
     h = tcq_charge_hamiltonian(cfg, 8)
     assert np.array_equal(h, h.T)
+
+
+def kron_charge_hamiltonian(cfg, cutoff):
+    """H+ (x) 1 + 1 (x) H- + 4 E_I N+ (x) N- from dense single-island matrices."""
+    n = np.arange(-cutoff, cutoff + 1, dtype=float)
+    eye = np.eye(n.size)
+    h_plus = transmon_charge_hamiltonian(cfg.josephson_plus, cfg.charging_plus,
+                                         cfg.offset_plus, cutoff)
+    h_minus = transmon_charge_hamiltonian(cfg.josephson_minus, cfg.charging_minus,
+                                          cfg.offset_minus, cutoff)
+    return (np.kron(h_plus, eye) + np.kron(eye, h_minus)
+            + 4.0 * cfg.interaction * np.kron(np.diag(n - cfg.offset_plus),
+                                              np.diag(n - cfg.offset_minus)))
+
+
+@pytest.mark.parametrize("cutoff", [8, 9, 12])
+@pytest.mark.parametrize("ej_over_ec, ei_over_ec, offsets", [
+    (50.0, -0.5, (0.0, 0.0)), (1.0, -0.5, (0.5, 0.5)),
+    (50.0, 0.0, (0.13, 0.41)), (7.0, 1.3, (0.25, 1.0)),
+])
+def test_charge_hamiltonian_equals_kron_sum(cutoff, ej_over_ec, ei_over_ec, offsets):
+    cfg = replace(charge_config(ej_over_ec, ei_over_ec=ei_over_ec,
+                                offset_plus=offsets[0], offset_minus=offsets[1]),
+                  charging_minus=0.39, josephson_minus=0.8 * ej_over_ec * 0.3)
+    assert np.array_equal(tcq_charge_hamiltonian(cfg, cutoff),
+                          kron_charge_hamiltonian(cfg, cutoff))
 
 
 def test_charge_spectrum_factorizes_without_interaction():
