@@ -24,7 +24,7 @@ _EXPORTS = {
     ),
     "dynamics": (
         "DrivePulse", "MeasurementSetup", "Trajectory", "drive_envelope", "evolve",
-        "output_field", "reflection", "steady_state",
+        "evolve_weights", "output_field", "reflection", "steady_state",
     ),
     "inference": (
         "InfoGainReport", "SignalModel", "SweepPoint", "analyze_trajectories",

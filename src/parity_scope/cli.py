@@ -2,9 +2,8 @@
 
 Exit codes: 0 success, 2 configuration error, 3 physics-condition failure
 (e.g. unsatisfiable parity condition), 4 numerical-convergence failure.
-All numeric output uses shortest round-trip decimals, and parallel sweep
-results are merged in input order, so repeated runs produce byte-identical
-files for any worker count.
+All numeric output uses shortest round-trip decimals, and sweep points
+run in input order, so repeated runs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from .errors import (
     QuadratureNonconvergent,
     StepTooLarge,
 )
-from .inference import analyze_trajectories, chi_sweep, worker_count
+from .inference import analyze_trajectories, chi_sweep
 
 CONFIG_EXIT = 2
 PHYSICS_EXIT = 3
@@ -169,18 +168,17 @@ def cmd_simulate(args):
             f"{intervals}-interval trajectory grid (tau_points - 1 must divide {intervals})")
 
     summary = {"scenario": cfg.name, "files": {}, "reflection": {}}
+    r = {}
     for hw, traj in zip(weights, trajectories):
         path = Path(cfg.output_dir) / f"trajectory_hw{hw}.csv"
         write_csv(path, TRAJECTORY_HEADER, trajectory_rows(traj))
         summary["files"][f"hw{hw}"] = str(path)
-        r = reflection(setup, hw)
-        summary["reflection"][f"hw{hw}"] = {"re": r.real, "im": r.imag,
-                                            "abs_error": abs(abs(r) - 1.0)}
+        r[hw] = reflection(setup, hw)
+        summary["reflection"][f"hw{hw}"] = {"re": r[hw].real, "im": r[hw].imag,
+                                            "abs_error": abs(abs(r[hw]) - 1.0)}
         _emit(args, f"h_w={hw}: wrote {path}")
 
     if args.hw == "all":
-        r = {hw: complex(summary["reflection"][f"hw{hw}"]["re"],
-                         summary["reflection"][f"hw{hw}"]["im"]) for hw in range(4)}
         summary["parity_collapse"] = max(abs(r[0] - r[2]), abs(r[1] - r[3]))
         summary["parity_contrast"] = abs(r[0] - r[1])
         gains = analyze_trajectories(trajectories, tau,
@@ -229,18 +227,14 @@ def cmd_sweep(args):
     tau = cfg.analysis.resolve_measurement_time(kappa)
     sweep = cfg.analysis.sweep
     grid = np.linspace(sweep.minimum, sweep.maximum, sweep.points)
-    workers = worker_count()
 
-    summary = {"scenario": cfg.name, "workers": workers, "cuts": {}}
+    summary = {"scenario": cfg.name, "cuts": {}}
     cuts = {
         "diagonal": [(chi, chi) for chi in grid],
         "asymmetric": [(chi, sweep.asymmetric_chi2) for chi in grid],
     }
-    # one sweep (one worker pool) over both cuts, split back by position
-    swept = iter(chi_sweep([pair for pairs in cuts.values() for pair in pairs],
-                           kappa, pulse, tau, workers=workers))
     for cut_name, pairs in cuts.items():
-        points = [next(swept) for _ in pairs]
+        points = chi_sweep(pairs, kappa, pulse, tau)
         path = Path(cfg.output_dir) / f"sweep_{cut_name}.csv"
         write_csv(path, SWEEP_HEADER, sweep_rows(points))
         best = min(points, key=lambda p: p.missing_parity)
@@ -365,12 +359,10 @@ def _validation_checks(cfg):
 def cmd_validate(args):
     cfg = _load(args)
     checks, notes = _validation_checks(cfg)
-    rows = [[name, _fmt(value), _fmt(threshold), "pass" if ok else "fail", note]
-            for name, value, threshold, ok, note in checks]
     path = Path(cfg.output_dir) / "validation.csv"
-    lines = [",".join(["check", "value", "threshold", "status", "note"])]
-    lines += [",".join(str(c) for c in row) for row in rows]
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_csv(path, ["check", "value", "threshold", "status", "note"],
+              [[name, value, threshold, "pass" if ok else "fail", note]
+               for name, value, threshold, ok, note in checks])
     for name, value, threshold, ok, note in checks:
         _emit(args, f"[{'PASS' if ok else 'FAIL'}] {name}: value={value!r} "
                     f"threshold={threshold!r} {note}")

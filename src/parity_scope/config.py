@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .dispersive import (
+    CHARGE_CUTOFF_CEILING,
     QubitCavityCoupling,
     TcqSpec,
     TransmonSpec,
@@ -66,13 +67,14 @@ def _positive(mapping, key, where, default=None):
     return value
 
 
-def _integer(mapping, key, where, default, minimum):
-    """Integer of at least ``minimum`` (integral floats accepted); optional."""
+def _integer(mapping, key, where, default, minimum, maximum=math.inf):
+    """Integer in [minimum, maximum] (integral floats accepted); optional."""
     value = mapping.get(key, default)
     if not (_is_number(value) and math.isfinite(value) and value == int(value)
-            and value >= minimum):
-        raise ConfigError(
-            f"{where}.{key}: expected an integer of at least {minimum}, got {value!r}")
+            and minimum <= value <= maximum):
+        bound = (f"of at least {minimum}" if maximum == math.inf
+                 else f"from {minimum} to {maximum}")
+        raise ConfigError(f"{where}.{key}: expected an integer {bound}, got {value!r}")
     return int(value)
 
 
@@ -245,9 +247,13 @@ def parse_config(tree, name="config"):
     raw_validation = _section(tree, "validation")
     validation = ValidationConfig(
         coupling_ratio=_positive(raw_validation, "coupling_ratio", "validation", 0.05),
-        charge_cutoff=_integer(raw_validation, "charge_cutoff", "validation", 12, 8),
+        charge_cutoff=_integer(raw_validation, "charge_cutoff", "validation", 12, 8,
+                               CHARGE_CUTOFF_CEILING),
         dispersion_grid=_integer(raw_validation, "dispersion_grid", "validation", 21, 1),
     )
+    output_dir = tree.get("output_dir", "out")
+    if not isinstance(output_dir, str):
+        raise ConfigError(f"output_dir: expected a path string, got {output_dir!r}")
 
     return ScenarioConfig(
         name=tree.get("name", name),
@@ -260,7 +266,7 @@ def parse_config(tree, name="config"):
         pulse=pulse,
         analysis=analysis,
         validation=validation,
-        output_dir=tree.get("output_dir", "out"),
+        output_dir=output_dir,
     )
 
 

@@ -35,6 +35,9 @@ _HBAR = 1.0545718176461565e-34
 DISPERSIVE_RATIO_LIMIT = 0.3
 # E_J/E_C at and above which a transmon counts as charge-insensitive.
 CHARGE_INSENSITIVE_RATIO = 20.0
+# Largest per-island charge cutoff (basis -n..n) of the charge-basis oracles
+# in ``spectral``; here so that ``config`` can check it without scipy.
+CHARGE_CUTOFF_CEILING = 44
 # Resonance guard: denominators smaller than this fraction of the
 # anharmonicity scale raise DegenerateDenominator.
 DENOMINATOR_RTOL = 1e-9
@@ -479,22 +482,17 @@ def tcq_dispersive(shifts, dressed):
     )
 
 
-def sign_flip_couplings(g1, g2, assignment="minus-plus"):
+def sign_flip_couplings(g1, g2):
     """Bare couplings implementing the switch-cancelling sign flip.
 
-    ``assignment="minus-plus"`` couples resonator 1 to the dressed minus
-    branch and resonator 2 to the plus branch (at l = pi/4 this leaves
-    ``g1_plus = g2_minus = 0``); ``"plus-minus"`` is the mirrored option.
+    Resonator 1 couples to the dressed minus branch and resonator 2 to the
+    plus branch (at l = pi/4 this leaves ``g1_plus = g2_minus = 0``).
     Returns ``(g1_plus, g1_minus, g2_plus, g2_minus)``.
     """
-    if assignment == "minus-plus":
-        return (g1, g1, g2, -g2)
-    if assignment == "plus-minus":
-        return (g1, -g1, g2, g2)
-    raise ValueError(f"unknown assignment {assignment!r}")
+    return (g1, g1, g2, -g2)
 
 
-def dressed_sign_flip_couplings(g1, g2, assignment="minus-plus"):
+def dressed_sign_flip_couplings(g1, g2):
     """Dressed couplings of the sign-flip configuration at mixing angle pi/4.
 
     Returns ``(g1_plus, g1_minus, g2_plus, g2_minus)`` in the dressed basis
@@ -502,20 +500,16 @@ def dressed_sign_flip_couplings(g1, g2, assignment="minus-plus"):
     numerically would leave ~1 ulp residues from cos(pi/4) - sin(pi/4)).
     """
     root2 = math.sqrt(2.0)
-    if assignment == "minus-plus":
-        return (0.0, root2 * g1, root2 * g2, 0.0)
-    if assignment == "plus-minus":
-        return (root2 * g1, 0.0, 0.0, root2 * g2)
-    raise ValueError(f"unknown assignment {assignment!r}")
+    return (0.0, root2 * g1, root2 * g2, 0.0)
 
 
-def solve_couplings_for_chi(targets, dressed, assignment="minus-plus"):
+def solve_couplings_for_chi(targets, dressed):
     """Invert the zero-switch shift formulas for the bare couplings.
 
     ``targets = (chi1, chi2)`` are the desired dispersive shifts in the
     sign-flip configuration at mixing angle pi/4, where each resonator talks
-    to exactly one dressed branch.  With the default assignment resonator 1
-    drives minus-branch transitions:
+    to exactly one dressed branch.  Resonator 1 drives minus-branch
+    transitions and resonator 2 plus-branch ones:
 
         chi1 = 2 g1^2 delta_- / (D_1- (D_1- + delta_-))
         chi2 =   g2^2 delta_c / (D_2+ (D_2+ + delta_c))
@@ -547,11 +541,7 @@ def solve_couplings_for_chi(targets, dressed, assignment="minus-plus"):
         return math.sqrt(g_sq / 2.0)
 
     chi1, chi2 = targets
-    if assignment == "minus-plus":
-        return minus_branch(1, chi1), plus_branch(2, chi2)
-    if assignment == "plus-minus":
-        return plus_branch(1, chi1), minus_branch(2, chi2)
-    raise ValueError(f"unknown assignment {assignment!r}")
+    return minus_branch(1, chi1), plus_branch(2, chi2)
 
 
 # ---------------------------------------------------------------------------

@@ -160,86 +160,105 @@ def _rk4_coefficients(m, dt, u):
     Classical RK4 applied to a linear system collapses to a constant step
     matrix plus three drive weights (b at the left node, midpoint, right
     node); this is algebraically identical to the textbook four-stage form.
+    ``m`` is one 2x2 generator or a stack (..., 2, 2) and ``u`` is (..., 2).
     """
     eye = np.eye(2, dtype=complex)
     m2 = m @ m
     m3 = m2 @ m
     m4 = m3 @ m
     step = eye + dt * m + dt ** 2 / 2.0 * m2 + dt ** 3 / 6.0 * m3 + dt ** 4 / 24.0 * m4
-    w_left = dt / 6.0 * (eye + dt * m + dt ** 2 / 2.0 * m2 + dt ** 3 / 4.0 * m3) @ u
-    w_mid = dt / 6.0 * (4.0 * eye + 2.0 * dt * m + dt ** 2 / 2.0 * m2) @ u
-    w_right = dt / 6.0 * u
+    u = u[..., None]
+    w_left = (dt / 6.0 * (eye + dt * m + dt ** 2 / 2.0 * m2 + dt ** 3 / 4.0 * m3) @ u)[..., 0]
+    w_mid = (dt / 6.0 * (4.0 * eye + 2.0 * dt * m + dt ** 2 / 2.0 * m2) @ u)[..., 0]
+    w_right = dt / 6.0 * u[..., 0]
     return step, w_left, w_mid, w_right
 
 
 def _scalar_recurrence(powers, inverse_powers, x, carry):
-    """y[k] for k = 1..len(x) of y[k] = lam y[k-1] + x[k-1] from y[0] = carry,
-    as lam^k (carry + sum_{j<k} lam^-(j+1) x[j])."""
-    n = x.size
-    return powers[:n] * (carry + np.cumsum(inverse_powers[:n] * x))
+    """y[k] for k = 1..n of y[k] = lam y[k-1] + x[k-1] from y[0] = carry, as
+    lam^k (carry + sum_{j<k} lam^-(j+1) x[j]), along the last axis of x (..., n)."""
+    n = x.shape[-1]
+    return powers[..., :n] * (carry[..., None]
+                              + np.cumsum(inverse_powers[..., :n] * x, axis=-1))
 
 
 def _schur2(m):
-    """Complex Schur form of a 2x2 matrix, M = Q T Q^H with T upper triangular.
+    """Complex Schur form of a 2x2 matrix or a stack of them, M = Q T Q^H
+    with T upper triangular.
 
     One unit eigenvector v of M and its orthonormal complement w make the
     unitary Q = [v, w]; then (Q^H M Q)[1, 0] = lam w^H v = 0.  A single
     eigenpair exists for every M, so defective M need no special case.
     """
-    v = np.linalg.eig(m)[1][:, 0]
-    v = v / np.linalg.norm(v)
-    q = np.array([[v[0], -v[1].conjugate()], [v[1], v[0].conjugate()]])
-    t = q.conj().T @ m @ q
-    t[1, 0] = 0.0
+    v = np.linalg.eig(m)[1][..., :, 0]
+    v = v / np.linalg.norm(v, axis=-1, keepdims=True)
+    q = np.stack([np.stack([v[..., 0], -v[..., 1].conjugate()], axis=-1),
+                  np.stack([v[..., 1], v[..., 0].conjugate()], axis=-1)], axis=-2)
+    t = np.swapaxes(q.conj(), -1, -2) @ m @ q
+    t[..., 1, 0] = 0.0
     return t, q
 
 
-def _integrate(m, u, beta_nodes, beta_mid, dt, n_steps, stride):
+def _integrate(m, u, pulse, dt, n_steps, stride):
     """RK4 recurrence a[n+1] = S a[n] + f[n] from vacuum, recorded every ``stride`` steps.
 
-    Solved in the complex Schur basis of the generator, M = Q T Q^H, which
-    exists for every M (defective ones included): there S = Q p(dt T) Q^H
-    is upper triangular, the second component is a scalar recurrence and it
-    feeds the first.  Both are summed in closed form over chunks of
-    RECURRENCE_CHUNK steps, carrying the last value across chunk boundaries
-    so lam^-k stays of order one; only the recorded samples are rotated back.
+    ``m`` is one 2x2 generator or a stack (..., 2, 2) sharing the drive
+    vector ``u`` and the pulse; each returned component is (..., n_steps //
+    stride + 1).  Solved in the complex Schur basis of the generator,
+    M = Q T Q^H, which exists for every M (defective ones included): there
+    S = Q p(dt T) Q^H is upper triangular, the second component is a scalar
+    recurrence and it feeds the first.  Both are summed in closed form over
+    chunks of RECURRENCE_CHUNK steps, carrying the last value across chunk
+    boundaries so lam^-k stays of order one; the drive is sampled chunk by
+    chunk and only the recorded samples are rotated back.
     """
     t, q = _schur2(m)
-    r, v_left, v_mid, v_right = _rk4_coefficients(t, dt, q.conj().T @ u)
-    log_powers = np.log(np.diag(r))[:, None] * np.arange(1, RECURRENCE_CHUNK + 1)
+    r, v_left, v_mid, v_right = _rk4_coefficients(t, dt, np.swapaxes(q.conj(), -1, -2) @ u)
+    log_powers = (np.log(np.diagonal(r, axis1=-2, axis2=-1))[..., None]
+                  * np.arange(1, RECURRENCE_CHUNK + 1))
     powers, inverse_powers = np.exp(log_powers), np.exp(-log_powers)
+    coupling = r[..., 0, 1, None]
+    batch = m.shape[:-2]
     n_rec = n_steps // stride + 1
-    rec1 = np.zeros(n_rec, dtype=complex)
-    rec2 = np.zeros(n_rec, dtype=complex)
-    y1 = y2 = 0.0 + 0.0j
+    rec1 = np.zeros(batch + (n_rec,), dtype=complex)
+    rec2 = np.zeros(batch + (n_rec,), dtype=complex)
+    y1 = y2 = np.zeros(batch, dtype=complex)
     for start in range(0, n_steps, RECURRENCE_CHUNK):
         stop = min(start + RECURRENCE_CHUNK, n_steps)
-        b0, bm, b1 = beta_nodes[start:stop], beta_mid[start:stop], beta_nodes[start + 1:stop + 1]
-        g1 = v_left[0] * b0 + v_mid[0] * bm + v_right[0] * b1
-        g2 = v_left[1] * b0 + v_mid[1] * bm + v_right[1] * b1
-        z2 = _scalar_recurrence(powers[1], inverse_powers[1], g2, y2)
+        size = stop - start
+        nodes = np.arange(start, stop + 1) * dt
+        # the chunk's size + 1 nodes, then its size midpoints
+        beta = drive_envelope(np.concatenate([nodes, nodes[:-1] + dt / 2.0]), pulse)
+        # drive term of both Schur components, (..., 2, size)
+        g = (v_left[..., None] * beta[:size] + v_mid[..., None] * beta[size + 1:]
+             + v_right[..., None] * beta[1:size + 1])
+        g1, g2 = g[..., 0, :], g[..., 1, :]
+        z2 = _scalar_recurrence(powers[..., 1, :], inverse_powers[..., 1, :], g2, y2)
         # the first component sees y2 before each step: y2[start .. stop-1]
-        g1[0] += r[0, 1] * y2
-        g1[1:] += r[0, 1] * z2[:-1]
-        z1 = _scalar_recurrence(powers[0], inverse_powers[0], g1, y1)
-        y1, y2 = z1[-1], z2[-1]
+        g1[..., 0] += coupling[..., 0] * y2
+        g1[..., 1:] += coupling * z2[..., :-1]
+        z1 = _scalar_recurrence(powers[..., 0, :], inverse_powers[..., 0, :], g1, y1)
+        y1, y2 = z1[..., -1], z2[..., -1]
         # recorded steps n = k * stride with start < n <= stop sit at z[n - start - 1]
         first, last = start // stride + 1, stop // stride
         offset = first * stride - start - 1
-        rec1[first:last + 1] = z1[offset::stride]
-        rec2[first:last + 1] = z2[offset::stride]
-    return q[0, 0] * rec1 + q[0, 1] * rec2, q[1, 0] * rec1 + q[1, 1] * rec2
+        rec1[..., first:last + 1] = z1[..., offset::stride]
+        rec2[..., first:last + 1] = z2[..., offset::stride]
+    q = q[..., None]
+    return (q[..., 0, 0, :] * rec1 + q[..., 0, 1, :] * rec2,
+            q[..., 1, 0, :] * rec1 + q[..., 1, 1, :] * rec2)
 
 
-def evolve(setup, hamming_weight, t_final, dt=None, stride=None, probe=True):
-    """Integrate the driven amplitude pair from vacuum with fixed-step RK4.
+def evolve_weights(setup, weights, t_final, dt=None, stride=None, probe=True):
+    """Integrate the driven amplitude pair from vacuum with fixed-step RK4,
+    one trajectory per Hamming weight in ``weights``, all in one array pass.
 
     ``dt`` defaults to ``1e-3 / max(kappa)`` and must respect
     ``dt <= 0.01 * min(1/kappa, 1/|detuning + 3 chi|)``; it is nudged so the
-    horizon is a whole number of steps.  With ``probe=True`` the run is
-    repeated at dt/2 and the final amplitudes must agree to 1e-8 relative,
-    otherwise StepTooLarge.  ``stride`` controls the recorded grid (default
-    ~2801 samples).
+    horizon is a whole number of steps.  With ``probe=True`` every
+    trajectory is repeated at dt/2 and its final amplitudes must agree to
+    1e-8 relative, otherwise StepTooLarge.  ``stride`` controls the recorded
+    grid (default ~2801 samples).  Returns a list of Trajectory.
     """
     if t_final <= 0:
         raise ValueError("t_final must be positive")
@@ -258,35 +277,31 @@ def evolve(setup, hamming_weight, t_final, dt=None, stride=None, probe=True):
     elif n_steps % stride:
         raise ValueError("stride must divide the number of steps")
 
-    m = mode_matrix(setup, hamming_weight)
+    weights = list(weights)
+    m = np.stack([mode_matrix(setup, hw) for hw in weights])
     u = -1j * _drive_vector(setup)
-    nodes = np.arange(n_steps + 1) * dt
-    beta_nodes = drive_envelope(nodes, setup.pulse)
-    beta_mid = drive_envelope(nodes[:-1] + dt / 2.0, setup.pulse)
-
-    rec1, rec2 = _integrate(m, u, beta_nodes, beta_mid, dt, n_steps, stride)
+    rec1, rec2 = _integrate(m, u, setup.pulse, dt, n_steps, stride)
 
     if probe:
-        fine_nodes = np.arange(2 * n_steps + 1) * (dt / 2.0)
-        fine_beta = drive_envelope(fine_nodes, setup.pulse)
-        fine_mid = drive_envelope(fine_nodes[:-1] + dt / 4.0, setup.pulse)
-        f1, f2 = _integrate(m, u, fine_beta, fine_mid, dt / 2.0, 2 * n_steps, 2 * n_steps)
-        ref = max(abs(f1[-1]), abs(f2[-1]), 1e-30)
-        err = max(abs(rec1[-1] - f1[-1]), abs(rec2[-1] - f2[-1])) / ref
-        if err > PROBE_RTOL:
-            raise StepTooLarge(f"half-step probe disagreement {err:.3e} > {PROBE_RTOL}")
+        f1, f2 = _integrate(m, u, setup.pulse, dt / 2.0, 2 * n_steps, 2 * n_steps)
+        ref = np.maximum(np.maximum(np.abs(f1[:, -1]), np.abs(f2[:, -1])), 1e-30)
+        err = np.maximum(np.abs(rec1[:, -1] - f1[:, -1]), np.abs(rec2[:, -1] - f2[:, -1])) / ref
+        worst = int(np.argmax(err))
+        if err[worst] > PROBE_RTOL:
+            raise StepTooLarge(f"h_w={weights[worst]}: half-step probe disagreement "
+                               f"{err[worst]:.3e} > {PROBE_RTOL}")
 
-    times = nodes[::stride]
-    drive = beta_nodes[::stride]
-    return Trajectory(
-        times=times,
-        alpha1=rec1,
-        alpha2=rec2,
-        drive=drive,
-        output=output_field(rec1, rec2, drive, setup),
-        hamming_weight=hamming_weight,
-        step=dt,
-    )
+    times = np.arange(0, n_steps + 1, stride) * dt
+    drive = drive_envelope(times, setup.pulse)
+    output = output_field(rec1, rec2, drive, setup)
+    return [Trajectory(times=times, alpha1=rec1[i], alpha2=rec2[i], drive=drive,
+                       output=output[i], hamming_weight=hw, step=dt)
+            for i, hw in enumerate(weights)]
+
+
+def evolve(setup, hamming_weight, t_final, dt=None, stride=None, probe=True):
+    """One trajectory of ``evolve_weights``: Hamming weight ``hamming_weight``."""
+    return evolve_weights(setup, [hamming_weight], t_final, dt, stride, probe)[0]
 
 
 def steady_state(setup, hamming_weight, drive_amplitude=None, drive_offset=0.0):

@@ -17,16 +17,14 @@ signal distribution.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .dispersive import DispersiveModel, parity_detunings
-from .dynamics import MeasurementSetup, evolve
-from .errors import ConfigError, GridTooCoarse, QuadratureNonconvergent
+from .dynamics import MeasurementSetup, evolve_weights
+from .errors import GridTooCoarse, QuadratureNonconvergent
 
 LOG2 = math.log(2.0)
 DEFAULT_QUADRATURE_POINTS = 4001
@@ -38,8 +36,6 @@ PHASE_SCAN_FLOOR = 1e-12         # bits; rounding-level ties are re-scored too
 GAIN_CHUNK = 4096                # grid samples (models x points) per stacked kernel pass
 PHASE_TOLERANCE = 1e-4
 RATE_CONSISTENCY_BITS = 1e-3
-
-WORKERS_ENV = "PARITY_SCOPE_WORKERS"
 
 
 def _variance(tau, convention):
@@ -500,45 +496,20 @@ class SweepPoint:
         return self.info_hamming - self.info_parity
 
 
-def _sweep_single(args):
-    (chi1, chi2, kappa, pulse, tau, chi12, variance_convention) = args
-    model = DispersiveModel(0.0, 0.0, 0.0, chi1 * kappa, chi2 * kappa, 0.0, chi12 * kappa)
+def _sweep_point(chi1, chi2, kappa, pulse, tau):
+    model = DispersiveModel(0.0, 0.0, 0.0, chi1 * kappa, chi2 * kappa, 0.0, 0.0)
     det = parity_detunings(model, kappa, kappa).plus_branch
     setup = MeasurementSetup(kappa, kappa, det[0], det[1], model, pulse)
-    trajectories = [evolve(setup, hw, tau) for hw in range(4)]
-    phi, (gain_hw, gain_parity), _ = _score(
-        trajectories, tau, variance_convention=variance_convention)
+    phi, (gain_hw, gain_parity), _ = _score(evolve_weights(setup, range(4), tau), tau)
     return SweepPoint(chi1, chi2, gain_parity, gain_hw, phi)
 
 
-def worker_count(workers=None):
-    """Worker processes for a sweep: ``workers``, else PARITY_SCOPE_WORKERS,
-    else every core; values below one mean one."""
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get(WORKERS_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"{WORKERS_ENV}: expected an integer, got {env!r}") from None
-    return os.cpu_count() or 1
-
-
-def chi_sweep(chi_pairs, kappa, pulse, tau, chi12=0.0,
-              variance_convention="tau", workers=None):
+def chi_sweep(chi_pairs, kappa, pulse, tau, workers=None):
     """Information gains over a set of (chi1/kappa, chi2/kappa) pairs.
 
     Each point applies its own parity detunings (plus branch), evolves the
-    four Hamming-weight trajectories, optimizes the measured quadrature and
-    integrates the gains.  Points are independent; with ``workers > 1`` they
-    fan out over processes and are joined in input order, so the table is
-    identical for any worker count.
+    four Hamming-weight trajectories in one stacked pass, optimizes the
+    measured quadrature and integrates the gains.  Points run in input order
+    in the calling process; ``workers`` is accepted and has no effect.
     """
-    jobs = [(float(c1), float(c2), kappa, pulse, tau, chi12, variance_convention)
-            for c1, c2 in chi_pairs]
-    n_workers = worker_count(workers)
-    if n_workers == 1 or len(jobs) <= 1:
-        return [_sweep_single(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=n_workers) as pool:
-        return list(pool.map(_sweep_single, jobs, chunksize=max(1, len(jobs) // (4 * n_workers))))
+    return [_sweep_point(float(c1), float(c2), kappa, pulse, tau) for c1, c2 in chi_pairs]

@@ -23,6 +23,7 @@ import scipy.linalg as sla
 from scipy.optimize import minimize_scalar
 
 from .dispersive import (
+    CHARGE_CUTOFF_CEILING,
     DressedTcq,
     attach_resonators,
     tcq_dispersive,
@@ -56,7 +57,7 @@ class ChargeBasisConfig:
     offset_plus: float = 0.0
     offset_minus: float = 0.0
     charge_cutoff: int = 20
-    cutoff_ceiling: int = 44
+    cutoff_ceiling: int = CHARGE_CUTOFF_CEILING
 
     def __post_init__(self):
         if self.charge_cutoff < 8:

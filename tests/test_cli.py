@@ -330,13 +330,6 @@ def test_cli_simulate_rejects_bad_analysis_field(tmp_path, capsys, field, value)
     assert f"analysis.{field}" in capsys.readouterr().err
 
 
-def test_cli_sweep_rejects_bad_worker_count(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("PARITY_SCOPE_WORKERS", "abc")
-    code = run(["sweep", "--preset", "fig4-cuts", "--out", str(tmp_path), "--quiet"])
-    assert code == 2
-    assert "PARITY_SCOPE_WORKERS" in capsys.readouterr().err
-
-
 def test_cli_sweep_splits_cuts_in_order(tmp_path):
     # both cuts run through one sweep; each file holds its own cut in grid order
     path = _write_variant(tmp_path, "two", lambda tree: tree["analysis"].__setitem__(
@@ -354,6 +347,8 @@ def test_cli_sweep_splits_cuts_in_order(tmp_path):
     ("dispersive", "bus.kappa1_mhz", math.nan, "bus.kappa1_mhz"),
     ("simulate", "pulse.ramp", -1.0, "pulse: ramp"),
     ("validate", "validation.coupling_ratio", 0.0, "validation.coupling_ratio"),
+    ("validate", "validation.charge_cutoff", 45, "validation.charge_cutoff"),
+    ("dispersive", "output_dir", 5, "output_dir"),
 ])
 def test_cli_rejects_malformed_field(tmp_path, capsys, command, path, value, message):
     *sections, field = path.split(".")
@@ -370,22 +365,23 @@ def test_cli_rejects_malformed_field(tmp_path, capsys, command, path, value, mes
 
 
 # ---------------------------------------------------------------------------
-# start-up: scipy is loaded by validate only
+# start-up: scipy is loaded by validate only, and no command starts a process pool
 # ---------------------------------------------------------------------------
 
-def _scipy_modules_after(code, tmp_path):
-    """scipy modules loaded in a fresh interpreter after running ``code``."""
+def _modules_after(code, tmp_path, packages=("scipy",)):
+    """Modules of ``packages`` loaded in a fresh interpreter after running ``code``."""
     src = os.path.dirname(os.path.dirname(parity_scope.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])]), PARITY_SCOPE_WORKERS="1")
-    probe = code + "\nimport sys\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    probe = (code + "\nimport sys\nprint(sorted(m for m in sys.modules"
+             f" if m.split('.')[0] in {tuple(packages)!r}))")
     out = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env=env,
                          capture_output=True, text=True, check=True, timeout=300)
     return out.stdout.strip().splitlines()[-1]
 
 
 def test_cli_import_loads_no_scipy(tmp_path):
-    assert _scipy_modules_after("import parity_scope.cli", tmp_path) == "[]"
+    assert _modules_after("import parity_scope.cli", tmp_path) == "[]"
 
 
 def test_design_commands_load_no_scipy(tmp_path):
@@ -397,7 +393,8 @@ def test_design_commands_load_no_scipy(tmp_path):
             ["dispersive", "--config", str(path), "--out", "out", "--quiet"],
             ["simulate", "--config", str(path), "--out", "out", "--quiet"],
             ["sweep", "--config", str(path), "--out", "out", "--quiet"]))
-    assert _scipy_modules_after("from parity_scope.cli import main\n" + code, tmp_path) == "[]"
+    assert _modules_after("from parity_scope.cli import main\n" + code, tmp_path,
+                          ("scipy", "concurrent")) == "[]"
 
 
 def test_validate_loads_scipy(tmp_path):
@@ -405,7 +402,7 @@ def test_validate_loads_scipy(tmp_path):
         "validation", {"charge_cutoff": 8, "dispersion_grid": 1}))
     code = ("from parity_scope.cli import main\n"
             f"main(['validate', '--config', {str(path)!r}, '--out', 'out', '--quiet'])")
-    assert "'scipy.linalg'" in _scipy_modules_after(code, tmp_path)
+    assert "'scipy.linalg'" in _modules_after(code, tmp_path)
 
 
 def test_package_exports_resolve():

@@ -18,6 +18,7 @@ from parity_scope.dynamics import (
     decay_envelope_bound,
     drive_envelope,
     evolve,
+    evolve_weights,
     hamming_prefactor,
     mode_matrix,
     output_field,
@@ -184,10 +185,10 @@ def reference_integrate(m, u, beta_nodes, beta_mid, dt, n_steps, stride):
 
 def assert_matches_reference(m, u, pulse, dt, n_steps, stride):
     nodes = np.arange(n_steps + 1) * dt
-    args = (m, u, drive_envelope(nodes, pulse), drive_envelope(nodes[:-1] + dt / 2.0, pulse),
-            dt, n_steps, stride)
-    got1, got2 = _integrate(*args)
-    ref1, ref2 = reference_integrate(*args)
+    got1, got2 = _integrate(m, u, pulse, dt, n_steps, stride)
+    ref1, ref2 = reference_integrate(m, u, drive_envelope(nodes, pulse),
+                                     drive_envelope(nodes[:-1] + dt / 2.0, pulse),
+                                     dt, n_steps, stride)
     assert got1.size == got2.size == ref1.size == n_steps // stride + 1
     scale = max(np.abs(ref1).max(), np.abs(ref2).max())
     assert scale > 0
@@ -254,8 +255,8 @@ def test_schur2_is_a_unitary_triangularization(name):
 
 
 def test_evolve_allocation_peak():
-    # the per-step loop this recurrence replaced peaked at 2.85 MB (Python 3.11,
-    # numpy 2.4), nearly all of it the probe's 56k-node drive arrays
+    # one default evolve peaks at 0.40 MB (Python 3.11, numpy 2.4): the drive
+    # is sampled per chunk, so no array spans the probe's 56k nodes
     setup = make_setup()
     evolve(setup, 2, 28.0)
     tracemalloc.start()
@@ -264,7 +265,23 @@ def test_evolve_allocation_peak():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * 2.85e6
+    assert peak <= 1.5 * 0.41e6
+
+
+def test_evolve_weights_matches_per_weight_evolve():
+    setup = make_setup(chi1=0.45, chi2=0.6, chi12=0.15, kappa1=1.0, kappa2=1.7)
+    m = mode_matrix(setup, 1)
+    assert np.abs(m @ m.conj().T - m.conj().T @ m).max() > 1e-2
+    stacked = evolve_weights(setup, range(4), 28.0)
+    assert [traj.hamming_weight for traj in stacked] == [0, 1, 2, 3]
+    for hw, traj in enumerate(stacked):
+        single = evolve(setup, hw, 28.0)
+        assert traj.step == single.step
+        np.testing.assert_array_equal(traj.times, single.times)
+        np.testing.assert_array_equal(traj.drive, single.drive)
+        for got, ref in ((traj.alpha1, single.alpha1), (traj.alpha2, single.alpha2),
+                         (traj.output, single.output)):
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 # ---------------------------------------------------------------------------
