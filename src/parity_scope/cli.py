@@ -20,20 +20,15 @@ import numpy as np
 from .config import MHZ, derive_scenario, load_config, preset, preset_names
 from .dispersive import TcqSpec, tcq_mixing
 from .dynamics import evolve, reflection
-from .errors import (
-    ConfigError,
-    ConvergenceFailure,
-    GridTooCoarse,
-    ParityConditionUnsatisfiable,
-    NegativeDiscriminant,
-    QuadratureNonconvergent,
-    StepTooLarge,
-)
+from .errors import ConfigError, ParityScopeError
 from .inference import analyze_trajectories, chi_sweep
 
 CONFIG_EXIT = 2
 PHYSICS_EXIT = 3
 NUMERICS_EXIT = 4
+ERROR_PREFIX = {CONFIG_EXIT: "configuration error",
+                PHYSICS_EXIT: "physics condition failed",
+                NUMERICS_EXIT: "numerical convergence failure"}
 
 
 def _fmt(value):
@@ -424,16 +419,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return CONFIG_EXIT
-    except (ParityConditionUnsatisfiable, NegativeDiscriminant) as exc:
-        print(f"physics condition failed: {exc}", file=sys.stderr)
-        return PHYSICS_EXIT
-    except (ConvergenceFailure, StepTooLarge, GridTooCoarse,
-            QuadratureNonconvergent) as exc:
-        print(f"numerical convergence failure: {exc}", file=sys.stderr)
-        return NUMERICS_EXIT
+    except ParityScopeError as exc:
+        print(f"{ERROR_PREFIX[exc.exit_code]}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

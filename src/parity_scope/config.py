@@ -67,6 +67,13 @@ def _positive(mapping, key, where, default=None):
     return value
 
 
+def _negative(mapping, key, where):
+    value = _number(mapping, key, where)
+    if value >= 0:
+        raise ConfigError(f"{where}.{key}: expected a negative number, got {value!r}")
+    return value
+
+
 def _integer(mapping, key, where, default, minimum, maximum=math.inf):
     """Integer in [minimum, maximum] (integral floats accepted); optional."""
     value = mapping.get(key, default)
@@ -163,14 +170,14 @@ def _parse_device(raw, index):
             "name": name,
             "qubit_frequency": _number(raw, "qubit_frequency_mhz", where) * MHZ,
             "transverse_coupling": _number(raw, "transverse_coupling_mhz", where) * MHZ,
-            "anharmonicity": _number(raw, "anharmonicity_mhz", where) * MHZ,
+            "anharmonicity": _negative(raw, "anharmonicity_mhz", where) * MHZ,
         }
     if kind == "transmon":
         return {
             "type": "transmon",
             "name": name,
-            "josephson_energy": _number(raw, "josephson_energy_mhz", where) * MHZ,
-            "charging_energy": _number(raw, "charging_energy_mhz", where) * MHZ,
+            "josephson_energy": _positive(raw, "josephson_energy_mhz", where) * MHZ,
+            "charging_energy": _positive(raw, "charging_energy_mhz", where) * MHZ,
             "g1": _number(raw, "g1_mhz", where) * MHZ,
             "g2": _number(raw, "g2_mhz", where) * MHZ,
         }
@@ -247,8 +254,9 @@ def parse_config(tree, name="config"):
     raw_validation = _section(tree, "validation")
     validation = ValidationConfig(
         coupling_ratio=_positive(raw_validation, "coupling_ratio", "validation", 0.05),
+        # room for one cutoff + 4 convergence probe below the ceiling
         charge_cutoff=_integer(raw_validation, "charge_cutoff", "validation", 12, 8,
-                               CHARGE_CUTOFF_CEILING),
+                               CHARGE_CUTOFF_CEILING - 4),
         dispersion_grid=_integer(raw_validation, "dispersion_grid", "validation", 21, 1),
     )
     output_dir = tree.get("output_dir", "out")

@@ -144,11 +144,6 @@ class DispersiveModel:
         if self.source not in ("transmon", "tcq", "manual"):
             raise ValueError(f"unknown source tag {self.source!r}")
 
-    @property
-    def switch_discriminant(self):
-        """chi1*chi2 - chi12^2; positive iff the parity condition is satisfiable."""
-        return self.chi1 * self.chi2 - self.quantum_switch ** 2
-
 
 def transmon_dispersive(spec, coupling):
     """Second-order effective model of one transmon coupled to two resonators.
@@ -343,28 +338,20 @@ def tcq_mixing(spec):
     )
 
 
-def effective_couplings(spec, dressed, convention="unitary"):
+def effective_couplings(spec, dressed):
     """Rotate the bare resonator couplings into the dressed TCQ basis.
 
-    ``convention="unitary"`` (default) applies the same rotation as the mode
-    operators:
+    The same unitary rotation as the mode operators,
 
         g_plus  = g_+ cos(l) - g_- sin(l)
-        g_minus = g_+ sin(l) + g_- cos(l)
+        g_minus = g_+ sin(l) + g_- cos(l),
 
-    which preserves g_+^2 + g_-^2.  ``convention="mirrored"`` keeps the
-    compact minus-sign-on-both form ``g_pm = g_+ cos(l) -/+ g_- sin(l)`` for
-    audit; the two agree at l = pi/4.
+    which preserves g_+^2 + g_-^2.
     """
     c, s = math.cos(dressed.mixing_angle), math.sin(dressed.mixing_angle)
-    if convention == "unitary":
-        def rot(gp, gm):
-            return gp * c - gm * s, gp * s + gm * c
-    elif convention == "mirrored":
-        def rot(gp, gm):
-            return gp * c - gm * s, gp * c + gm * s
-    else:
-        raise ValueError(f"unknown convention {convention!r}")
+
+    def rot(gp, gm):
+        return gp * c - gm * s, gp * s + gm * c
     g1p, g1m = rot(spec.g1_plus, spec.g1_minus)
     g2p, g2m = rot(spec.g2_plus, spec.g2_minus)
     return replace(dressed, g1_plus=g1p, g1_minus=g1m, g2_plus=g2p, g2_minus=g2m)

@@ -101,14 +101,14 @@ class MeasurementSetup:
         return max(self.kappa1, self.kappa2)
 
 
-def mode_matrix(setup, hamming_weight, drive_offset=0.0):
+def mode_matrix(setup, hamming_weight):
     """2x2 generator of the coherent-amplitude pair for one Hamming weight."""
     k = hamming_prefactor(hamming_weight)
     m = setup.model
     cross = -1j * m.quantum_switch * k - math.sqrt(setup.kappa1 * setup.kappa2) / 2.0
     return np.array([
-        [-1j * ((setup.detuning1 - drive_offset) + m.chi1 * k) - setup.kappa1 / 2.0, cross],
-        [cross, -1j * ((setup.detuning2 - drive_offset) + m.chi2 * k) - setup.kappa2 / 2.0],
+        [-1j * (setup.detuning1 + m.chi1 * k) - setup.kappa1 / 2.0, cross],
+        [cross, -1j * (setup.detuning2 + m.chi2 * k) - setup.kappa2 / 2.0],
     ])
 
 
@@ -304,7 +304,7 @@ def evolve(setup, hamming_weight, t_final, dt=None, stride=None, probe=True):
     return evolve_weights(setup, [hamming_weight], t_final, dt, stride, probe)[0]
 
 
-def steady_state(setup, hamming_weight, drive_amplitude=None, drive_offset=0.0):
+def steady_state(setup, hamming_weight, drive_amplitude=None):
     """Steady-state amplitudes under a constant drive.
 
     Solves the 2x2 response system M a = i v beta; for a decoupled resonator
@@ -312,7 +312,7 @@ def steady_state(setup, hamming_weight, drive_amplitude=None, drive_offset=0.0):
     """
     if drive_amplitude is None:
         drive_amplitude = setup.pulse.amplitude
-    m = mode_matrix(setup, hamming_weight, drive_offset)
+    m = mode_matrix(setup, hamming_weight)
     det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
     scale = max(abs(m[0, 0]), abs(m[1, 1]), abs(m[0, 1])) ** 2
     if abs(det) <= 1e-15 * scale:
@@ -323,10 +323,10 @@ def steady_state(setup, hamming_weight, drive_amplitude=None, drive_offset=0.0):
     return a1, a2
 
 
-def reflection(setup, hamming_weight, drive_offset=0.0):
-    """Frequency-domain reflection coefficient at the (offset) drive frequency.
+def reflection(setup, hamming_weight):
+    """Frequency-domain reflection coefficient at the drive frequency.
 
-    Writing D_i' = detuning_i - drive_offset + chi_i K,
+    Writing D_i' = detuning_i + chi_i K,
 
         X = D1' D2' - (K chi12)^2
         N = k1 D2' + k2 D1' - 2 sqrt(k1 k2) K chi12
@@ -337,8 +337,8 @@ def reflection(setup, hamming_weight, drive_offset=0.0):
     """
     k = hamming_prefactor(hamming_weight)
     m = setup.model
-    d1 = (setup.detuning1 - drive_offset) + m.chi1 * k
-    d2 = (setup.detuning2 - drive_offset) + m.chi2 * k
+    d1 = setup.detuning1 + m.chi1 * k
+    d2 = setup.detuning2 + m.chi2 * k
     cross = k * m.quantum_switch
     x = d1 * d2 - cross ** 2
     n = (setup.kappa1 * d2 + setup.kappa2 * d1

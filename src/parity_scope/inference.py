@@ -6,12 +6,10 @@ The homodyne record integrated up to time tau is Gaussian with mean
 
 conditioned on the Hamming weight, and variance equal to tau (linear-in-time
 shot noise; the quadratic exponent sometimes quoted alongside that variance
-normalization is inconsistent with it and is not used here -- a
-``variance_convention`` switch exposes the alternative for sensitivity
-studies).  Starting from uniform priors over the four Hamming weights, the
-average information gains about the weight (max 2 bits) and about the parity
-(max 1 bit) follow from the posterior Shannon entropies averaged over the
-signal distribution.
+normalization is inconsistent with it and is not used here).  Starting
+from uniform priors over the four Hamming weights, the average information
+gains about the weight (max 2 bits) and about the parity (max 1 bit) follow
+from the posterior Shannon entropies averaged over the signal distribution.
 """
 
 from __future__ import annotations
@@ -38,14 +36,6 @@ PHASE_TOLERANCE = 1e-4
 RATE_CONSISTENCY_BITS = 1e-3
 
 
-def _variance(tau, convention):
-    if convention == "tau":
-        return tau
-    if convention == "tau-squared":
-        return tau * tau
-    raise ValueError(f"unknown variance convention {convention!r}")
-
-
 @dataclass(frozen=True)
 class SignalModel:
     """Conditional Gaussian model of the integrated signal at one (tau, phi)."""
@@ -53,7 +43,6 @@ class SignalModel:
     measurement_time: float
     phase: float
     means: tuple
-    variance_convention: str = "tau"
 
     def __post_init__(self):
         if self.measurement_time <= 0:
@@ -63,7 +52,8 @@ class SignalModel:
 
     @property
     def variance(self):
-        return _variance(self.measurement_time, self.variance_convention)
+        """Shot-noise variance of the integrated signal: the measurement time."""
+        return self.measurement_time
 
 
 def _tau_index(trajectory, tau):
@@ -173,10 +163,10 @@ def _ordered(trajectories):
     return ordered
 
 
-def signal_model(trajectories, phase, tau, variance_convention="tau"):
+def signal_model(trajectories, phase, tau):
     """Conditional-mean model from the four Hamming-weight trajectories."""
     means = tuple(integrated_signal(tr, phase, tau) for tr in _ordered(trajectories))
-    return SignalModel(tau, phase, means, variance_convention)
+    return SignalModel(tau, phase, means)
 
 
 def means_from_integrals(integrals, phase):
@@ -301,7 +291,7 @@ def info_gains(model, points=DEFAULT_QUADRATURE_POINTS, check=True):
     return float(gain_hw), float(gain_parity)
 
 
-def _phase_bracket(integrals, phis, tau, variance_convention):
+def _phase_bracket(integrals, phis, tau):
     """Index of the coarse phase around which the parity gain peaks.
 
     Every phase is scored in one stacked pass at PHASE_SCAN_POINTS, and the
@@ -311,7 +301,7 @@ def _phase_bracket(integrals, phis, tau, variance_convention):
     quadrature before one is chosen.
     """
     means = _project(np.asarray(integrals), phis[:, None])
-    variance = np.full(phis.size, _variance(tau, variance_convention))
+    variance = np.full(phis.size, tau)
     values, errors = np.empty(phis.size), np.empty(phis.size)
     for rows, grid, _, parity in _integrand_chunks(means, variance, PHASE_SCAN_POINTS):
         values[rows] = _simpson(parity, grid)
@@ -324,29 +314,27 @@ def _phase_bracket(integrals, phis, tau, variance_convention):
     return best
 
 
-def optimal_phase(integrals, tau, variance_convention="tau",
-                  coarse_points=PHASE_COARSE_POINTS, tolerance=PHASE_TOLERANCE):
+def optimal_phase(integrals, tau):
     """Local-oscillator phase maximizing the parity information gain.
 
     Coarse scan over [0, pi) on a cheap quadrature (it only picks the
     bracket) followed by golden-section refinement at the full quadrature
-    to the requested tolerance; the objective is pi-periodic.  Returns
+    to PHASE_TOLERANCE; the objective is pi-periodic.  Returns
     ``(phase, info_parity)``.
     """
     def objective(phi):
-        model = SignalModel(tau, phi, means_from_integrals(integrals, phi),
-                            variance_convention)
+        model = SignalModel(tau, phi, means_from_integrals(integrals, phi))
         return info_gains(model, check=False)[1]
 
-    phis = np.linspace(0.0, math.pi, coarse_points, endpoint=False)
-    best = _phase_bracket(integrals, phis, tau, variance_convention)
-    span = math.pi / coarse_points
+    phis = np.linspace(0.0, math.pi, PHASE_COARSE_POINTS, endpoint=False)
+    best = _phase_bracket(integrals, phis, tau)
+    span = math.pi / PHASE_COARSE_POINTS
     lo, hi = phis[best] - span, phis[best] + span
 
     ratio = (math.sqrt(5.0) - 1.0) / 2.0
     c, d = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
     fc, fd = objective(c), objective(d)
-    while hi - lo > tolerance:
+    while hi - lo > PHASE_TOLERANCE:
         if fc > fd:
             hi, d, fd = d, c, fc
             c = hi - ratio * (hi - lo)
@@ -413,7 +401,7 @@ class InfoGainReport:
         return self.info_hamming - self.info_parity
 
 
-def _score(trajectories, tau, phase="optimal", variance_convention="tau", taus=None):
+def _score(trajectories, tau, phase="optimal", taus=None):
     """Integrate, pick the phase, guard and score four trajectories.
 
     The complex output integrals at ``tau`` choose the phase ("optimal") or
@@ -424,18 +412,17 @@ def _score(trajectories, tau, phase="optimal", variance_convention="tau", taus=N
     """
     ordered = _ordered(trajectories)
     if phase == "optimal":
-        phase, _ = optimal_phase([output_integral(tr, tau) for tr in ordered],
-                                 tau, variance_convention)
+        phase, _ = optimal_phase([output_integral(tr, tau) for tr in ordered], tau)
     else:
         phase = float(phase)
     taus = np.array([tau] if taus is None else taus, dtype=float)
     means = np.stack([integrated_signal(tr, phase, taus) for tr in ordered], axis=1)
-    gains = info_gains(SignalModel(tau, phase, tuple(means[-1]), variance_convention))
+    gains = info_gains(SignalModel(tau, phase, tuple(means[-1])))
     return phase, gains, means
 
 
 def analyze_trajectories(trajectories, tau, phase="optimal", tau_points=57,
-                         variance_convention="tau", with_rates=True):
+                         with_rates=True):
     """Full information-gain report for a set of four evolved trajectories.
 
     ``phase`` may be a number or "optimal"; with ``with_rates`` the gains are
@@ -448,13 +435,12 @@ def analyze_trajectories(trajectories, tau, phase="optimal", tau_points=57,
         raise ValueError("need at least 3 grid points")
     tau_grid = np.linspace(0.0, tau, tau_points) if with_rates else None
     phi, (gain_hw, gain_parity), means = _score(
-        trajectories, tau, phase, variance_convention,
+        trajectories, tau, phase,
         None if tau_grid is None else tau_grid[1:])  # gains vanish at tau=0
 
     rate_hw = rate_parity = series_hw = series_parity = None
     if with_rates:
-        series = _stack_gains(means, _variance(tau_grid[1:], variance_convention),
-                              DEFAULT_QUADRATURE_POINTS)
+        series = _stack_gains(means, tau_grid[1:], DEFAULT_QUADRATURE_POINTS)
         series_hw = np.concatenate(([0.0], series[:, 0]))
         series_parity = np.concatenate(([0.0], series[:, 1]))
         rate_hw = measurement_rates(tau_grid, series_hw)

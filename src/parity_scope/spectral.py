@@ -17,6 +17,7 @@ All Hamiltonians are dense real-symmetric; sizes stay at desk scale
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import reduce
 
 import numpy as np
 import scipy.linalg as sla
@@ -117,15 +118,15 @@ def _converge_cutoff(cfg, levels):
     cutoff = cfg.charge_cutoff
     values = _lowest_levels(cfg, cutoff, levels)
     tol = CONVERGENCE_RTOL * cfg.charging_scale
-    while True:
+    # no basis above the ceiling is ever built, the probe's included
+    while cutoff + 4 <= cfg.cutoff_ceiling:
         probe = _lowest_levels(cfg, cutoff + 4, levels)
         if np.max(np.abs(probe - values)) <= tol:
             return cutoff, values
         cutoff += 4
         values = probe
-        if cutoff > cfg.cutoff_ceiling:
-            raise ConvergenceFailure(
-                f"charge-basis spectrum not converged at cutoff {cfg.cutoff_ceiling}")
+    raise ConvergenceFailure(
+        f"charge-basis spectrum not converged at cutoff {cfg.cutoff_ceiling}")
 
 
 def tcq_charge_spectrum(cfg, levels=6):
@@ -166,7 +167,7 @@ def charge_dispersion(cfg, levels=6, grid_points=21):
 
 
 # ---------------------------------------------------------------------------
-# coupled-Duffing normal form check
+# Fock-space Hamiltonians: one builder for the Duffing pair and the ladders
 # ---------------------------------------------------------------------------
 
 def _lowering(levels):
@@ -177,26 +178,51 @@ def _number(levels):
     return np.diag(np.arange(float(levels)))
 
 
+def _duffing(omega, delta, levels):
+    """Single Duffing mode omega n + (delta / 2) n (n - 1)."""
+    n = _number(levels)
+    return omega * n + delta / 2.0 * (n @ n - n)
+
+
+def _product(dims, factors):
+    """Kronecker product over the modes of ``dims``: ``factors[mode]`` where
+    given, the identity on every other mode."""
+    return reduce(np.kron, [factors.get(mode, np.eye(dim)) for mode, dim in enumerate(dims)])
+
+
+def _fock_hamiltonian(dims, terms, hops):
+    """Sum of the ``c * product`` terms in list order, then
+    ``g (b_j^dagger b_k + h.c.)`` for each nonzero exchange ``(g, j, k)``.
+
+    The order is part of the result: floating-point sums are not
+    associative, and the oracles' outputs are pinned bitwise.
+    """
+    h = reduce(np.add, (c * _product(dims, factors) for c, factors in terms))
+    for g, j, k in hops:
+        if g != 0.0:
+            hop = _product(dims, {j: _lowering(dims[j]).T, k: _lowering(dims[k])})
+            h += g * (hop + hop.T)
+    return h
+
+
+# ---------------------------------------------------------------------------
+# coupled-Duffing normal form check
+# ---------------------------------------------------------------------------
+
 def duffing_pair_hamiltonian(spec, levels):
     """Bare coupled-Duffing TCQ in a (levels x levels) Fock space."""
-    a = _lowering(levels)
-    n = _number(levels)
-    eye = np.eye(levels)
-
-    def duffing(omega, delta):
-        return omega * n + delta / 2.0 * (n @ n - n)
-
-    return (np.kron(duffing(spec.omega_plus, spec.delta_plus), eye)
-            + np.kron(eye, duffing(spec.omega_minus, spec.delta_minus))
-            + spec.transverse_coupling * (np.kron(a, a.T) + np.kron(a.T, a)))
+    return _fock_hamiltonian(
+        (levels, levels),
+        [(1.0, {0: _duffing(spec.omega_plus, spec.delta_plus, levels)}),
+         (1.0, {1: _duffing(spec.omega_minus, spec.delta_minus, levels)})],
+        [(spec.transverse_coupling, 1, 0)])
 
 
 def _beam_splitter_frame(angle, levels):
     """Rotated product-state dictionary: columns of U^dagger label the
     dressed states |n+ n->."""
-    a = _lowering(levels)
-    generator = angle * (np.kron(a, a.T) - np.kron(a.T, a))
-    return sla.expm(generator).T  # real orthogonal: U^dagger = U^T
+    hop = _product((levels, levels), {0: _lowering(levels), 1: _lowering(levels).T})
+    return sla.expm(angle * (hop - hop.T)).T  # real orthogonal: U^dagger = U^T
 
 
 def _identify(eigvecs, target):
@@ -242,7 +268,7 @@ def dressed_tcq_check(spec, levels=8):
     energies = {}
     min_overlap = 1.0
     for label in ((0, 0), (0, 1), (1, 0), (0, 2), (2, 0), (1, 1)):
-        k, overlap = _identify(vectors, frame[:, label[0] * levels + label[1]])
+        k, overlap = _identify(vectors, frame[:, np.ravel_multi_index(label, (levels, levels))])
         energies[label] = values[k]
         min_overlap = min(min_overlap, overlap)
 
@@ -302,97 +328,56 @@ class LadderConfig:
             raise ValueError("tcq ladder needs the dressed parameters")
 
 
-def _transmon_ladder_hamiltonian(cfg, resonator2_frequency, photon_levels):
-    nq, nc = cfg.qubit_levels, photon_levels
-    b = _lowering(nq)
-    a = _lowering(nc)
-    iq, ic = np.eye(nq), np.eye(nc)
-    n_ph = _number(nc)
-    n_q = _number(nq)
-    energy = cfg.qubit_frequency * n_q + cfg.anharmonicity / 2.0 * (n_q @ n_q - n_q)
-    g1, g2 = cfg.couplings
-    h = (np.kron(energy, np.kron(ic, ic))
-         + cfg.resonator1_frequency * np.kron(iq, np.kron(n_ph, ic))
-         + resonator2_frequency * np.kron(iq, np.kron(ic, n_ph)))
-    h += g1 * (np.kron(b.T, np.kron(a, ic)) + np.kron(b, np.kron(a.T, ic)))
-    h += g2 * (np.kron(b.T, np.kron(ic, a)) + np.kron(b, np.kron(ic, a.T)))
-    return h
+def _ladder(cfg, resonator2_frequency=None, photon_levels=None):
+    """The per-kind table of a ladder: mode sizes, Hamiltonian terms,
+    exchanges and the (ground, excited) qubit labels.
 
-
-def _tcq_ladder_hamiltonian(cfg, resonator2_frequency, photon_levels):
-    nq, nc = cfg.qubit_levels, photon_levels
-    d = cfg.dressed
-    b = _lowering(nq)
-    a = _lowering(nc)
-    iq, ic = np.eye(nq), np.eye(nc)
-    n_ph = _number(nc)
-    n_q = _number(nq)
-
-    def op4(hp, hm, c1, c2):
-        return np.kron(hp, np.kron(hm, np.kron(c1, c2)))
-
-    def duffing(omega, delta):
-        return omega * n_q + delta / 2.0 * (n_q @ n_q - n_q)
-
-    h = (op4(duffing(d.omega_plus, d.delta_plus), iq, ic, ic)
-         + op4(iq, duffing(d.omega_minus, d.delta_minus), ic, ic)
-         + d.delta_cross * op4(n_q, n_q, ic, ic)
-         + cfg.resonator1_frequency * op4(iq, iq, n_ph, ic)
-         + resonator2_frequency * op4(iq, iq, ic, n_ph))
-    g1p, g1m, g2p, g2m = cfg.couplings
-    raising = {
-        "1+": op4(b.T, iq, a, ic), "1-": op4(iq, b.T, a, ic),
-        "2+": op4(b.T, iq, ic, a), "2-": op4(iq, b.T, ic, a),
-    }
-    for g, key in ((g1p, "1+"), (g1m, "1-"), (g2p, "2+"), (g2m, "2-")):
-        if g != 0.0:
-            h += g * (raising[key] + raising[key].T)
-    return h
+    Modes are the qubit mode(s) -- the transmon, or the TCQ's plus and minus
+    branches -- then cavities 1 and 2.  Terms run Duffing, cross-Kerr,
+    cavity 1, cavity 2; exchanges 1+, 1-, 2+, 2- (1, 2 for the transmon).
+    """
+    w2 = cfg.resonator2_frequency if resonator2_frequency is None else resonator2_frequency
+    nq, nc = cfg.qubit_levels, cfg.photon_levels if photon_levels is None else photon_levels
+    if cfg.kind == "transmon":
+        dims = (nq, nc, nc)
+        terms = [(1.0, {0: _duffing(cfg.qubit_frequency, cfg.anharmonicity, nq)})]
+        g1, g2 = cfg.couplings
+        hops = [(g1, 0, 1), (g2, 0, 2)]
+        labels = ((0,), (1,))
+    else:
+        d = cfg.dressed
+        dims = (nq, nq, nc, nc)
+        terms = [(1.0, {0: _duffing(d.omega_plus, d.delta_plus, nq)}),
+                 (1.0, {1: _duffing(d.omega_minus, d.delta_minus, nq)}),
+                 (d.delta_cross, {0: _number(nq), 1: _number(nq)})]
+        g1p, g1m, g2p, g2m = cfg.couplings
+        hops = [(g1p, 0, 2), (g1m, 1, 2), (g2p, 0, 3), (g2m, 1, 3)]
+        labels = ((0, 0), (0, 1))
+    cavity = len(dims) - 2
+    terms += [(cfg.resonator1_frequency, {cavity: _number(nc)}),
+              (w2, {cavity + 1: _number(nc)})]
+    return dims, terms, hops, labels
 
 
 def _ladder_hamiltonian(cfg, resonator2_frequency=None, photon_levels=None):
-    w2 = cfg.resonator2_frequency if resonator2_frequency is None else resonator2_frequency
-    nc = cfg.photon_levels if photon_levels is None else photon_levels
-    if cfg.kind == "transmon":
-        return _transmon_ladder_hamiltonian(cfg, w2, nc)
-    return _tcq_ladder_hamiltonian(cfg, w2, nc)
+    return _fock_hamiltonian(*_ladder(cfg, resonator2_frequency, photon_levels)[:3])
 
 
-def _ladder_index(cfg, qubit_label, n1, n2, photon_levels=None):
-    nc = cfg.photon_levels if photon_levels is None else photon_levels
-    if cfg.kind == "transmon":
-        return (qubit_label * nc + n1) * nc + n2
-    n_plus, n_minus = qubit_label
-    return (((n_plus * cfg.qubit_levels) + n_minus) * nc + n1) * nc + n2
+def _extract_chis(cfg, photon_levels=None):
+    dims, terms, hops, labels = _ladder(cfg, photon_levels=photon_levels)
+    values, vectors = sla.eigh(_fock_hamiltonian(dims, terms, hops))
 
+    def photon_energies(label):
+        # resonator-1 and resonator-2 photon addition energies in qubit state ``label``
+        energy = []
+        for photons in ((0, 0), (1, 0), (0, 1)):
+            target = np.zeros(vectors.shape[0])
+            target[np.ravel_multi_index(label + photons, dims)] = 1.0
+            energy.append(values[_identify(vectors, target)[0]])
+        return energy[1] - energy[0], energy[2] - energy[0]
 
-def _qubit_labels(cfg):
-    # ground / excited qubit labels: |0>,|1> for the transmon, |0+0->,|0+1->
-    # for the TCQ
-    if cfg.kind == "transmon":
-        return 0, 1
-    return (0, 0), (0, 1)
-
-
-def _extract_chis(cfg, resonator2_frequency=None, photon_levels=None):
-    h = _ladder_hamiltonian(cfg, resonator2_frequency, photon_levels)
-    values, vectors = sla.eigh(h)
-    ground, excited = _qubit_labels(cfg)
-
-    def energy(label, n1, n2):
-        idx = _ladder_index(cfg, label, n1, n2, photon_levels)
-        target = np.zeros(h.shape[0])
-        target[idx] = 1.0
-        k, _ = _identify(vectors, target)
-        return values[k]
-
-    shift1_ground = energy(ground, 1, 0) - energy(ground, 0, 0)
-    shift1_excited = energy(excited, 1, 0) - energy(excited, 0, 0)
-    shift2_ground = energy(ground, 0, 1) - energy(ground, 0, 0)
-    shift2_excited = energy(excited, 0, 1) - energy(excited, 0, 0)
-    chi1 = 0.5 * (shift1_excited - shift1_ground)
-    chi2 = 0.5 * (shift2_excited - shift2_ground)
-    return chi1, chi2
+    (ground1, ground2), (excited1, excited2) = map(photon_energies, labels)
+    return 0.5 * (excited1 - ground1), 0.5 * (excited2 - ground2)
 
 
 @dataclass(frozen=True)
@@ -444,10 +429,10 @@ def chi_oracle(cfg, check_convergence=True):
 
 
 def _photon_pair_gap(cfg, qubit_label, resonator2_frequency):
-    h = _ladder_hamiltonian(cfg, resonator2_frequency)
-    values, vectors = sla.eigh(h)
-    i10 = _ladder_index(cfg, qubit_label, 1, 0)
-    i01 = _ladder_index(cfg, qubit_label, 0, 1)
+    dims, terms, hops, _ = _ladder(cfg, resonator2_frequency)
+    values, vectors = sla.eigh(_fock_hamiltonian(dims, terms, hops))
+    i10, i01 = (np.ravel_multi_index(qubit_label + photons, dims)
+                for photons in ((1, 0), (0, 1)))
     k10 = int(np.argmax(np.abs(vectors[i10, :])))
     k01 = int(np.argmax(np.abs(vectors[i01, :])))
     if k10 == k01:
@@ -458,24 +443,22 @@ def _photon_pair_gap(cfg, qubit_label, resonator2_frequency):
     return abs(values[k10] - values[k01])
 
 
-def switch_splitting(cfg, scan_halfwidth=None):
+def switch_splitting(cfg):
     """Minimal single-photon avoided-crossing gap per qubit state.
 
-    Sweeps the second resonator through the first one's frequency and
-    minimizes the splitting of the two photon-like eigenstates; at the
+    Sweeps the second resonator through the first one's frequency (within
+    2 % of it) and minimizes the splitting of the two photon-like eigenstates; at the
     crossing the minimal gap equals twice the magnitude of the effective
     resonator-resonator coupling for that qubit state.  Returns
     ``{"ground": gap, "excited": gap}``.
     """
     omega1 = cfg.resonator1_frequency
-    if scan_halfwidth is None:
-        scan_halfwidth = 0.02 * abs(omega1)
-    ground, excited = _qubit_labels(cfg)
+    halfwidth = 0.02 * abs(omega1)
     gaps = {}
-    for name, label in (("ground", ground), ("excited", excited)):
+    for name, label in zip(("ground", "excited"), _ladder(cfg)[3]):
         result = minimize_scalar(
             lambda w2: _photon_pair_gap(cfg, label, w2),
-            bounds=(omega1 - scan_halfwidth, omega1 + scan_halfwidth),
+            bounds=(omega1 - halfwidth, omega1 + halfwidth),
             method="bounded", options={"xatol": 1e-12 * max(abs(omega1), 1.0)})
         gaps[name] = float(result.fun)
     return gaps

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -19,7 +20,7 @@ from parity_scope.config import (
     preset,
     preset_names,
 )
-from parity_scope.errors import ConfigError
+from parity_scope.errors import ConfigError, ParityScopeError
 from parity_scope.inference import integrated_signal
 
 
@@ -341,6 +342,10 @@ def test_cli_sweep_splits_cuts_in_order(tmp_path):
     assert [row[:2] for row in asymmetric] == [[0.4, 0.3], [0.6, 0.3]]
 
 
+TRANSMON = {"type": "transmon", "josephson_energy_mhz": 20000.0,
+            "charging_energy_mhz": 300.0, "g1_mhz": 100.0, "g2_mhz": 100.0}
+
+
 @pytest.mark.parametrize("command, path, value, message", [
     ("sweep", "analysis.sweep.points", "many", "analysis.sweep.points"),
     ("simulate", "analysis.measurement_time", -1, "analysis.measurement_time"),
@@ -348,20 +353,73 @@ def test_cli_sweep_splits_cuts_in_order(tmp_path):
     ("simulate", "pulse.ramp", -1.0, "pulse: ramp"),
     ("validate", "validation.coupling_ratio", 0.0, "validation.coupling_ratio"),
     ("validate", "validation.charge_cutoff", 45, "validation.charge_cutoff"),
+    ("validate", "validation.charge_cutoff", 41, "validation.charge_cutoff"),
     ("dispersive", "output_dir", 5, "output_dir"),
+    ("dispersive", "devices[0].anharmonicity_mhz", 0, "devices[0].anharmonicity_mhz"),
+    ("dispersive", "devices[0].anharmonicity_mhz", 300, "devices[0].anharmonicity_mhz"),
+    ("dispersive", "devices[0]", dict(TRANSMON, josephson_energy_mhz=-20000.0),
+     "devices[0].josephson_energy_mhz"),
+    ("dispersive", "devices[0]", dict(TRANSMON, charging_energy_mhz=-300.0),
+     "devices[0].charging_energy_mhz"),
 ])
 def test_cli_rejects_malformed_field(tmp_path, capsys, command, path, value, message):
-    *sections, field = path.split(".")
+    # dotted keys step into objects, [i] into lists
+    *steps, field = [int(key) if key.isdigit() else key
+                     for key in re.findall(r"[^.\[\]]+", path)]
 
     def edit(tree):
         node = tree
-        for key in sections:
-            node = node.setdefault(key, {})
+        for key in steps:
+            node = node[key] if isinstance(key, int) else node.setdefault(key, {})
         node[field] = value
-    config = _write_variant(tmp_path, field, edit)
+    config = _write_variant(tmp_path, str(field), edit)
     code = run([command, "--config", str(config), "--out", str(tmp_path), "--quiet"])
     assert code == 2
     assert message in capsys.readouterr().err
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+EXIT_CODES = {
+    "ConfigError": 2,
+    "ParityConditionUnsatisfiable": 3, "NegativeDiscriminant": 3,
+    "DegenerateDenominator": 3, "SingularCapacitanceMatrix": 3,
+    "SingularResponseMatrix": 3, "DegenerateResponse": 3,
+    "ConvergenceFailure": 4, "LevelIdentificationFailure": 4, "StepTooLarge": 4,
+    "GridTooCoarse": 4, "QuadratureNonconvergent": 4,
+}
+
+
+def test_cli_maps_every_error_to_its_exit_code(monkeypatch, capsys):
+    # a new error class must be given a code here, or this test fails
+    from parity_scope import cli
+    prefixes = {2: "configuration error: ", 3: "physics condition failed: ",
+                4: "numerical convergence failure: "}
+    errors = list(_subclasses(ParityScopeError))
+    assert sorted(error.__name__ for error in errors) == sorted(EXIT_CODES)
+    for error in errors:
+        def fail(args, error=error):
+            raise error("boom")
+        monkeypatch.setattr(cli, "cmd_scenario_list", fail)
+        code = run(["scenario-list"])
+        assert code == EXIT_CODES[error.__name__], error.__name__
+        assert capsys.readouterr().err == prefixes[code] + "boom\n", error.__name__
+
+
+def test_cli_resonator_on_qubit_frequency_exits_3(tmp_path, capsys):
+    # resonator 1 on the transmon's g-e frequency: DegenerateDenominator
+    from parity_scope.config import PRESETS
+    tree = json.loads(json.dumps(PRESETS["transmon-obstruction"]))
+    tree["bus"]["resonator1_mhz"] = 6628.203230275509
+    path = tmp_path / "degenerate.json"
+    path.write_text(json.dumps(tree))
+    code = run(["dispersive", "--config", str(path), "--out", str(tmp_path), "--quiet"])
+    assert code == 3
+    assert "physics condition failed: Delta_1" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -202,16 +202,6 @@ def test_effective_couplings_rotation_norm():
             assert gp ** 2 + gm ** 2 == pytest.approx(bp ** 2 + bm ** 2, rel=1e-12)
 
 
-def test_mirrored_coupling_convention_differs_off_resonance():
-    spec = TcqSpec(5.0, 5.4, -0.3, -0.3, -0.1, g1_plus=0.1, g1_minus=0.05,
-                   g2_plus=0.1, g2_minus=0.05)
-    mixing = tcq_mixing(spec)
-    unitary = effective_couplings(spec, mixing, convention="unitary")
-    mirrored = effective_couplings(spec, mixing, convention="mirrored")
-    assert unitary.g1_plus == mirrored.g1_plus
-    assert unitary.g1_minus != mirrored.g1_minus
-
-
 # ---------------------------------------------------------------------------
 # state-resolved shifts and the dispersive model
 # ---------------------------------------------------------------------------

@@ -92,13 +92,8 @@ def test_integrated_signal_rejects_jagged_grid():
 
 
 def test_variance_convention_switch():
-    model_tau = SignalModel(4.0, 0.0, (0.0, 1.0, 2.0, 3.0))
-    model_tau2 = SignalModel(4.0, 0.0, (0.0, 1.0, 2.0, 3.0),
-                             variance_convention="tau-squared")
-    assert model_tau.variance == 4.0
-    assert model_tau2.variance == 16.0
-    # the wider convention discriminates less
-    assert info_gains(model_tau2, check=False)[1] < info_gains(model_tau, check=False)[1]
+    model = SignalModel(4.0, 0.0, (0.0, 1.0, 2.0, 3.0))
+    assert model.variance == model.measurement_time
 
 
 # ---------------------------------------------------------------------------
@@ -360,15 +355,14 @@ def test_output_integral_matches_means(reference_trajectories):
 # stacked gain kernel, coarse phase scan and cumulative signal layer
 # ---------------------------------------------------------------------------
 
-def reference_optimal_phase(integrals, tau, variance_convention="tau"):
+def reference_optimal_phase(integrals, tau):
     """Per-call phase search: every coarse phase scored by its own
     ``info_gains`` call at the full quadrature, then the golden-section
     refinement.  Returns ``(bracket index, phase, info_parity)``."""
     from parity_scope.inference import PHASE_COARSE_POINTS, PHASE_TOLERANCE
 
     def objective(phi):
-        model = SignalModel(tau, phi, means_from_integrals(integrals, phi),
-                            variance_convention)
+        model = SignalModel(tau, phi, means_from_integrals(integrals, phi))
         return info_gains(model, check=False)[1]
 
     phis = np.linspace(0.0, math.pi, PHASE_COARSE_POINTS, endpoint=False)
@@ -394,13 +388,15 @@ def reference_optimal_phase(integrals, tau, variance_convention="tau"):
 @pytest.mark.parametrize("convention", ["tau", "tau-squared"])
 @pytest.mark.parametrize("points", [201, 4001])
 def test_stacked_gains_match_single_calls(convention, points):
-    from parity_scope.inference import _stack_gains, _variance
+    from parity_scope.inference import _stack_gains
     rng = np.random.default_rng(41)
     means = rng.uniform(-5.0, 5.0, size=(45, 4))
     taus = rng.uniform(0.5, 6.0, size=45)
-    stacked = _stack_gains(means, _variance(taus, convention), points)
-    for row, mu, tau in zip(stacked, means, taus):
-        single = info_gains(SignalModel(tau, 0.0, tuple(mu), convention),
+    variances = taus if convention == "tau" else taus ** 2
+    stacked = _stack_gains(means, variances, points)
+    for row, mu, variance in zip(stacked, means, variances):
+        # a signal model's variance is its measurement time
+        single = info_gains(SignalModel(variance, 0.0, tuple(mu)),
                             points=points, check=False)
         assert np.max(np.abs(row - single)) <= 1e-13
 
@@ -422,7 +418,7 @@ def test_optimal_phase_matches_per_call_scan():
         setup = MeasurementSetup(kappa, kappa, det[0], det[1], model, pulse)
         integrals = [output_integral(evolve(setup, hw, tau), tau) for hw in range(4)]
         best, phi_ref, gain_ref = reference_optimal_phase(integrals, tau)
-        assert _phase_bracket(integrals, phis, tau, "tau") == best
+        assert _phase_bracket(integrals, phis, tau) == best
         assert optimal_phase(integrals, tau) == (phi_ref, gain_ref)
 
 
@@ -451,7 +447,7 @@ def test_phase_scan_rescores_near_ties(monkeypatch):
         return stack_gains(means, variance, points)
 
     monkeypatch.setattr(inference, "_stack_gains", spy)
-    assert inference._phase_bracket(integrals, phis, tau, "tau") == best
+    assert inference._phase_bracket(integrals, phis, tau) == best
     assert rescored and rescored[0] > 1
     assert optimal_phase(integrals, tau) == (phi_ref, gain_ref)
 

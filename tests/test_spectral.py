@@ -12,6 +12,7 @@ from parity_scope.errors import ConvergenceFailure, LevelIdentificationFailure
 from parity_scope.spectral import (
     ChargeBasisConfig,
     LadderConfig,
+    _beam_splitter_frame,
     charge_dispersion,
     chi_oracle,
     dressed_tcq_check,
@@ -85,6 +86,22 @@ def test_charge_spectrum_convergence_failure():
     cfg = charge_config(charge_cutoff=8, cutoff_ceiling=8, ej_over_ec=5000.0)
     with pytest.raises(ConvergenceFailure):
         tcq_charge_spectrum(cfg)
+
+
+def test_charge_cutoff_probe_never_exceeds_ceiling(monkeypatch):
+    from parity_scope import spectral
+    built = []
+    build = spectral.tcq_charge_hamiltonian
+
+    def spy(cfg, cutoff):
+        built.append(cutoff)
+        return build(cfg, cutoff)
+
+    monkeypatch.setattr(spectral, "tcq_charge_hamiltonian", spy)
+    cfg = charge_config(charge_cutoff=8, cutoff_ceiling=16, ej_over_ec=5000.0)
+    with pytest.raises(ConvergenceFailure):
+        tcq_charge_spectrum(cfg)
+    assert built == [8, 12, 16]
 
 
 def test_charge_dispersion_flat_in_transmon_regime():
@@ -276,3 +293,115 @@ def test_switch_splitting_tcq_zero_switch():
     chi1 = g1m ** 2 * dressed.delta_minus / (d1m * (d1m + dressed.delta_minus))
     state_dependent = abs(gaps["excited"] - gaps["ground"]) / 2.0
     assert state_dependent < 1e-2 * abs(chi1)
+
+
+# ---------------------------------------------------------------------------
+# the one Fock-space builder against hand-written Kronecker stacks
+# ---------------------------------------------------------------------------
+
+def _ref_lowering(levels):
+    return np.diag(np.sqrt(np.arange(1.0, levels)), 1)
+
+
+def _ref_number(levels):
+    return np.diag(np.arange(float(levels)))
+
+
+def reference_transmon_ladder(cfg, resonator2_frequency, photon_levels):
+    nq, nc = cfg.qubit_levels, photon_levels
+    b, a = _ref_lowering(nq), _ref_lowering(nc)
+    iq, ic = np.eye(nq), np.eye(nc)
+    n_ph, n_q = _ref_number(nc), _ref_number(nq)
+    energy = cfg.qubit_frequency * n_q + cfg.anharmonicity / 2.0 * (n_q @ n_q - n_q)
+    g1, g2 = cfg.couplings
+    h = (np.kron(energy, np.kron(ic, ic))
+         + cfg.resonator1_frequency * np.kron(iq, np.kron(n_ph, ic))
+         + resonator2_frequency * np.kron(iq, np.kron(ic, n_ph)))
+    h += g1 * (np.kron(b.T, np.kron(a, ic)) + np.kron(b, np.kron(a.T, ic)))
+    h += g2 * (np.kron(b.T, np.kron(ic, a)) + np.kron(b, np.kron(ic, a.T)))
+    return h
+
+
+def reference_tcq_ladder(cfg, resonator2_frequency, photon_levels):
+    nq, nc = cfg.qubit_levels, photon_levels
+    d = cfg.dressed
+    b, a = _ref_lowering(nq), _ref_lowering(nc)
+    iq, ic = np.eye(nq), np.eye(nc)
+    n_ph, n_q = _ref_number(nc), _ref_number(nq)
+
+    def op4(hp, hm, c1, c2):
+        return np.kron(hp, np.kron(hm, np.kron(c1, c2)))
+
+    def duffing(omega, delta):
+        return omega * n_q + delta / 2.0 * (n_q @ n_q - n_q)
+
+    h = (op4(duffing(d.omega_plus, d.delta_plus), iq, ic, ic)
+         + op4(iq, duffing(d.omega_minus, d.delta_minus), ic, ic)
+         + d.delta_cross * op4(n_q, n_q, ic, ic)
+         + cfg.resonator1_frequency * op4(iq, iq, n_ph, ic)
+         + resonator2_frequency * op4(iq, iq, ic, n_ph))
+    raising = [op4(b.T, iq, a, ic), op4(iq, b.T, a, ic),
+               op4(b.T, iq, ic, a), op4(iq, b.T, ic, a)]
+    for g, op in zip(cfg.couplings, raising):
+        if g != 0.0:
+            h += g * (op + op.T)
+    return h
+
+
+def reference_duffing_pair(spec, levels):
+    a, n, eye = _ref_lowering(levels), _ref_number(levels), np.eye(levels)
+
+    def duffing(omega, delta):
+        return omega * n + delta / 2.0 * (n @ n - n)
+
+    return (np.kron(duffing(spec.omega_plus, spec.delta_plus), eye)
+            + np.kron(eye, duffing(spec.omega_minus, spec.delta_minus))
+            + spec.transverse_coupling * (np.kron(a, a.T) + np.kron(a.T, a)))
+
+
+def random_ladder(rng, kind):
+    couplings = rng.uniform(-0.3, 0.3, 2 if kind == "transmon" else 4)
+    couplings[rng.random(couplings.size) < 0.3] = 0.0
+    common = dict(resonator1_frequency=rng.uniform(6.0, 9.0),
+                  resonator2_frequency=rng.uniform(6.0, 9.0),
+                  couplings=tuple(couplings), qubit_levels=int(rng.integers(3, 6)),
+                  photon_levels=int(rng.integers(3, 6)))
+    if kind == "transmon":
+        return LadderConfig(kind="transmon", qubit_frequency=rng.uniform(4.0, 7.0),
+                            anharmonicity=rng.uniform(-3.0, -0.1), **common)
+    spec = TcqSpec(*rng.uniform(5.0, 7.0, 2), *rng.uniform(-1.5, -0.1, 2),
+                   rng.uniform(-0.6, -0.05))
+    dressed = replace(tcq_mixing(spec), delta_cross=rng.uniform(-2.0, -0.1))
+    return LadderConfig(kind="tcq", dressed=dressed, **common)
+
+
+@pytest.mark.parametrize("kind, reference, draws", [
+    ("transmon", reference_transmon_ladder, 40),
+    ("tcq", reference_tcq_ladder, 12),   # up to 2500 dims with doubled photons
+])
+def test_ladder_builder_matches_kron_reference(kind, reference, draws):
+    rng = np.random.default_rng(17)
+    for _ in range(draws):
+        cfg = random_ladder(rng, kind)
+        nc = cfg.photon_levels
+        w2 = rng.uniform(6.0, 9.0)
+        assert np.array_equal(_ladder_hamiltonian(cfg),
+                              reference(cfg, cfg.resonator2_frequency, nc))
+        assert np.array_equal(_ladder_hamiltonian(cfg, w2),
+                              reference(cfg, w2, nc))
+        assert np.array_equal(_ladder_hamiltonian(cfg, photon_levels=2 * nc),
+                              reference(cfg, cfg.resonator2_frequency, 2 * nc))
+
+
+def test_duffing_pair_builder_matches_kron_reference():
+    rng = np.random.default_rng(23)
+    for _ in range(40):
+        levels = int(rng.integers(2, 11))
+        coupling = 0.0 if rng.random() < 0.2 else rng.uniform(-1.0, 1.0)
+        spec = TcqSpec(*rng.uniform(4.0, 7.0, 2), *rng.uniform(-1.0, 0.0, 2), coupling)
+        assert np.array_equal(duffing_pair_hamiltonian(spec, levels),
+                              reference_duffing_pair(spec, levels))
+        a = _ref_lowering(levels)
+        angle = rng.uniform(-math.pi, math.pi)
+        frame = sla.expm(angle * (np.kron(a, a.T) - np.kron(a.T, a))).T
+        assert np.array_equal(_beam_splitter_frame(angle, levels), frame)
