@@ -15,12 +15,11 @@ _EXPORTS = {
     "dispersive": (
         "CapacitanceInverse", "DispersiveModel", "DressedTcq", "LinePlacement",
         "ParityDetunings", "PurcellEstimate", "QubitCavityCoupling",
-        "StateResolvedShifts", "TcqSpec", "TransmonSpec", "attach_resonators",
-        "capacitance_inverse", "capacitance_matrix", "coupling_at_position",
-        "dressed_sign_flip_couplings", "effective_couplings", "parity_detunings",
-        "purcell_time", "sign_flip_couplings", "solve_couplings_for_chi",
-        "tcq_dispersive", "tcq_mixing", "tcq_state_shifts", "transmon_dispersive",
-        "transmon_levels",
+        "StateResolvedShifts", "TcqSpec", "TransmonSpec", "capacitance_inverse",
+        "capacitance_matrix", "coupling_at_position", "dressed_sign_flip_couplings",
+        "effective_couplings", "parity_detunings", "purcell_time", "sign_flip_couplings",
+        "solve_couplings_for_chi", "tcq_dispersive", "tcq_mixing", "tcq_state_shifts",
+        "transmon_dispersive", "transmon_levels",
     ),
     "dynamics": (
         "DrivePulse", "MeasurementSetup", "Trajectory", "drive_envelope", "evolve",

@@ -15,6 +15,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+import sys
 from dataclasses import dataclass, replace
 
 from .dispersive import (
@@ -22,18 +23,16 @@ from .dispersive import (
     QubitCavityCoupling,
     TcqSpec,
     TransmonSpec,
-    attach_resonators,
     dressed_sign_flip_couplings,
     parity_detunings,
     purcell_time,
     solve_couplings_for_chi,
     tcq_dispersive,
     tcq_mixing,
-    tcq_state_shifts,
     transmon_dispersive,
     transmon_levels,
 )
-from .dynamics import DrivePulse, MeasurementSetup
+from .dynamics import DEFAULT_STEP_FACTOR, RK4_STEP_BUDGET, DrivePulse, MeasurementSetup
 from .errors import ConfigError, ParityConditionUnsatisfiable
 
 # ordinary frequency in MHz -> angular rad/us: omega = 2 pi f
@@ -49,29 +48,40 @@ def _require(mapping, key, where):
 
 
 def _is_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    # a JSON integer beyond the float range would overflow in any arithmetic
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and not abs(value) > sys.float_info.max)
 
 
-def _number(mapping, key, where, default=None):
-    """Finite number at ``mapping[key]``; required unless a default is given."""
+def _number(mapping, key, where, default=None, scale=1.0):
+    """Finite number at ``mapping[key]``; required unless a default is given.
+
+    ``scale`` is the factor the caller multiplies the value by (a unit or a
+    rate); the product must be finite too, or an overflow there would pass.
+    """
     value = _require(mapping, key, where) if default is None else mapping.get(key, default)
-    if not (_is_number(value) and math.isfinite(value)):
+    if not (_is_number(value) and math.isfinite(value * scale)):
         raise ConfigError(f"{where}.{key}: expected a finite number, got {value!r}")
     return float(value)
 
 
-def _positive(mapping, key, where, default=None):
-    value = _number(mapping, key, where, default)
+def _positive(mapping, key, where, default=None, scale=1.0):
+    value = _number(mapping, key, where, default, scale)
     if value <= 0:
         raise ConfigError(f"{where}.{key}: expected a positive number, got {value!r}")
     return value
 
 
-def _negative(mapping, key, where):
-    value = _number(mapping, key, where)
+def _negative(mapping, key, where, scale=1.0):
+    value = _number(mapping, key, where, scale=scale)
     if value >= 0:
         raise ConfigError(f"{where}.{key}: expected a negative number, got {value!r}")
     return value
+
+
+def _mhz(mapping, key, where, check=_number):
+    """A frequency field in MHz, as angular rad/us that stays finite."""
+    return check(mapping, key, where, scale=MHZ) * MHZ
 
 
 def _integer(mapping, key, where, default, minimum, maximum=math.inf):
@@ -165,21 +175,25 @@ def _parse_device(raw, index):
     kind = _require(raw, "type", where)
     name = raw.get("name", f"q{index}")
     if kind == "tcq":
-        return {
+        device = {
             "type": "tcq",
             "name": name,
-            "qubit_frequency": _number(raw, "qubit_frequency_mhz", where) * MHZ,
-            "transverse_coupling": _number(raw, "transverse_coupling_mhz", where) * MHZ,
-            "anharmonicity": _negative(raw, "anharmonicity_mhz", where) * MHZ,
+            "qubit_frequency": _mhz(raw, "qubit_frequency_mhz", where),
+            "transverse_coupling": _mhz(raw, "transverse_coupling_mhz", where),
+            "anharmonicity": _mhz(raw, "anharmonicity_mhz", where, _negative),
         }
+        if device["transverse_coupling"] == 0.0:
+            # the sign-flip couplings need the pi/4 mixing that J != 0 gives
+            raise ConfigError(f"{where}.transverse_coupling_mhz: expected a nonzero number, got 0")
+        return device
     if kind == "transmon":
         return {
             "type": "transmon",
             "name": name,
-            "josephson_energy": _positive(raw, "josephson_energy_mhz", where) * MHZ,
-            "charging_energy": _positive(raw, "charging_energy_mhz", where) * MHZ,
-            "g1": _number(raw, "g1_mhz", where) * MHZ,
-            "g2": _number(raw, "g2_mhz", where) * MHZ,
+            "josephson_energy": _mhz(raw, "josephson_energy_mhz", where, _positive),
+            "charging_energy": _mhz(raw, "charging_energy_mhz", where, _positive),
+            "g1": _mhz(raw, "g1_mhz", where),
+            "g2": _mhz(raw, "g2_mhz", where),
         }
     raise ConfigError(f"{where}.type: unknown device type {kind!r}")
 
@@ -195,22 +209,24 @@ def parse_config(tree, name="config"):
     devices = tuple(_parse_device(d, i) for i, d in enumerate(raw_devices))
 
     bus = _require(tree, "bus", "top level")
-    resonator1 = _number(bus, "resonator1_mhz", "bus") * MHZ
+    resonator1 = _mhz(bus, "resonator1_mhz", "bus")
     raw_r2 = _require(bus, "resonator2_mhz", "bus")
     if raw_r2 == "auto-parity":
         resonator2 = "auto-parity"
-    elif _is_number(raw_r2) and math.isfinite(raw_r2):
+    elif _is_number(raw_r2) and math.isfinite(raw_r2 * MHZ):
         resonator2 = float(raw_r2) * MHZ
     else:
         raise ConfigError(f"bus.resonator2_mhz: expected a number or 'auto-parity', got {raw_r2!r}")
-    kappa1 = _positive(bus, "kappa1_mhz", "bus") * MHZ
-    kappa2 = _positive(bus, "kappa2_mhz", "bus") * MHZ
+    kappa1 = _mhz(bus, "kappa1_mhz", "bus", _positive)
+    kappa2 = _mhz(bus, "kappa2_mhz", "bus", _positive)
+    kappa = max(kappa1, kappa2)
 
     targets = tree.get("targets")
     chi_targets = None
     if targets is not None:
-        chi_targets = (_number(targets, "chi1_over_kappa", "targets"),
-                       _number(targets, "chi2_over_kappa", "targets"))
+        # stored in units of kappa: (x * kappa) / kappa need not round-trip to x
+        chi_targets = (_number(targets, "chi1_over_kappa", "targets", scale=kappa),
+                       _number(targets, "chi2_over_kappa", "targets", scale=kappa))
 
     raw_pulse = _require(tree, "pulse", "top level")
     pulse = PulseConfig(
@@ -251,6 +267,13 @@ def parse_config(tree, name="config"):
         phase=phase,
         sweep=sweep,
     )
+    # RK4 steps of one trajectory at the default dt, rounded as evolve rounds them
+    steps = analysis.resolve_measurement_time(kappa) / (DEFAULT_STEP_FACTOR / kappa)
+    if steps > RK4_STEP_BUDGET + 0.5:
+        raise ConfigError(
+            f"analysis.measurement_time: {analysis.measurement_time!r} {time_unit} needs "
+            f"{steps:.7g} RK4 steps at dt = {DEFAULT_STEP_FACTOR:g}/kappa, above the budget "
+            f"of {RK4_STEP_BUDGET:.0e}")
     raw_validation = _section(tree, "validation")
     validation = ValidationConfig(
         coupling_ratio=_positive(raw_validation, "coupling_ratio", "validation", 0.05),
@@ -410,17 +433,13 @@ def _derive_tcq(device, config):
     bare = device["qubit_frequency"] - device["transverse_coupling"]
     spec = TcqSpec(bare, bare, device["anharmonicity"], device["anharmonicity"],
                    device["transverse_coupling"])
-    dressed = tcq_mixing(spec)
     # effective-parameter convention of the scenario: one anharmonicity for
     # both the minus branch and the cross term
-    dressed = replace(dressed, delta_plus=device["anharmonicity"],
+    dressed = replace(tcq_mixing(spec), delta_plus=device["anharmonicity"],
                       delta_minus=device["anharmonicity"],
                       delta_cross=device["anharmonicity"])
-    dressed = attach_resonators(dressed, omega1, omega2)
-    g1, g2 = solve_couplings_for_chi((chi1, chi2), dressed)
-    g1p, g1m, g2p, g2m = dressed_sign_flip_couplings(g1, g2)
-    dressed = replace(dressed, g1_plus=g1p, g1_minus=g1m, g2_plus=g2p, g2_minus=g2m)
-    model = tcq_dispersive(tcq_state_shifts(dressed), dressed)
+    g1, g2 = solve_couplings_for_chi((chi1, chi2), dressed, (omega1, omega2))
+    model = tcq_dispersive(dressed, (omega1, omega2), dressed_sign_flip_couplings(g1, g2))
     estimate = purcell_time(kappa, g1, dressed.omega_minus, omega1)
     return QubitResult(device["name"], model, g1, g2, estimate), omega2
 

@@ -15,7 +15,7 @@ couplings cancels ``chi12`` exactly while keeping ``chi1, chi2`` finite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -206,8 +206,7 @@ class TcqSpec:
     """Two capacitively coupled Duffing modes (bare frame).
 
     ``transverse_coupling`` is the photon-hopping amplitude J between the two
-    modes; ``g*_plus/g*_minus`` are the bare resonator couplings of each mode.
-    Anharmonicities must be non-positive.
+    modes.  Anharmonicities must be non-positive.
     """
 
     omega_plus: float
@@ -215,10 +214,6 @@ class TcqSpec:
     delta_plus: float
     delta_minus: float
     transverse_coupling: float
-    g1_plus: float = 0.0
-    g1_minus: float = 0.0
-    g2_plus: float = 0.0
-    g2_minus: float = 0.0
 
     def __post_init__(self):
         if self.delta_plus > 0 or self.delta_minus > 0:
@@ -229,10 +224,10 @@ class TcqSpec:
 class DressedTcq:
     """Normal-form parameters of the diagonalized TCQ.
 
-    Populated in stages: ``tcq_mixing`` fills the angle and dressed
-    frequencies/anharmonicities, ``effective_couplings`` the rotated
-    couplings, ``attach_resonators`` the resonator frequencies that define
-    the detunings ``Delta_{i,pm} = omega_pm_dressed - omega_i``.
+    The resonators are not part of it: the shift functions below take their
+    bare frequencies ``resonators = (omega1, omega2)``, which define the
+    detunings ``Delta_{i,pm} = omega_pm - omega_i``, and the dressed couplings
+    ``couplings = (g1_plus, g1_minus, g2_plus, g2_minus)``.
     """
 
     mixing_angle: float
@@ -242,39 +237,7 @@ class DressedTcq:
     delta_plus: float
     delta_minus: float
     delta_cross: float
-    g1_plus: float | None = None
-    g1_minus: float | None = None
-    g2_plus: float | None = None
-    g2_minus: float | None = None
-    resonator1_frequency: float | None = None
-    resonator2_frequency: float | None = None
     warnings: tuple = ()
-
-    @property
-    def qubit_splitting(self):
-        """Bare dressed qubit transition |0+0-> -> |0+1->."""
-        return self.omega_minus
-
-    def _resonator(self, i):
-        freq = (self.resonator1_frequency, self.resonator2_frequency)[i - 1]
-        if freq is None:
-            raise ValueError("resonator frequencies not attached; call attach_resonators")
-        return freq
-
-    def detuning_plus(self, i):
-        return self.omega_plus - self._resonator(i)
-
-    def detuning_minus(self, i):
-        return self.omega_minus - self._resonator(i)
-
-    def coupling(self, i, branch):
-        g = {
-            (1, "+"): self.g1_plus, (1, "-"): self.g1_minus,
-            (2, "+"): self.g2_plus, (2, "-"): self.g2_minus,
-        }[(i, branch)]
-        if g is None:
-            raise ValueError("dressed couplings not set; call effective_couplings")
-        return g
 
 
 def tcq_mixing(spec):
@@ -338,10 +301,12 @@ def tcq_mixing(spec):
     )
 
 
-def effective_couplings(spec, dressed):
+def effective_couplings(dressed, bare):
     """Rotate the bare resonator couplings into the dressed TCQ basis.
 
-    The same unitary rotation as the mode operators,
+    ``bare = (g1_+, g1_-, g2_+, g2_-)`` turns into the dressed
+    ``(g1_plus, g1_minus, g2_plus, g2_minus)`` by the same unitary rotation as
+    the mode operators,
 
         g_plus  = g_+ cos(l) - g_- sin(l)
         g_minus = g_+ sin(l) + g_- cos(l),
@@ -349,17 +314,8 @@ def effective_couplings(spec, dressed):
     which preserves g_+^2 + g_-^2.
     """
     c, s = math.cos(dressed.mixing_angle), math.sin(dressed.mixing_angle)
-
-    def rot(gp, gm):
-        return gp * c - gm * s, gp * s + gm * c
-    g1p, g1m = rot(spec.g1_plus, spec.g1_minus)
-    g2p, g2m = rot(spec.g2_plus, spec.g2_minus)
-    return replace(dressed, g1_plus=g1p, g1_minus=g1m, g2_plus=g2p, g2_minus=g2m)
-
-
-def attach_resonators(dressed, omega1, omega2):
-    """Record the bare resonator frequencies that define the dressed detunings."""
-    return replace(dressed, resonator1_frequency=omega1, resonator2_frequency=omega2)
+    g1p, g1m, g2p, g2m = bare
+    return (g1p * c - g1m * s, g1p * s + g1m * c, g2p * c - g2m * s, g2p * s + g2m * c)
 
 
 @dataclass(frozen=True)
@@ -385,10 +341,12 @@ class StateResolvedShifts:
                 raise ValueError(f"{name} must be finite")
 
 
-def tcq_state_shifts(dressed):
+def tcq_state_shifts(dressed, resonators, couplings):
     """Second-order shifts of both resonators for the two TCQ qubit states.
 
-    For resonator i with detunings D_pm = omega_pm_dressed - omega_i:
+    ``resonators = (omega1, omega2)`` are the bare resonator frequencies and
+    ``couplings = (g1_plus, g1_minus, g2_plus, g2_minus)`` the dressed
+    couplings.  For resonator i with detunings D_pm = omega_pm_dressed - omega_i:
 
         chi_i(excited) = g_-^2/D_- - 2 g_-^2/(D_- + delta_-) - g_+^2/(D_+ + delta_c)
         chi_i(ground)  = g_+^2/D_+ + g_-^2/D_-
@@ -396,15 +354,14 @@ def tcq_state_shifts(dressed):
     and the switch couplings are the matching two-resonator combinations with
     1/D -> (1/D_1 + 1/D_2)/2.
     """
+    g1p, g1m, g2p, g2m = couplings
+    gp, gm = (g1p, g2p), (g1m, g2m)
+    dp = [dressed.omega_plus - omega for omega in resonators]
+    dm = [dressed.omega_minus - omega for omega in resonators]
     anh_scale = max(abs(dressed.delta_plus), abs(dressed.delta_minus),
                     abs(dressed.delta_cross))
     if anh_scale == 0.0:
-        anh_scale = max(abs(dressed.detuning_plus(1)), abs(dressed.detuning_minus(1)))
-
-    dp = [dressed.detuning_plus(i) for i in (1, 2)]
-    dm = [dressed.detuning_minus(i) for i in (1, 2)]
-    gp = [dressed.coupling(i, "+") for i in (1, 2)]
-    gm = [dressed.coupling(i, "-") for i in (1, 2)]
+        anh_scale = max(abs(dp[0]), abs(dm[0]))
     for i in range(2):
         _guard_denominator(dp[i], anh_scale, f"Delta_{i + 1}+")
         _guard_denominator(dm[i], anh_scale, f"Delta_{i + 1}-")
@@ -440,26 +397,27 @@ def tcq_state_shifts(dressed):
     )
 
 
-def tcq_dispersive(shifts, dressed):
-    """Fold state-resolved shifts into the qubit-subspace model.
+def tcq_dispersive(dressed, resonators, couplings):
+    """Qubit-subspace model of a TCQ on two resonators.
 
-    chi_i = (chi_i(excited) + chi_i(ground))/2, and the same half-sum /
-    half-difference combinations for the switch couplings and effective
+    Takes the ``tcq_state_shifts`` arguments and folds the state-resolved
+    shifts: chi_i = (chi_i(excited) + chi_i(ground))/2, and the same half-sum
+    / half-difference combinations for the switch couplings and effective
     resonator frequencies.  The dressed qubit frequency picks up the minus
     -branch Lamb shifts, ``omega_minus + sum_i g_{i-}^2 / D_{i-}``.
     """
+    shifts = tcq_state_shifts(dressed, resonators, couplings)
     chi1 = 0.5 * (shifts.chi1_excited + shifts.chi1_ground)
     chi2 = 0.5 * (shifts.chi2_excited + shifts.chi2_ground)
     quantum_switch = 0.5 * (shifts.chi12_excited + shifts.chi12_ground)
     static_switch = 0.5 * (shifts.chi12_excited - shifts.chi12_ground)
 
-    lamb = sum(dressed.coupling(i, "-") ** 2 / dressed.detuning_minus(i) for i in (1, 2))
+    lamb = sum(g ** 2 / (dressed.omega_minus - omega)
+               for g, omega in zip(couplings[1::2], resonators))
     return DispersiveModel(
-        qubit_frequency=dressed.qubit_splitting + lamb,
-        resonator1_frequency=(dressed._resonator(1)
-                              + 0.5 * (shifts.chi1_excited - shifts.chi1_ground)),
-        resonator2_frequency=(dressed._resonator(2)
-                              + 0.5 * (shifts.chi2_excited - shifts.chi2_ground)),
+        qubit_frequency=dressed.omega_minus + lamb,
+        resonator1_frequency=resonators[0] + 0.5 * (shifts.chi1_excited - shifts.chi1_ground),
+        resonator2_frequency=resonators[1] + 0.5 * (shifts.chi2_excited - shifts.chi2_ground),
         chi1=chi1,
         chi2=chi2,
         static_switch=static_switch,
@@ -490,45 +448,41 @@ def dressed_sign_flip_couplings(g1, g2):
     return (0.0, root2 * g1, root2 * g2, 0.0)
 
 
-def solve_couplings_for_chi(targets, dressed):
+def solve_couplings_for_chi(targets, dressed, resonators):
     """Invert the zero-switch shift formulas for the bare couplings.
 
     ``targets = (chi1, chi2)`` are the desired dispersive shifts in the
     sign-flip configuration at mixing angle pi/4, where each resonator talks
-    to exactly one dressed branch.  Resonator 1 drives minus-branch
-    transitions and resonator 2 plus-branch ones:
+    to exactly one dressed branch, and ``resonators = (omega1, omega2)``.
+    Resonator 1 drives minus-branch transitions and resonator 2 plus-branch
+    ones:
 
         chi1 = 2 g1^2 delta_- / (D_1- (D_1- + delta_-))
         chi2 =   g2^2 delta_c / (D_2+ (D_2+ + delta_c))
 
     (the dressed couplings are sqrt(2) g at pi/4).  Raises
-    NegativeDiscriminant when a target sign cannot be produced by the
-    branch's ``delta / (D (D + delta))`` factor.
+    DegenerateDenominator when D or D + delta sits within ``1e-9 * |delta|``
+    of zero, and NegativeDiscriminant when a target sign cannot be produced
+    by the branch's ``delta / (D (D + delta))`` factor.
     """
     if abs(abs(dressed.mixing_angle) - math.pi / 4.0) > 1e-6:
         raise ValueError("sign-flip inversion assumes mixing angle pi/4 "
                          f"(got {dressed.mixing_angle:.6f})")
 
-    def minus_branch(i, chi):
-        d = dressed.detuning_minus(i)
-        factor = dressed.delta_minus / (d * (d + dressed.delta_minus))
+    (chi1, chi2), (omega1, omega2) = targets, resonators
+    couplings = []
+    for i, chi, d, delta, weight, branch in (
+            (1, chi1, dressed.omega_minus - omega1, dressed.delta_minus, 1.0, "minus"),
+            (2, chi2, dressed.omega_plus - omega2, dressed.delta_cross, 0.5, "plus")):
+        _guard_denominator(d, abs(delta), f"Delta_{i} ({branch} branch)")
+        _guard_denominator(d + delta, abs(delta), f"Delta_{i} + delta ({branch} branch)")
+        factor = weight * delta / (d * (d + delta))
         g_sq = chi / factor
         if g_sq < 0.0:
             raise NegativeDiscriminant(
-                f"chi{i} = {chi:.3e} incompatible with minus-branch factor {factor:.3e}")
-        return math.sqrt(g_sq / 2.0)  # bare g = g_dressed / sqrt(2)
-
-    def plus_branch(i, chi):
-        d = dressed.detuning_plus(i)
-        factor = 0.5 * dressed.delta_cross / (d * (d + dressed.delta_cross))
-        g_sq = chi / factor
-        if g_sq < 0.0:
-            raise NegativeDiscriminant(
-                f"chi{i} = {chi:.3e} incompatible with plus-branch factor {factor:.3e}")
-        return math.sqrt(g_sq / 2.0)
-
-    chi1, chi2 = targets
-    return minus_branch(1, chi1), plus_branch(2, chi2)
+                f"chi{i} = {chi:.3e} incompatible with {branch}-branch factor {factor:.3e}")
+        couplings.append(math.sqrt(g_sq / 2.0))  # bare g = g_dressed / sqrt(2)
+    return tuple(couplings)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,9 @@ from .errors import DegenerateResponse, SingularResponseMatrix, StepTooLarge
 # integrator defaults: classical fixed-step RK4, dt = 1e-3 / kappa, half-step
 # convergence probe on by default
 DEFAULT_STEP_FACTOR = 1e-3
+# most default-dt steps one trajectory may take: 1000/kappa, 36x the paper's
+# 28/kappa horizon; configurations asking for more are refused at parse time
+RK4_STEP_BUDGET = 10 ** 6
 STEP_MARGIN = 0.01          # dt <= STEP_MARGIN * min(1/kappa, 1/|D + 3 chi|)
 PROBE_RTOL = 1e-8
 RECORD_TARGET = 2800        # aim for ~2801 stored samples per trajectory

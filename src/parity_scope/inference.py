@@ -71,6 +71,16 @@ def _tau_index(trajectory, tau):
     return idx
 
 
+def _simpson_panels(y, h):
+    """Two-interval Simpson panels of y along the last axis, for any spacing;
+    ``h`` holds the interval widths.  A trailing odd interval is left out."""
+    h0, h1 = h[..., :-1:2], h[..., 1::2]
+    hsum, ratio = h0 + h1, h0 / h1
+    return hsum / 6.0 * (y[..., :-2:2] * (2.0 - 1.0 / ratio)
+                         + y[..., 1:-1:2] * (hsum * (hsum / (h0 * h1)))
+                         + y[..., 2::2] * (2.0 - ratio))
+
+
 def _simpson(y, x):
     """Composite Simpson integral of y over x along the last axis, for an odd
     sample count; x is (p,) or shaped like y.
@@ -80,13 +90,7 @@ def _simpson(y, x):
     """
     if y.shape[-1] % 2 == 0:
         raise ValueError(f"simpson needs an odd number of samples, got {y.shape[-1]}")
-    h = np.diff(x, axis=-1)
-    h0, h1 = h[..., ::2], h[..., 1::2]
-    hsum, ratio = h0 + h1, h0 / h1
-    panels = hsum / 6.0 * (y[..., :-2:2] * (2.0 - 1.0 / ratio)
-                           + y[..., 1:-1:2] * (hsum * (hsum / (h0 * h1)))
-                           + y[..., 2::2] * (2.0 - ratio))
-    return np.sum(panels, axis=-1)
+    return np.sum(_simpson_panels(y, np.diff(x, axis=-1)), axis=-1)
 
 
 def _cumulative_simpson(t, y):
@@ -101,12 +105,7 @@ def _cumulative_simpson(t, y):
     if y.size < 2:
         return out
     h = np.diff(t)
-    h0, h1 = h[:-1:2], h[1::2]
-    hsum, ratio = h0 + h1, h0 / h1
-    panels = hsum / 6.0 * (y[:-2:2] * (2.0 - 1.0 / ratio)
-                           + y[1:-1:2] * (hsum * (hsum / (h0 * h1)))
-                           + y[2::2] * (2.0 - ratio))
-    out[2::2] = np.cumsum(panels)
+    out[2::2] = np.cumsum(_simpson_panels(y, h))
     out[1] = 0.5 * h[0] * (y[0] + y[1])
     k = np.arange(3, y.size, 2)
     h0, h1 = h[k - 2], h[k - 1]

@@ -26,10 +26,8 @@ from scipy.optimize import minimize_scalar
 from .dispersive import (
     CHARGE_CUTOFF_CEILING,
     DressedTcq,
-    attach_resonators,
     tcq_dispersive,
     tcq_mixing,
-    tcq_state_shifts,
 )
 from .errors import ConvergenceFailure, LevelIdentificationFailure
 
@@ -401,11 +399,8 @@ def _perturbative_chis(cfg):
         delta = cfg.anharmonicity
         return (g1 ** 2 / d1 - g1 ** 2 / (d1 + delta),
                 g2 ** 2 / d2 - g2 ** 2 / (d2 + delta))
-    dressed = attach_resonators(cfg.dressed, cfg.resonator1_frequency,
-                                cfg.resonator2_frequency)
-    g1p, g1m, g2p, g2m = cfg.couplings
-    dressed = replace(dressed, g1_plus=g1p, g1_minus=g1m, g2_plus=g2p, g2_minus=g2m)
-    model = tcq_dispersive(tcq_state_shifts(dressed), dressed)
+    model = tcq_dispersive(cfg.dressed, (cfg.resonator1_frequency, cfg.resonator2_frequency),
+                           cfg.couplings)
     return model.chi1, model.chi2
 
 

@@ -361,6 +361,31 @@ TRANSMON = {"type": "transmon", "josephson_energy_mhz": 20000.0,
      "devices[0].josephson_energy_mhz"),
     ("dispersive", "devices[0]", dict(TRANSMON, charging_energy_mhz=-300.0),
      "devices[0].charging_energy_mhz"),
+    # finite as given, infinite in rad/us or times kappa
+    ("dispersive", "devices[0].qubit_frequency_mhz", 1e308, "devices[0].qubit_frequency_mhz"),
+    ("dispersive", "devices[1].transverse_coupling_mhz", -1e308,
+     "devices[1].transverse_coupling_mhz"),
+    ("dispersive", "devices[2].anharmonicity_mhz", -1e308, "devices[2].anharmonicity_mhz"),
+    ("dispersive", "bus.resonator1_mhz", 1e308, "bus.resonator1_mhz"),
+    ("dispersive", "bus.resonator2_mhz", -1e308, "bus.resonator2_mhz"),
+    ("dispersive", "bus.kappa1_mhz", 1e308, "bus.kappa1_mhz"),
+    ("dispersive", "bus.kappa2_mhz", 1e308, "bus.kappa2_mhz"),
+    ("dispersive", "targets.chi1_over_kappa", -1e308, "targets.chi1_over_kappa"),
+    ("dispersive", "targets.chi2_over_kappa", -1e308, "targets.chi2_over_kappa"),
+    ("dispersive", "devices[0]", dict(TRANSMON, josephson_energy_mhz=1e308),
+     "devices[0].josephson_energy_mhz"),
+    ("dispersive", "devices[0]", dict(TRANSMON, charging_energy_mhz=1e308),
+     "devices[0].charging_energy_mhz"),
+    ("dispersive", "devices[0]", dict(TRANSMON, g1_mhz=-1e308), "devices[0].g1_mhz"),
+    ("dispersive", "devices[0]", dict(TRANSMON, g2_mhz=1e308), "devices[0].g2_mhz"),
+    pytest.param("dispersive", "bus.kappa1_mhz", 10 ** 400, "bus.kappa1_mhz",
+                 id="dispersive-bus.kappa1_mhz-int400-bus.kappa1_mhz"),
+    # J = 0 has no pi/4 mixing for the sign-flip couplings
+    ("dispersive", "devices[0].transverse_coupling_mhz", 0, "devices[0].transverse_coupling_mhz"),
+    # horizons above the RK4 step budget, in either time unit
+    ("simulate", "analysis.measurement_time", 1e9, "analysis.measurement_time"),
+    ("simulate", "analysis", {"measurement_time": 100.0, "time_unit": "us"},
+     "analysis.measurement_time"),
 ])
 def test_cli_rejects_malformed_field(tmp_path, capsys, command, path, value, message):
     # dotted keys step into objects, [i] into lists
@@ -420,6 +445,62 @@ def test_cli_resonator_on_qubit_frequency_exits_3(tmp_path, capsys):
     code = run(["dispersive", "--config", str(path), "--out", str(tmp_path), "--quiet"])
     assert code == 3
     assert "physics condition failed: Delta_1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key, index, value", [
+    ("devices", "qubit_frequency_mhz", 0, 7500.0),   # qubit a on resonator 1
+    ("bus", "resonator1_mhz", None, 5600.0),          # resonator 1 on qubit b
+])
+def test_cli_tcq_on_resonator_exits_3(tmp_path, capsys, section, key, index, value):
+    # the coupling inversion divides by the minus-branch detuning
+    def edit(tree):
+        node = tree[section] if index is None else tree[section][index]
+        node[key] = value
+    config = _write_variant(tmp_path, key, edit)
+    code = run(["dispersive", "--config", str(config), "--out", str(tmp_path), "--quiet"])
+    assert code == 3
+    assert "physics condition failed: Delta_1 (minus branch)" in capsys.readouterr().err
+
+
+CONTRACT_VALUES = [0, -1, 1e-9, 1e9, 1e308, -1e308, 1e-300, "x", None, [], {}, True,
+                   7200, 7500, 7800, 5600]
+
+
+def _leaves(node, path=()):
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, child in items:
+            yield from _leaves(child, path + (key,))
+    else:
+        yield path
+
+
+@pytest.mark.parametrize("name", ["paper-sec5-symmetric", "transmon-obstruction"])
+def test_cli_dispersive_contract_walk(tmp_path, capsys, name):
+    # every devices/bus/targets leaf, one at a time, set to each value: an
+    # exit code, never a traceback
+    from parity_scope.config import PRESETS
+    base = PRESETS[name]
+    config = tmp_path / "walk.json"
+    failures = []
+    for section in ("devices", "bus", "targets"):
+        for path in _leaves(base.get(section, {}), (section,)):
+            for value in CONTRACT_VALUES:
+                tree = json.loads(json.dumps(base))
+                node = tree
+                for key in path[:-1]:
+                    node = node[key]
+                node[path[-1]] = value
+                config.write_text(json.dumps(tree))
+                argv = ["dispersive", "--config", str(config), "--out", str(tmp_path), "--quiet"]
+                try:
+                    code = run(argv)
+                except Exception as exc:  # noqa: BLE001 -- collect every traceback
+                    code = repr(exc)
+                if code not in (0, 2, 3, 4):
+                    failures.append((path, value, code))
+    capsys.readouterr()
+    assert not failures
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from parity_scope.dispersive import (
     QubitCavityCoupling,
     TcqSpec,
     TransmonSpec,
-    attach_resonators,
     capacitance_inverse,
     capacitance_matrix,
     coupling_at_position,
@@ -172,21 +171,19 @@ def test_tcq_mixing_resonant_anharmonicity_quarter():
 
 
 def test_effective_couplings_sign_flip():
-    spec = TcqSpec(6.4, 6.4, -0.3, -0.3, -0.4, g1_plus=0.1, g1_minus=-0.1,
-                   g2_plus=0.08, g2_minus=0.08)
-    dressed = effective_couplings(spec, tcq_mixing(spec))
-    assert dressed.g1_plus == pytest.approx(math.sqrt(2) * 0.1, rel=1e-12)
-    assert dressed.g1_minus == pytest.approx(0.0, abs=1e-15)
-    assert dressed.g2_plus == pytest.approx(0.0, abs=1e-15)
-    assert dressed.g2_minus == pytest.approx(math.sqrt(2) * 0.08, rel=1e-12)
+    spec = TcqSpec(6.4, 6.4, -0.3, -0.3, -0.4)
+    g1p, g1m, g2p, g2m = effective_couplings(tcq_mixing(spec), (0.1, -0.1, 0.08, 0.08))
+    assert g1p == pytest.approx(math.sqrt(2) * 0.1, rel=1e-12)
+    assert g1m == pytest.approx(0.0, abs=1e-15)
+    assert g2p == pytest.approx(0.0, abs=1e-15)
+    assert g2m == pytest.approx(math.sqrt(2) * 0.08, rel=1e-12)
 
 
 def test_effective_couplings_identity_at_zero_angle():
-    spec = TcqSpec(5.0, 5.5, -0.3, -0.3, 0.0, g1_plus=0.11, g1_minus=0.07,
-                   g2_plus=-0.05, g2_minus=0.09)
-    dressed = effective_couplings(spec, tcq_mixing(spec))
-    assert (dressed.g1_plus, dressed.g1_minus) == (0.11, 0.07)
-    assert (dressed.g2_plus, dressed.g2_minus) == (-0.05, 0.09)
+    spec = TcqSpec(5.0, 5.5, -0.3, -0.3, 0.0)
+    g1p, g1m, g2p, g2m = effective_couplings(tcq_mixing(spec), (0.11, 0.07, -0.05, 0.09))
+    assert (g1p, g1m) == (0.11, 0.07)
+    assert (g2p, g2m) == (-0.05, 0.09)
 
 
 def test_effective_couplings_rotation_norm():
@@ -194,11 +191,10 @@ def test_effective_couplings_rotation_norm():
     for _ in range(200):
         spec = TcqSpec(rng.uniform(4, 6), rng.uniform(4, 6),
                        -rng.uniform(0.1, 0.5), -rng.uniform(0.1, 0.5),
-                       rng.uniform(-0.5, 0.5),
-                       *rng.uniform(-0.2, 0.2, size=4))
-        dressed = effective_couplings(spec, tcq_mixing(spec))
-        for gp, gm, bp, bm in [(dressed.g1_plus, dressed.g1_minus, spec.g1_plus, spec.g1_minus),
-                               (dressed.g2_plus, dressed.g2_minus, spec.g2_plus, spec.g2_minus)]:
+                       rng.uniform(-0.5, 0.5))
+        bare = rng.uniform(-0.2, 0.2, size=4)
+        g1p, g1m, g2p, g2m = effective_couplings(tcq_mixing(spec), bare)
+        for gp, gm, bp, bm in [(g1p, g1m, bare[0], bare[1]), (g2p, g2m, bare[2], bare[3])]:
             assert gp ** 2 + gm ** 2 == pytest.approx(bp ** 2 + bm ** 2, rel=1e-12)
 
 
@@ -225,30 +221,21 @@ def _zero_switch_dressed(chi=-math.pi * 2 * 2.5e-3, kappa_mhz=5.0,
 def test_tcq_state_shifts_term_dropout():
     spec = TcqSpec(6.4, 6.4, -0.3, -0.3, -0.4)
     dressed = tcq_mixing(spec)
-    dressed = attach_resonators(dressed, 7.5, 7.4)
-    from dataclasses import replace
-    dressed = replace(dressed, g1_plus=0.15, g1_minus=0.0, g2_plus=0.12, g2_minus=0.0)
-    shifts = tcq_state_shifts(dressed)
-    d1p = dressed.detuning_plus(1)
+    shifts = tcq_state_shifts(dressed, (7.5, 7.4), (0.15, 0.0, 0.12, 0.0))
+    d1p = dressed.omega_plus - 7.5
     assert shifts.chi1_excited == pytest.approx(
         -0.15 ** 2 / (d1p + dressed.delta_cross), rel=1e-12)
 
 
 def test_tcq_state_shifts_all_zero_couplings():
     spec = TcqSpec(6.4, 6.4, -0.3, -0.3, -0.4)
-    dressed = attach_resonators(tcq_mixing(spec), 7.5, 7.4)
-    from dataclasses import replace
-    dressed = replace(dressed, g1_plus=0.0, g1_minus=0.0, g2_plus=0.0, g2_minus=0.0)
-    shifts = tcq_state_shifts(dressed)
+    shifts = tcq_state_shifts(tcq_mixing(spec), (7.5, 7.4), (0.0, 0.0, 0.0, 0.0))
     assert shifts == type(shifts)(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 def test_tcq_zero_switch_is_bit_exact():
     spec = TcqSpec(6.4, 6.4, -0.3, -0.3, -0.4)
-    dressed = attach_resonators(tcq_mixing(spec), 7.5, 7.2)
-    from dataclasses import replace
-    dressed = replace(dressed, g1_plus=0.0, g1_minus=0.21, g2_plus=0.18, g2_minus=0.0)
-    model = tcq_dispersive(tcq_state_shifts(dressed), dressed)
+    model = tcq_dispersive(tcq_mixing(spec), (7.5, 7.2), (0.0, 0.21, 0.18, 0.0))
     assert model.quantum_switch == 0.0
     assert model.static_switch == 0.0
     assert model.chi1 != 0.0 and model.chi2 != 0.0
@@ -256,12 +243,10 @@ def test_tcq_zero_switch_is_bit_exact():
 
 def test_tcq_zero_switch_chi_closed_forms():
     spec = TcqSpec(6.4, 6.4, -0.3, -0.3, -0.4)
-    dressed = attach_resonators(tcq_mixing(spec), 7.5, 7.2)
-    from dataclasses import replace
-    dressed = replace(dressed, g1_plus=0.17, g1_minus=0.0, g2_plus=0.0, g2_minus=0.21)
-    model = tcq_dispersive(tcq_state_shifts(dressed), dressed)
-    d1p = dressed.detuning_plus(1)
-    d2m = dressed.detuning_minus(2)
+    dressed = tcq_mixing(spec)
+    model = tcq_dispersive(dressed, (7.5, 7.2), (0.17, 0.0, 0.0, 0.21))
+    d1p = dressed.omega_plus - 7.5
+    d2m = dressed.omega_minus - 7.2
     chi1_expected = (0.17 ** 2 / 2.0) * dressed.delta_cross / (d1p * (d1p + dressed.delta_cross))
     chi2_expected = 0.21 ** 2 * dressed.delta_minus / (d2m * (d2m + dressed.delta_minus))
     assert model.chi1 == pytest.approx(chi1_expected, rel=1e-12)
@@ -275,11 +260,8 @@ def test_tcq_symmetric_branches_equal_chi():
     dressed = tcq_mixing(spec)
     omega1 = dressed.omega_plus + 1.5
     omega2 = dressed.omega_minus + 1.5 + (dressed.omega_plus - dressed.omega_minus)
-    dressed = attach_resonators(dressed, omega1, omega1)
-    from dataclasses import replace
-    dressed = replace(dressed, g1_plus=0.1, g1_minus=0.1, g2_plus=0.1, g2_minus=0.1)
     # same resonator frequency on both: symmetric by construction
-    model = tcq_dispersive(tcq_state_shifts(dressed), dressed)
+    model = tcq_dispersive(dressed, (omega1, omega1), (0.1, 0.1, 0.1, 0.1))
     assert model.chi1 == pytest.approx(model.chi2, rel=1e-14)
 
 
@@ -311,7 +293,7 @@ def _sec5_dressed(omega_minus_mhz, chi1, chi2, kappa):
     omega2 = omega1 + 2.0 * math.sqrt(3.0) * sign * math.sqrt(chi1 * chi2)
     dressed = tcq_mixing(TcqSpec(omega_minus - j, omega_minus - j, delta, delta, j))
     dressed = replace(dressed, delta_plus=delta, delta_minus=delta, delta_cross=delta)
-    return attach_resonators(dressed, omega1, omega2)
+    return dressed, (omega1, omega2)
 
 
 @pytest.mark.parametrize("name", list(SEC5_TABLE))
@@ -320,25 +302,21 @@ def test_solve_couplings_reproduces_published_table(name):
     kappa = 5.0 * unit
     chi = -kappa / 2.0
     omega_minus_mhz, g1_ref, g2_ref, _ = SEC5_TABLE[name]
-    dressed = _sec5_dressed(omega_minus_mhz, chi, chi, kappa)
-    g1, g2 = solve_couplings_for_chi((chi, chi), dressed)
+    dressed, resonators = _sec5_dressed(omega_minus_mhz, chi, chi, kappa)
+    g1, g2 = solve_couplings_for_chi((chi, chi), dressed, resonators)
     assert g1 / unit == pytest.approx(g1_ref, rel=0.02)
     assert g2 / unit == pytest.approx(g2_ref, rel=0.02)
 
 
 def test_solve_couplings_round_trip():
-    from dataclasses import replace
-
     from parity_scope.dispersive import dressed_sign_flip_couplings
 
     unit = TWO_PI * 1e-3
     kappa = 5.0 * unit
     chi1, chi2 = -kappa / 2.0, -0.3 * kappa
-    dressed = _sec5_dressed(6000.0, chi1, chi2, kappa)
-    g1, g2 = solve_couplings_for_chi((chi1, chi2), dressed)
-    g1p, g1m, g2p, g2m = dressed_sign_flip_couplings(g1, g2)
-    rotated = replace(dressed, g1_plus=g1p, g1_minus=g1m, g2_plus=g2p, g2_minus=g2m)
-    model = tcq_dispersive(tcq_state_shifts(rotated), rotated)
+    dressed, resonators = _sec5_dressed(6000.0, chi1, chi2, kappa)
+    g1, g2 = solve_couplings_for_chi((chi1, chi2), dressed, resonators)
+    model = tcq_dispersive(dressed, resonators, dressed_sign_flip_couplings(g1, g2))
     assert model.chi1 == pytest.approx(chi1, rel=1e-12)
     assert model.chi2 == pytest.approx(chi2, rel=1e-12)
     assert model.quantum_switch == 0.0
@@ -346,13 +324,12 @@ def test_solve_couplings_round_trip():
 
 def test_sign_flip_rotation_cancels_branches():
     # the bare sign-flip couplings rotate to (near-)zero cancelled branches
-    spec = TcqSpec(6.4, 6.4, -0.3, -0.3, -0.4,
-                   *sign_flip_couplings(0.11, 0.08))
-    rotated = effective_couplings(spec, tcq_mixing(spec))
-    assert abs(rotated.g1_plus) < 1e-15
-    assert abs(rotated.g2_minus) < 1e-15
-    assert rotated.g1_minus == pytest.approx(math.sqrt(2) * 0.11, rel=1e-12)
-    assert rotated.g2_plus == pytest.approx(math.sqrt(2) * 0.08, rel=1e-12)
+    spec = TcqSpec(6.4, 6.4, -0.3, -0.3, -0.4)
+    g1p, g1m, g2p, g2m = effective_couplings(tcq_mixing(spec), sign_flip_couplings(0.11, 0.08))
+    assert abs(g1p) < 1e-15
+    assert abs(g2m) < 1e-15
+    assert g1m == pytest.approx(math.sqrt(2) * 0.11, rel=1e-12)
+    assert g2p == pytest.approx(math.sqrt(2) * 0.08, rel=1e-12)
 
 
 def test_published_rounded_couplings_recover_chi():
@@ -360,17 +337,14 @@ def test_published_rounded_couplings_recover_chi():
     # recovers the design target chi = -kappa/2 up to the rounding residual
     # of the quoted values (about 1% on g, hence about 2% on chi; g2 carries
     # the largest rounding and lands at 2.2%)
-    from dataclasses import replace
-
     from parity_scope.dispersive import dressed_sign_flip_couplings
 
     unit = TWO_PI * 1e-3
     kappa = 5.0 * unit
     chi = -kappa / 2.0
-    dressed = _sec5_dressed(6000.0, chi, chi, kappa)
-    g1p, g1m, g2p, g2m = dressed_sign_flip_couplings(106.6 * unit, 76.4 * unit)
-    dressed = replace(dressed, g1_plus=g1p, g1_minus=g1m, g2_plus=g2p, g2_minus=g2m)
-    model = tcq_dispersive(tcq_state_shifts(dressed), dressed)
+    dressed, resonators = _sec5_dressed(6000.0, chi, chi, kappa)
+    model = tcq_dispersive(dressed, resonators,
+                           dressed_sign_flip_couplings(106.6 * unit, 76.4 * unit))
     assert model.chi1 == pytest.approx(chi, rel=0.02)
     assert model.chi2 == pytest.approx(chi, rel=0.025)
 
@@ -378,18 +352,18 @@ def test_published_rounded_couplings_recover_chi():
 def test_solve_couplings_zero_target():
     unit = TWO_PI * 1e-3
     kappa = 5.0 * unit
-    dressed = _sec5_dressed(6000.0, -kappa / 2, -kappa / 2, kappa)
-    g1, g2 = solve_couplings_for_chi((0.0, 0.0), dressed)
+    dressed, resonators = _sec5_dressed(6000.0, -kappa / 2, -kappa / 2, kappa)
+    g1, g2 = solve_couplings_for_chi((0.0, 0.0), dressed, resonators)
     assert g1 == 0.0 and g2 == 0.0
 
 
 def test_solve_couplings_sign_mismatch():
     unit = TWO_PI * 1e-3
     kappa = 5.0 * unit
-    dressed = _sec5_dressed(6000.0, -kappa / 2, -kappa / 2, kappa)
+    dressed, resonators = _sec5_dressed(6000.0, -kappa / 2, -kappa / 2, kappa)
     # minus-branch factor is negative here, so a positive chi1 target fails
     with pytest.raises(NegativeDiscriminant):
-        solve_couplings_for_chi((+kappa / 2, -kappa / 2), dressed)
+        solve_couplings_for_chi((+kappa / 2, -kappa / 2), dressed, resonators)
 
 
 @pytest.mark.parametrize("name", list(SEC5_TABLE))
@@ -398,9 +372,9 @@ def test_purcell_times_match_published(name):
     kappa = 5.0 * unit
     chi = -kappa / 2.0
     omega_minus_mhz, _, _, tpk_ref = SEC5_TABLE[name]
-    dressed = _sec5_dressed(omega_minus_mhz, chi, chi, kappa)
-    g1, _ = solve_couplings_for_chi((chi, chi), dressed)
-    est = purcell_time(kappa, g1, dressed.omega_minus, dressed.resonator1_frequency)
+    dressed, resonators = _sec5_dressed(omega_minus_mhz, chi, chi, kappa)
+    g1, _ = solve_couplings_for_chi((chi, chi), dressed, resonators)
+    est = purcell_time(kappa, g1, dressed.omega_minus, resonators[0])
     assert est.dimensionless == pytest.approx(tpk_ref, rel=0.02)
     assert est.time == pytest.approx(est.dimensionless / kappa, rel=1e-12)
 
@@ -412,9 +386,9 @@ def test_purcell_times_asymmetric(name):
     kappa = 5.0 * unit
     chi1, chi2 = -0.3 * kappa, -kappa / 2.0
     omega_minus_mhz = SEC5_TABLE[name][0]
-    dressed = _sec5_dressed(omega_minus_mhz, chi1, chi2, kappa)
-    g1, _ = solve_couplings_for_chi((chi1, chi2), dressed)
-    est = purcell_time(kappa, g1, dressed.omega_minus, dressed.resonator1_frequency)
+    dressed, resonators = _sec5_dressed(omega_minus_mhz, chi1, chi2, kappa)
+    g1, _ = solve_couplings_for_chi((chi1, chi2), dressed, resonators)
+    est = purcell_time(kappa, g1, dressed.omega_minus, resonators[0])
     assert est.dimensionless == pytest.approx(ASYMMETRIC_PURCELL[name], rel=0.02)
 
 
