@@ -38,9 +38,15 @@ def _fmt(value):
     return str(value)
 
 
+def _csv_line(row):
+    # a row of Python floats, as trajectory_rows gives, needs no per-cell test
+    if set(map(type, row)) == {float}:
+        return ",".join(map(repr, row))
+    return ",".join(map(_fmt, row))
+
+
 def write_csv(path, header, rows):
-    lines = [",".join(header)]
-    lines += [",".join(_fmt(cell) for cell in row) for row in rows]
+    lines = [",".join(header), *map(_csv_line, rows)]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -229,8 +229,13 @@ def parse_config(tree, name="config"):
                        _number(targets, "chi2_over_kappa", "targets", scale=kappa))
 
     raw_pulse = _require(tree, "pulse", "top level")
+    amplitude = _number(raw_pulse, "amplitude", "pulse")
+    drive = amplitude * math.sqrt(kappa)
+    if not math.isfinite(drive * drive):
+        raise ConfigError(f"pulse.amplitude: {amplitude!r} sqrt(kappa) drives a photon "
+                          f"flux beyond the float range")
     pulse = PulseConfig(
-        amplitude=_number(raw_pulse, "amplitude", "pulse"),
+        amplitude=amplitude,
         ramp=_number(raw_pulse, "ramp", "pulse"),
         t_on=_number(raw_pulse, "t_on", "pulse"),
         t_off=_number(raw_pulse, "t_off", "pulse"),

@@ -80,3 +80,9 @@ class QuadratureNonconvergent(ParityScopeError):
     """Doubling the quadrature resolution moved the result beyond tolerance."""
 
     exit_code = 4
+
+
+class NonFiniteSignal(ParityScopeError):
+    """A signal mean or an information gain overflowed to inf or NaN."""
+
+    exit_code = 4

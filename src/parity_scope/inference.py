@@ -22,7 +22,7 @@ import numpy as np
 
 from .dispersive import DispersiveModel, parity_detunings
 from .dynamics import MeasurementSetup, evolve_weights
-from .errors import GridTooCoarse, QuadratureNonconvergent
+from .errors import GridTooCoarse, NonFiniteSignal, QuadratureNonconvergent
 
 LOG2 = math.log(2.0)
 DEFAULT_QUADRATURE_POINTS = 4001
@@ -47,8 +47,10 @@ class SignalModel:
     def __post_init__(self):
         if self.measurement_time <= 0:
             raise ValueError("measurement_time must be positive")
-        if len(self.means) != 4 or not all(math.isfinite(m) for m in self.means):
-            raise ValueError("means must be four finite numbers")
+        if len(self.means) != 4:
+            raise ValueError("means must be four numbers")
+        if not all(math.isfinite(m) for m in self.means):
+            raise NonFiniteSignal(f"signal means {self.means} are not all finite")
 
     @property
     def variance(self):
@@ -383,6 +385,9 @@ class InfoGainReport:
     rate_parity: np.ndarray | None = None
 
     def __post_init__(self):
+        if math.isnan(self.info_parity) or math.isnan(self.info_hamming):
+            raise NonFiniteSignal(f"information gains {self.info_parity} (parity), "
+                                  f"{self.info_hamming} (Hamming weight) are not numbers")
         tol = 1e-6
         if not (-tol <= self.info_parity <= 1.0 + tol):
             raise ValueError(f"info_parity {self.info_parity} outside [0, 1]")

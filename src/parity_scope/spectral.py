@@ -16,12 +16,12 @@ All Hamiltonians are dense real-symmetric; sizes stay at desk scale
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import reduce
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.optimize import minimize_scalar
 
 from .dispersive import (
     CHARGE_CUTOFF_CEILING,
@@ -33,6 +33,7 @@ from .errors import ConvergenceFailure, LevelIdentificationFailure
 
 CONVERGENCE_RTOL = 1e-8
 OVERLAP_FLOOR = 0.5
+MINIMIZER_MAXFUN = 500           # evaluations; scipy's default for the bounded search
 
 
 # ---------------------------------------------------------------------------
@@ -111,8 +112,8 @@ def _lowest_levels(cfg, cutoff, levels):
 
 
 def _converge_cutoff(cfg, levels):
-    """The cutoff loop of tcq_charge_spectrum and converged_charge_cutoff:
-    the converged cutoff and its lowest levels."""
+    """The cutoff loop of tcq_charge_spectrum and charge_dispersion: the
+    converged cutoff and its lowest levels."""
     cutoff = cfg.charge_cutoff
     values = _lowest_levels(cfg, cutoff, levels)
     tol = CONVERGENCE_RTOL * cfg.charging_scale
@@ -137,28 +138,31 @@ def tcq_charge_spectrum(cfg, levels=6):
     return _converge_cutoff(cfg, levels)[1]
 
 
-def converged_charge_cutoff(cfg, levels=6):
-    """Smallest cutoff (from cfg.charge_cutoff in steps of 4) passing the probe."""
-    return _converge_cutoff(cfg, levels)[0]
-
-
 def charge_dispersion(cfg, levels=6, grid_points=21):
     """Max-min excursion of each level over the offset-charge unit square.
 
     One convergence probe (at the corner and the center of the square) fixes
-    the cutoff for the whole sweep.
+    the cutoff for the whole sweep; a probe that converged at that cutoff
+    stands in for its grid point.  With identical islands, swapping the two
+    offsets gives the index-swapped matrix bit for bit, so of each swapped
+    pair only the point with ng+ <= ng- is solved.
     """
-    cutoff = max(
-        converged_charge_cutoff(replace(cfg, offset_plus=0.0, offset_minus=0.0), levels),
-        converged_charge_cutoff(replace(cfg, offset_plus=0.5, offset_minus=0.5), levels),
-    )
-    grid = np.linspace(0.0, 1.0, grid_points)
+    probes = {ng: _converge_cutoff(replace(cfg, offset_plus=ng, offset_minus=ng), levels)
+              for ng in (0.0, 0.5)}
+    cutoff = max(converged for converged, _ in probes.values())
+    solved = {(ng, ng): values for ng, (converged, values) in probes.items()
+              if converged == cutoff}
+    swap = (cfg.charging_plus == cfg.charging_minus
+            and cfg.josephson_plus == cfg.josephson_minus)
+    grid = np.linspace(0.0, 1.0, grid_points).tolist()
     lows = np.full(levels, np.inf)
     highs = np.full(levels, -np.inf)
-    for ng_plus in grid:
-        for ng_minus in grid:
-            probe = replace(cfg, offset_plus=float(ng_plus), offset_minus=float(ng_minus))
-            vals = _lowest_levels(probe, cutoff, levels)
+    for i, ng_plus in enumerate(grid):
+        for ng_minus in grid[i if swap else 0:]:
+            vals = solved.get((ng_plus, ng_minus))
+            if vals is None:
+                probe = replace(cfg, offset_plus=ng_plus, offset_minus=ng_minus)
+                vals = _lowest_levels(probe, cutoff, levels)
             lows = np.minimum(lows, vals)
             highs = np.maximum(highs, vals)
     return highs - lows
@@ -438,6 +442,101 @@ def _photon_pair_gap(cfg, qubit_label, resonator2_frequency):
     return abs(values[k10] - values[k01])
 
 
+def _minimize_bounded(func, lower, upper, xatol):
+    """Brent's bounded minimizer of ``func`` on ``[lower, upper]``.
+
+    A literal port of ``scipy.optimize``'s ``_minimize_scalar_bounded``: the
+    same operations in the same order, so the evaluation points and the
+    minimum agree with ``minimize_scalar(method="bounded")`` bitwise.
+    Returns ``(x, fun, evaluations)``.  Where scipy reports failure, when
+    MINIMIZER_MAXFUN evaluations pass or a value is NaN, this raises
+    ConvergenceFailure.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = lower, upper
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    x = xf
+    fx = func(x)
+    num = 1
+    fu = np.inf
+
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+
+    while np.abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = 1
+        # parabolic fit through the three best points
+        if np.abs(e) > tol1:
+            golden = 0
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = np.abs(q)
+            r = e
+            e = rat
+
+            if ((np.abs(p) < np.abs(0.5 * q * r)) and (p > q * (a - xf))
+                    and (p < q * (b - xf))):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if ((x - a) < tol2) or ((b - x) < tol2):
+                    si = np.sign(xm - xf) + ((xm - xf) == 0)
+                    rat = tol1 * si
+            else:
+                golden = 1
+
+        if golden:
+            if xf >= xm:
+                e = a - xf
+            else:
+                e = b - xf
+            rat = golden_mean * e
+
+        si = np.sign(rat) + (rat == 0)
+        x = xf + si * np.maximum(np.abs(rat), tol1)
+        fu = func(x)
+        num += 1
+
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if (fu <= fnfc) or (nfc == xf):
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
+                fulc, ffulc = x, fu
+
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+
+        if num >= MINIMIZER_MAXFUN:
+            raise ConvergenceFailure(
+                f"bounded minimization not converged in {MINIMIZER_MAXFUN} evaluations")
+
+    if np.isnan(xf) or np.isnan(fx) or np.isnan(fu):
+        raise ConvergenceFailure("bounded minimization reached a NaN")
+    return xf, fx, num
+
+
 def switch_splitting(cfg):
     """Minimal single-photon avoided-crossing gap per qubit state.
 
@@ -451,9 +550,8 @@ def switch_splitting(cfg):
     halfwidth = 0.02 * abs(omega1)
     gaps = {}
     for name, label in zip(("ground", "excited"), _ladder(cfg)[3]):
-        result = minimize_scalar(
+        _, gap, _ = _minimize_bounded(
             lambda w2: _photon_pair_gap(cfg, label, w2),
-            bounds=(omega1 - halfwidth, omega1 + halfwidth),
-            method="bounded", options={"xatol": 1e-12 * max(abs(omega1), 1.0)})
-        gaps[name] = float(result.fun)
+            omega1 - halfwidth, omega1 + halfwidth, xatol=1e-12 * max(abs(omega1), 1.0))
+        gaps[name] = float(gap)
     return gaps

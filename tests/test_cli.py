@@ -227,6 +227,32 @@ def test_trajectory_rows_write_what_per_sample_rows_write(tmp_path):
     assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
+def test_write_csv_bytes_match_per_cell_formatter(tmp_path):
+    # the per-cell writer the row fast path replaced, kept as the reference
+    from parity_scope.cli import TRAJECTORY_HEADER, trajectory_rows, write_csv
+    from parity_scope.dynamics import evolve
+
+    def reference(header, rows):
+        def fmt(value):
+            if isinstance(value, (float, np.floating)):
+                return repr(float(value))
+            return str(value)
+        lines = [",".join(header)] + [",".join(fmt(cell) for cell in row) for row in rows]
+        return ("\n".join(lines) + "\n").encode()
+
+    report = derive_scenario(preset("paper-sec5-symmetric"))
+    traj = evolve(report.measurement_setup(), 2, 28.0 / report.kappa)
+    validation = [["charge_dispersion_flat", 0.0007844600346566257, 1e-3, "pass", ""],
+                  ["zero_switch_splitting", np.float64(2.5e-17), 0.01, "fail", ""],
+                  ["tcq_chi_accuracy", math.nan, math.nan, "pass", "skipped: ratio"],
+                  [np.float32(0.1), 7, -0.0, math.inf, True]]
+    for name, header, rows in (("trajectory", TRAJECTORY_HEADER, trajectory_rows(traj)),
+                               ("validation", ["check", "value", "threshold", "status",
+                                               "note"], validation)):
+        write_csv(tmp_path / f"{name}.csv", header, rows)
+        assert (tmp_path / f"{name}.csv").read_bytes() == reference(header, rows)
+
+
 def test_cli_sweep_single_point_matches_direct(tmp_path):
     # a one-point sweep reproduces the direct info-gain computation
     from parity_scope.config import PRESETS
@@ -386,6 +412,10 @@ TRANSMON = {"type": "transmon", "josephson_energy_mhz": 20000.0,
     ("simulate", "analysis.measurement_time", 1e9, "analysis.measurement_time"),
     ("simulate", "analysis", {"measurement_time": 100.0, "time_unit": "us"},
      "analysis.measurement_time"),
+    # drives whose field or photon flux overflows once scaled by sqrt(kappa)
+    ("simulate", "pulse.amplitude", 1e308, "pulse.amplitude"),
+    ("simulate", "pulse.amplitude", -1e308, "pulse.amplitude"),
+    ("simulate", "pulse.amplitude", 1e200, "pulse.amplitude"),
 ])
 def test_cli_rejects_malformed_field(tmp_path, capsys, command, path, value, message):
     # dotted keys step into objects, [i] into lists
@@ -415,7 +445,7 @@ EXIT_CODES = {
     "DegenerateDenominator": 3, "SingularCapacitanceMatrix": 3,
     "SingularResponseMatrix": 3, "DegenerateResponse": 3,
     "ConvergenceFailure": 4, "LevelIdentificationFailure": 4, "StepTooLarge": 4,
-    "GridTooCoarse": 4, "QuadratureNonconvergent": 4,
+    "GridTooCoarse": 4, "QuadratureNonconvergent": 4, "NonFiniteSignal": 4,
 }
 
 
@@ -541,7 +571,10 @@ def test_validate_loads_scipy(tmp_path):
         "validation", {"charge_cutoff": 8, "dispersion_grid": 1}))
     code = ("from parity_scope.cli import main\n"
             f"main(['validate', '--config', {str(path)!r}, '--out', 'out', '--quiet'])")
-    assert "'scipy.linalg'" in _modules_after(code, tmp_path)
+    loaded = _modules_after(code, tmp_path)
+    assert "'scipy.linalg'" in loaded
+    # switch_splitting runs a port of scipy's bounded minimizer
+    assert "'scipy.optimize'" not in loaded
 
 
 def test_package_exports_resolve():

@@ -21,7 +21,7 @@ from parity_scope.inference import (
     posteriors,
     signal_model,
 )
-from parity_scope.errors import GridTooCoarse
+from parity_scope.errors import GridTooCoarse, NonFiniteSignal
 
 
 def reference_pulse(kappa=1.0):
@@ -335,6 +335,18 @@ def test_report_validation():
         InfoGainReport(1.0, 0.0, info_hamming=0.2, info_parity=0.8)
     with pytest.raises(ValueError):
         InfoGainReport(1.0, 0.0, info_hamming=2.3, info_parity=0.5)
+
+
+def test_overflowed_signal_is_a_named_error():
+    # exit 4 on the command line instead of a traceback
+    with pytest.raises(NonFiniteSignal):
+        SignalModel(1.0, 0.0, (0.0, 1.0, math.inf, 2.0))
+    with pytest.raises(NonFiniteSignal):
+        SignalModel(1.0, 0.0, (0.0, math.nan, 1.0, 2.0))
+    with pytest.raises(NonFiniteSignal):
+        InfoGainReport(1.0, 0.0, info_hamming=math.nan, info_parity=math.nan)
+    with pytest.raises(NonFiniteSignal):
+        InfoGainReport(1.0, 0.0, info_hamming=1.0, info_parity=math.nan)
 
 
 def test_signal_model_requires_all_weights(reference_trajectories):

@@ -8,11 +8,14 @@ import pytest
 import scipy.linalg as sla
 
 from parity_scope.dispersive import TcqSpec, tcq_mixing
+from parity_scope import spectral
 from parity_scope.errors import ConvergenceFailure, LevelIdentificationFailure
 from parity_scope.spectral import (
     ChargeBasisConfig,
     LadderConfig,
     _beam_splitter_frame,
+    _minimize_bounded,
+    _photon_pair_gap,
     charge_dispersion,
     chi_oracle,
     dressed_tcq_check,
@@ -89,7 +92,6 @@ def test_charge_spectrum_convergence_failure():
 
 
 def test_charge_cutoff_probe_never_exceeds_ceiling(monkeypatch):
-    from parity_scope import spectral
     built = []
     build = spectral.tcq_charge_hamiltonian
 
@@ -114,6 +116,75 @@ def test_charge_dispersion_large_at_small_ej():
     cfg = charge_config(ej_over_ec=1.0, charge_cutoff=12)
     dispersion = charge_dispersion(cfg, levels=6, grid_points=21)
     assert dispersion[1] > 0.05 * cfg.charging_scale
+
+
+def unequal_islands(cfg):
+    return replace(cfg, charging_minus=0.39, josephson_minus=0.8 * cfg.josephson_plus)
+
+
+@pytest.mark.parametrize("make", [lambda cfg: cfg, unequal_islands])
+def test_charge_hamiltonian_island_swap_permutes_basis(make):
+    # float + and * commute, so swapping the islands gives the index-swapped
+    # matrix bit for bit: the symmetry charge_dispersion relies on
+    cfg = make(charge_config(ei_over_ec=-0.5, offset_plus=0.13, offset_minus=0.41))
+    swapped = replace(cfg, charging_plus=cfg.charging_minus,
+                      charging_minus=cfg.charging_plus,
+                      josephson_plus=cfg.josephson_minus,
+                      josephson_minus=cfg.josephson_plus,
+                      offset_plus=cfg.offset_minus, offset_minus=cfg.offset_plus)
+    dim = 2 * 8 + 1
+    swap = np.arange(dim * dim).reshape(dim, dim).T.ravel()
+    h = tcq_charge_hamiltonian(cfg, 8)
+    assert np.array_equal(tcq_charge_hamiltonian(swapped, 8), h[np.ix_(swap, swap)])
+
+
+def full_grid_dispersion(cfg, levels, grid_points):
+    """Every grid point solved at the probes' cutoff, nothing reused."""
+    cutoff = max(spectral._converge_cutoff(replace(cfg, offset_plus=ng, offset_minus=ng),
+                                           levels)[0] for ng in (0.0, 0.5))
+    grid = np.linspace(0.0, 1.0, grid_points)
+    values = [sla.eigh(tcq_charge_hamiltonian(
+                  replace(cfg, offset_plus=float(p), offset_minus=float(m)), cutoff),
+                  eigvals_only=True, subset_by_index=(0, levels - 1))
+              for p in grid for m in grid]
+    return np.max(values, axis=0) - np.min(values, axis=0)
+
+
+@pytest.mark.parametrize("make, builds", [(lambda cfg: cfg, 17), (unequal_islands, 27)])
+def test_charge_dispersion_solves_orbits_once(monkeypatch, make, builds):
+    # grid 5: 25 points; probes converge at cutoff 8 (two builds each) and
+    # stand in for (0, 0) and (0.5, 0.5); equal islands solve ng+ <= ng- only
+    cfg = make(charge_config(ej_over_ec=1.0, charge_cutoff=8))
+    built = []
+    build = spectral.tcq_charge_hamiltonian
+
+    def spy(cfg, cutoff):
+        built.append((cfg.offset_plus, cfg.offset_minus))
+        return build(cfg, cutoff)
+
+    monkeypatch.setattr(spectral, "tcq_charge_hamiltonian", spy)
+    charge_dispersion(cfg, levels=6, grid_points=5)
+    assert len(built) == builds
+    if make is unequal_islands:
+        assert (0.75, 0.25) in built
+    else:
+        assert all(plus <= minus for plus, minus in built)
+
+
+@pytest.mark.parametrize("ej_over_ec, grid_points", [
+    (1.0, 5), (1.0, 6),
+    (40.0, 5),   # the (0, 0) probe converges at 8, the (0.5, 0.5) one at 12
+])
+def test_charge_dispersion_matches_full_grid(ej_over_ec, grid_points):
+    cfg = charge_config(ej_over_ec=ej_over_ec, ec=1.0, charge_cutoff=8)
+    for islands in (cfg, unequal_islands(cfg)):
+        reduced = charge_dispersion(islands, levels=6, grid_points=grid_points)
+        full = full_grid_dispersion(islands, 6, grid_points)
+        if islands is cfg:
+            # the swapped points are the same matrix up to LAPACK's rounding
+            assert np.max(np.abs(reduced - full)) <= 1e-12 * cfg.charging_scale
+        else:
+            assert np.array_equal(reduced, full)
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +364,49 @@ def test_switch_splitting_tcq_zero_switch():
     chi1 = g1m ** 2 * dressed.delta_minus / (d1m * (d1m + dressed.delta_minus))
     state_dependent = abs(gaps["excited"] - gaps["ground"]) / 2.0
     assert state_dependent < 1e-2 * abs(chi1)
+
+
+def zero_switch_ladder():
+    # the zero_switch_splitting ladder of validate at coupling ratio 0.05
+    dressed = replace(
+        tcq_mixing(TcqSpec(6.4, 6.4, -0.3, -0.3, -0.4)),
+        delta_plus=-0.15, delta_minus=-0.15, delta_cross=-0.3)
+    w1 = 7.5
+    return LadderConfig(kind="tcq", dressed=dressed,
+                        resonator1_frequency=w1, resonator2_frequency=w1 + 0.01,
+                        couplings=(0.0, 0.05 * abs(dressed.omega_minus - w1),
+                                   0.05 * abs(dressed.omega_plus - w1), 0.0),
+                        qubit_levels=3, photon_levels=3)
+
+
+@pytest.mark.parametrize("func, bounds, xatol", [
+    (lambda x: (x - 0.3) ** 2, (-1.0, 2.0), 1e-5),
+    (lambda x: abs(math.sin(3.0 * x)) + 0.1 * x, (0.5, 2.5), 1e-10),
+    (lambda x: math.cosh(x - 1.7) - 1.0, (1.7, 4.0), 1e-12),   # minimum on the bound
+    (lambda x: 1.0, (0.0, 1.0), 1e-8),                       # flat
+    (lambda w2: _photon_pair_gap(zero_switch_ladder(), (0, 1), w2), (7.35, 7.65), 7.5e-12),
+])
+def test_bounded_minimizer_is_scipys_bitwise(func, bounds, xatol):
+    from scipy.optimize import minimize_scalar
+    calls = []
+
+    def traced(x):
+        calls.append(x)
+        return func(x)
+
+    x, fun, evaluations = _minimize_bounded(traced, *bounds, xatol=xatol)
+    ours, calls[:] = list(calls), []
+    ref = minimize_scalar(traced, bounds=bounds, method="bounded", options={"xatol": xatol})
+    assert ref.success
+    assert calls == ours
+    assert (x, fun, evaluations) == (ref.x, ref.fun, ref.nfev)
+
+
+def test_switch_splitting_raises_on_evaluation_budget(monkeypatch):
+    # the validate ladder needs 18-20 evaluations per qubit state
+    monkeypatch.setattr(spectral, "MINIMIZER_MAXFUN", 3)
+    with pytest.raises(ConvergenceFailure):
+        switch_splitting(zero_switch_ladder())
 
 
 # ---------------------------------------------------------------------------
