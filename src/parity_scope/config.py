@@ -118,11 +118,15 @@ class PulseConfig:
         number scales with sqrt(kappa); the resulting signal-to-noise of the
         integrated record is then kappa-independent.
         """
-        scale = 1.0 / kappa if self.time_unit == "1/kappa" else 1.0
-        return DrivePulse(amplitude=self.amplitude * math.sqrt(kappa),
-                          ramp=self.ramp * scale,
-                          t_on=self.t_on * scale,
-                          t_off=self.t_off * scale)
+        scale = self.time_scale(kappa)
+        t_on, ramp = self.t_on * scale, self.ramp * scale
+        # the conversion may round t_on + ramp past t_off by one ulp
+        return DrivePulse(amplitude=self.amplitude * math.sqrt(kappa), ramp=ramp,
+                          t_on=t_on, t_off=max(self.t_off * scale, t_on + ramp))
+
+    def time_scale(self, kappa):
+        """Microseconds per unit of the pulse times."""
+        return 1.0 / kappa if self.time_unit == "1/kappa" else 1.0
 
 
 @dataclass(frozen=True)
@@ -247,6 +251,8 @@ def parse_config(tree, name="config"):
         pulse.resolve(1.0)      # the pulse-shape checks are scale-free
     except ValueError as exc:
         raise ConfigError(f"pulse: {exc}") from exc
+    if not pulse.ramp * pulse.time_scale(kappa) > 0:
+        raise ConfigError(f"pulse.ramp: {pulse.ramp!r} {pulse.time_unit} underflows to 0 us")
 
     raw_analysis = _section(tree, "analysis")
     raw_sweep = _section(raw_analysis, "sweep", "analysis.")
@@ -272,6 +278,9 @@ def parse_config(tree, name="config"):
         phase=phase,
         sweep=sweep,
     )
+    if not analysis.resolve_measurement_time(kappa) > 0:
+        raise ConfigError(f"analysis.measurement_time: {analysis.measurement_time!r} "
+                          f"{time_unit} underflows to 0 us")
     # RK4 steps of one trajectory at the default dt, rounded as evolve rounds them
     steps = analysis.resolve_measurement_time(kappa) / (DEFAULT_STEP_FACTOR / kappa)
     if steps > RK4_STEP_BUDGET + 0.5:

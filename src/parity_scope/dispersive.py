@@ -169,11 +169,13 @@ def transmon_dispersive(spec, coupling):
         _guard_denominator(det[i], scale, f"Delta_{i + 1}")
         _guard_denominator(det[i] + delta, scale, f"Delta_{i + 1} + delta")
 
-    chi = tuple(g[i] ** 2 / det[i] - g[i] ** 2 / (det[i] + delta) for i in range(2))
-    if g[0] != 0.0 and g[1] != 0.0:
-        chi12 = 0.5 * (g[1] / g[0] * chi[0] + g[0] / g[1] * chi[1])
-    else:
-        chi12 = 0.0
+    # chi_i = g_i^2 k_i and chi12 = g1 g2 (k1 + k2) / 2 with k_i = 1/Delta_i -
+    # 1/(Delta_i + delta): no coupling ratio, which overflows (and makes
+    # 0 * inf) for a coupling near the float floor; equal couplings and
+    # detunings give chi12 = chi1 = chi2 bit for bit
+    k = [1.0 / det[i] - 1.0 / (det[i] + delta) for i in range(2)]
+    chi = tuple(g[i] * g[i] * k[i] for i in range(2))
+    chi12 = 0.5 * g[0] * g[1] * (k[0] + k[1])
     static12 = -0.5 * g[0] * g[1] * (1.0 / (det[0] + delta) + 1.0 / (det[1] + delta))
 
     warnings = list(spec.warnings)

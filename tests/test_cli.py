@@ -416,6 +416,9 @@ TRANSMON = {"type": "transmon", "josephson_energy_mhz": 20000.0,
     ("simulate", "pulse.amplitude", 1e308, "pulse.amplitude"),
     ("simulate", "pulse.amplitude", -1e308, "pulse.amplitude"),
     ("simulate", "pulse.amplitude", 1e200, "pulse.amplitude"),
+    # positive as given, 0 once divided by kappa
+    ("simulate", "pulse.ramp", 5e-324, "pulse.ramp"),
+    ("simulate", "analysis.measurement_time", 5e-324, "analysis.measurement_time"),
 ])
 def test_cli_rejects_malformed_field(tmp_path, capsys, command, path, value, message):
     # dotted keys step into objects, [i] into lists
@@ -431,6 +434,30 @@ def test_cli_rejects_malformed_field(tmp_path, capsys, command, path, value, mes
     code = run([command, "--config", str(config), "--out", str(tmp_path), "--quiet"])
     assert code == 2
     assert message in capsys.readouterr().err
+
+
+def test_cli_joint_rounded_past_t_off_runs(tmp_path):
+    # t_on + ramp = t_off in 1/kappa; divided by kappa, t_on + ramp rounds one
+    # ulp past t_off, and the resolved pulse keeps the joint instead
+    def edit(tree):
+        tree["pulse"].update(t_on=1.0, ramp=5.0, t_off=6.0)
+    config = _write_variant(tmp_path, "joint", edit)
+    cfg = load_config(config)
+    kappa = max(cfg.kappa1, cfg.kappa2)
+    scale = cfg.pulse.time_scale(kappa)
+    assert 1.0 * scale + 5.0 * scale > 6.0 * scale
+    pulse = cfg.pulse.resolve(kappa)
+    assert pulse.t_on + pulse.ramp == pulse.t_off == np.nextafter(6.0 * scale, 1.0)
+    assert run(["simulate", "--config", str(config), "--out", str(tmp_path),
+                "--quiet", "--hw", "1"]) == 0
+
+
+def test_cli_short_ramp_fails_the_probe(tmp_path, capsys):
+    # a 1e-9/kappa ramp is a step in the drive that RK4 at dt and dt/2 resolve differently
+    config = _write_variant(tmp_path, "ramp", lambda tree: tree["pulse"].__setitem__("ramp", 1e-9))
+    assert run(["simulate", "--config", str(config), "--out", str(tmp_path), "--quiet"]) == 4
+    assert ("h_w=0: half-step probe disagreement 9.214e-05 > 1e-08"
+            in capsys.readouterr().err)
 
 
 def _subclasses(cls):
@@ -493,7 +520,9 @@ def test_cli_tcq_on_resonator_exits_3(tmp_path, capsys, section, key, index, val
 
 
 CONTRACT_VALUES = [0, -1, 1e-9, 1e9, 1e308, -1e308, 1e-300, "x", None, [], {}, True,
-                   7200, 7500, 7800, 5600]
+                   7200, 7500, 7800, 5600,
+                   # positive, but 0 once divided by kappa; the smallest normal float
+                   5e-324, 2.2250738585072014e-308]
 
 
 def _leaves(node, path=()):
@@ -505,16 +534,20 @@ def _leaves(node, path=()):
         yield path
 
 
-@pytest.mark.parametrize("name", ["paper-sec5-symmetric", "transmon-obstruction"])
-def test_cli_dispersive_contract_walk(tmp_path, capsys, name):
-    # every devices/bus/targets leaf, one at a time, set to each value: an
-    # exit code, never a traceback
+def _contract_walk(tmp_path, name, sections, command):
+    """Every leaf under the paths ``sections`` of preset ``name``, one at a
+    time, set to each of CONTRACT_VALUES and run in-process as ``command``
+    (the command and its options): the runs that end in neither exit 0, 2, 3
+    nor 4."""
     from parity_scope.config import PRESETS
     base = PRESETS[name]
     config = tmp_path / "walk.json"
     failures = []
-    for section in ("devices", "bus", "targets"):
-        for path in _leaves(base.get(section, {}), (section,)):
+    for section in sections:
+        node = base
+        for key in section:
+            node = node.get(key, {})
+        for path in _leaves(node, section):
             for value in CONTRACT_VALUES:
                 tree = json.loads(json.dumps(base))
                 node = tree
@@ -522,13 +555,36 @@ def test_cli_dispersive_contract_walk(tmp_path, capsys, name):
                     node = node[key]
                 node[path[-1]] = value
                 config.write_text(json.dumps(tree))
-                argv = ["dispersive", "--config", str(config), "--out", str(tmp_path), "--quiet"]
+                argv = [*command, "--config", str(config), "--out", str(tmp_path), "--quiet"]
                 try:
                     code = run(argv)
                 except Exception as exc:  # noqa: BLE001 -- collect every traceback
                     code = repr(exc)
                 if code not in (0, 2, 3, 4):
                     failures.append((path, value, code))
+    return failures
+
+
+@pytest.mark.parametrize("name", ["paper-sec5-symmetric", "transmon-obstruction"])
+def test_cli_dispersive_contract_walk(tmp_path, capsys, name):
+    # every devices/bus/targets/pulse/analysis leaf, one at a time, set to
+    # each value: an exit code, never a traceback
+    sections = [("devices",), ("bus",), ("targets",), ("pulse",), ("analysis",)]
+    failures = _contract_walk(tmp_path, name, sections, ["dispersive"])
+    capsys.readouterr()
+    assert not failures
+
+
+def test_cli_simulate_contract_walk(tmp_path, capsys):
+    # a simulate share: the pulse and the horizon reach the dynamics at one
+    # Hamming weight, and the leaves that shape the gains reach the inference
+    # guards with all four (the sweep leaves are only parsed, as in dispersive)
+    dynamics = [("pulse",), ("analysis", "measurement_time"), ("analysis", "time_unit")]
+    inference = [("pulse", "amplitude"), ("analysis", "tau_points"), ("analysis", "phase")]
+    failures = (_contract_walk(tmp_path, "paper-sec5-symmetric", dynamics,
+                               ["simulate", "--hw", "1"])
+                + _contract_walk(tmp_path, "paper-sec5-symmetric", inference,
+                                 ["simulate", "--hw", "all"]))
     capsys.readouterr()
     assert not failures
 

@@ -125,6 +125,28 @@ def test_transmon_obstruction_randomized():
         count += 1
 
 
+def test_transmon_switch_matches_ratio_form():
+    # chi12 = (g2/g1 chi1 + g1/g2 chi2)/2, evaluated without the ratios
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        d1, d2 = rng.uniform(0.8, 4.0, size=2) * rng.choice([-1.0, 1.0], size=2)
+        g1, g2 = rng.uniform(0.01, 0.29, size=2) * np.abs([d1, d2])
+        model = _transmon_model(g1, g2, d1, d2)
+        ratio_form = 0.5 * (g2 / g1 * model.chi1 + g1 / g2 * model.chi2)
+        assert model.quantum_switch == pytest.approx(ratio_form, rel=1e-14)
+        delta = -0.3
+        assert model.chi1 == pytest.approx(g1 ** 2 / d1 - g1 ** 2 / (d1 + delta), rel=1e-13)
+
+
+@pytest.mark.parametrize("g1", [2.2250738585072014e-308, 5e-324, 0.0])
+def test_transmon_tiny_coupling_finite_switch(g1):
+    # chi1 underflows to 0 where g2/g1 would overflow: no 0 * inf
+    model = _transmon_model(g1, 0.1, -2.0, -1.5)
+    assert model.chi1 == 0.0
+    assert math.isfinite(model.quantum_switch)
+    assert abs(model.quantum_switch) <= 0.1 * g1
+
+
 def test_transmon_degenerate_denominator():
     with pytest.raises(DegenerateDenominator):
         _transmon_model(0.1, 0.1, 0.0, -2.0)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from parity_scope import dynamics
 from parity_scope.dispersive import DispersiveModel, parity_detunings
 from parity_scope.dynamics import (
     RECURRENCE_CHUNK,
@@ -159,6 +160,14 @@ def test_evolve_step_guard():
         evolve(setup, 0, 28.0, dt=0.5)
 
 
+def test_evolve_probe_fails_closed_on_nan():
+    # one block of 2000/kappa: S^stride underflows to 0, and the closed-form
+    # sum over blocks gives NaN, which the probe must not pass
+    setup = make_setup(t_on=3000.0, t_off=3100.0)
+    with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(StepTooLarge):
+        evolve(setup, 1, 2000.0, stride=2_000_000)
+
+
 def test_evolve_probe_passes_at_default_step():
     setup = make_setup()
     traj = evolve(setup, 2, 28.0, probe=True)
@@ -184,16 +193,18 @@ def reference_integrate(m, u, beta_nodes, beta_mid, dt, n_steps, stride):
 
 
 def assert_matches_reference(m, u, pulse, dt, n_steps, stride):
+    # m is one generator or a stack; each one against its own loop
     nodes = np.arange(n_steps + 1) * dt
     got1, got2 = _integrate(m, u, pulse, dt, n_steps, stride)
-    ref1, ref2 = reference_integrate(m, u, drive_envelope(nodes, pulse),
-                                     drive_envelope(nodes[:-1] + dt / 2.0, pulse),
-                                     dt, n_steps, stride)
-    assert got1.size == got2.size == ref1.size == n_steps // stride + 1
-    scale = max(np.abs(ref1).max(), np.abs(ref2).max())
-    assert scale > 0
-    assert np.abs(got1 - ref1).max() <= 1e-12 * scale
-    assert np.abs(got2 - ref2).max() <= 1e-12 * scale
+    for index in np.ndindex(m.shape[:-2]):
+        ref1, ref2 = reference_integrate(m[index], u, drive_envelope(nodes, pulse),
+                                         drive_envelope(nodes[:-1] + dt / 2.0, pulse),
+                                         dt, n_steps, stride)
+        assert got1[index].size == got2[index].size == ref1.size == n_steps // stride + 1
+        scale = max(np.abs(ref1).max(), np.abs(ref2).max())
+        assert scale > 0
+        assert np.abs(got1[index] - ref1).max() <= 1e-12 * scale
+        assert np.abs(got2[index] - ref2).max() <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("hw", range(4))
@@ -254,9 +265,98 @@ def test_schur2_is_a_unitary_triangularization(name):
     assert np.abs(q @ t @ q.conj().T - m).max() <= 1e-14 * np.linalg.norm(m)
 
 
+NON_NORMAL = SCHUR_CASES["non-normal"]
+NON_NORMAL_DRIVE = -1j * np.array([1.0, math.sqrt(1.7)])
+
+
+def test_integrate_joints_on_block_edges():
+    # dt = 2^-10 and 8-step blocks: all four joints are block edges exactly
+    pulse = DrivePulse(amplitude=0.5, ramp=0.25, t_on=0.5, t_off=1.0)
+    dt, stride, n_steps = 2.0 ** -10, 8, 1536
+    edges = np.arange(0, n_steps + 1, stride) * dt
+    assert {0.5, 0.75, 1.0, 1.25} <= set(edges)
+    assert_matches_reference(NON_NORMAL, NON_NORMAL_DRIVE, pulse, dt, n_steps, stride)
+
+
+def test_integrate_two_joints_in_one_block():
+    # a 0.004 ramp inside the 0.01 block [0.50, 0.51], and the falling one inside [0.80, 0.81]
+    pulse = DrivePulse(amplitude=0.5, ramp=0.004, t_on=0.503, t_off=0.8025)
+    assert_matches_reference(NON_NORMAL, NON_NORMAL_DRIVE, pulse, 1e-3, 2000, 10)
+
+
+def test_integrate_horizon_ends_mid_ramp():
+    pulse = DrivePulse(amplitude=0.5, ramp=1.0, t_on=0.1, t_off=1.5)
+    assert_matches_reference(NON_NORMAL, NON_NORMAL_DRIVE, pulse, 1e-3, 2000, 10)
+
+
+def test_integrate_stride_one():
+    pulse = DrivePulse(amplitude=0.5, ramp=0.5, t_on=0.2, t_off=1.5)
+    assert_matches_reference(NON_NORMAL, NON_NORMAL_DRIVE, pulse, 1e-3, 3000, 1)
+
+
+def test_integrate_long_blocks_shorten_the_chunk():
+    # 4/kappa per block, 400 blocks: a chunk holds only the blocks that fit in
+    # RECURRENCE_RANGE e-folds, where one chunk of all 400 would overflow lam^-k
+    pulse = DrivePulse(amplitude=0.5, ramp=4.0, t_on=1.0, t_off=16.0)
+    assert_matches_reference(NON_NORMAL, NON_NORMAL_DRIVE, pulse, 2e-2, 80000, 200)
+
+
+def test_integrate_zero_amplitude_stays_in_vacuum():
+    # the 1e-12 bound of a zero reference: exactly zero
+    pulse = DrivePulse(amplitude=0.0, ramp=4.0, t_on=1.0, t_off=16.0)
+    got1, got2 = _integrate(NON_NORMAL, NON_NORMAL_DRIVE, pulse, 1e-3, 28000, 10)
+    assert got1.size == 2801
+    assert not np.any(got1) and not np.any(got2)
+
+
+def test_integrate_four_weight_stack():
+    setup = make_setup(chi1=0.45, chi2=0.6, chi12=0.15, kappa1=1.0, kappa2=1.7)
+    m = np.stack([mode_matrix(setup, hw) for hw in range(4)])
+    assert_matches_reference(m, NON_NORMAL_DRIVE, setup.pulse, 1e-3, 28000, 10)
+
+
+@pytest.mark.parametrize("name", ["zero", "defective"])
+def test_integrate_matches_loop_schur_cases(name):
+    # whole blocks on both ramps and the plateau
+    pulse = DrivePulse(amplitude=0.5, ramp=1.0, t_on=0.5, t_off=2.0)
+    assert_matches_reference(SCHUR_CASES[name], np.array([-0.3j, -0.8j]), pulse, 1e-3, 4000, 10)
+
+
+def test_probe_is_the_same_recurrence_at_half_step(monkeypatch):
+    # evolve's probe is one more _integrate call at dt/2 on the same record grid ...
+    calls = []
+
+    def spy(m, u, pulse, dt, n_steps, stride):
+        calls.append((dt, n_steps, stride))
+        return _integrate(m, u, pulse, dt, n_steps, stride)
+    monkeypatch.setattr(dynamics, "_integrate", spy)
+    setup = make_setup(chi1=0.45, chi2=0.6, chi12=0.15)
+    evolve(setup, 1, 28.0)
+    assert calls == [(1e-3, 28000, 10), (0.5e-3, 56000, 20)]
+    # ... and its final value is the loop's at dt/2
+    assert_matches_reference(mode_matrix(setup, 1), -1j * np.ones(2), setup.pulse,
+                             0.5e-3, 56000, 20)
+
+
+def test_evolve_samples_the_drive_per_record(monkeypatch):
+    # only blocks that straddle a joint sample the drive step by step: one
+    # default evolve evaluates it at ~3k points, not the 170,884 of a walk
+    # over every step and midpoint of both runs
+    sizes = []
+    envelope = dynamics.drive_envelope
+
+    def spy(t, pulse):
+        sizes.append(np.size(t))
+        return envelope(t, pulse)
+    monkeypatch.setattr(dynamics, "drive_envelope", spy)
+    traj = evolve(make_setup(), 2, 28.0)
+    assert traj.times.size == 2801
+    assert sum(sizes) <= 2 * traj.times.size
+
+
 def test_evolve_allocation_peak():
-    # one default evolve peaks at 0.40 MB (Python 3.11, numpy 2.4): the drive
-    # is sampled per chunk, so no array spans the probe's 56k nodes
+    # one default evolve peaks at 0.49 MB (Python 3.11, numpy 2.4): the block
+    # forcing is built per chunk, so no array spans more than the records
     setup = make_setup()
     evolve(setup, 2, 28.0)
     tracemalloc.start()
