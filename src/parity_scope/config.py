@@ -119,10 +119,12 @@ class PulseConfig:
         integrated record is then kappa-independent.
         """
         scale = self.time_scale(kappa)
-        t_on, ramp = self.t_on * scale, self.ramp * scale
-        # the conversion may round t_on + ramp past t_off by one ulp
+        t_on, ramp, t_off = self.t_on * scale, self.ramp * scale, self.t_off * scale
+        if self.t_on + self.ramp <= self.t_off:
+            # the conversion may round t_on + ramp past t_off by one ulp
+            t_off = max(t_off, t_on + ramp)
         return DrivePulse(amplitude=self.amplitude * math.sqrt(kappa), ramp=ramp,
-                          t_on=t_on, t_off=max(self.t_off * scale, t_on + ramp))
+                          t_on=t_on, t_off=t_off)
 
     def time_scale(self, kappa):
         """Microseconds per unit of the pulse times."""

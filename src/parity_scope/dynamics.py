@@ -70,19 +70,31 @@ class DrivePulse:
         return self.t_off + self.ramp
 
 
+def _envelope_pieces(pulse):
+    """The pulse shape, the one definition of it: on its five pieces (off,
+    rising, flat, falling, off) the envelope is c0[p] + c1[p] (exp(i phi) +
+    exp(-i phi)) with phi = pi (t - t_ref[p]) / ramp, that is sum_j c_j
+    exp(s_j (t - t_ref)) over s = (0, i pi/ramp, -i pi/ramp).  Piece p holds
+    the t with p joints <= t.  Returns the four joints, c0, c1 and t_ref."""
+    eps, sig = pulse.amplitude, pulse.ramp
+    on, off = pulse.t_on, pulse.t_off
+    return (np.array([on, on + sig, off, off + sig]),
+            np.array([0.0, eps / 2.0, eps, eps / 2.0, 0.0]),
+            np.array([0.0, -eps / 4.0, 0.0, eps / 4.0, 0.0]),
+            np.array([0.0, on, 0.0, off, 0.0]))
+
+
 def drive_envelope(t, pulse):
     """Evaluate the pulse envelope at time(s) t."""
     t_arr = np.asarray(t, dtype=float)
-    eps, sig = pulse.amplitude, pulse.ramp
-    on, off = pulse.t_on, pulse.t_off
-    out = np.zeros_like(t_arr)
-    rising = (t_arr >= on) & (t_arr < on + sig)
-    out[rising] = eps / 2.0 * (1.0 - np.cos(np.pi / sig * (t_arr[rising] - on)))
-    flat = (t_arr >= on + sig) & (t_arr < off)
-    out[flat] = eps
-    falling = (t_arr >= off) & (t_arr < off + sig)
-    out[falling] = eps / 2.0 * (1.0 + np.cos(np.pi / sig * (t_arr[falling] - off)))
-    return float(out) if np.isscalar(t) else out
+    t_flat = t_arr.reshape(-1)
+    joints, c0, c1, t_ref = _envelope_pieces(pulse)
+    piece = np.searchsorted(joints, t_flat, side="right")
+    out = c0[piece]
+    ramps = c1[piece] != 0.0
+    p = piece[ramps]
+    out[ramps] += 2.0 * c1[p] * np.cos(np.pi / pulse.ramp * (t_flat[ramps] - t_ref[p]))
+    return float(out[0]) if np.isscalar(t) else out.reshape(t_arr.shape)
 
 
 @dataclass(frozen=True)
@@ -180,7 +192,11 @@ def _rk4_coefficients(m, dt, u):
 
 def _scalar_recurrence(powers, inverse_powers, x, carry):
     """y[k] for k = 1..n of y[k] = lam y[k-1] + x[k-1] from y[0] = carry, as
-    lam^k (carry + sum_{j<k} lam^-(j+1) x[j]), along the last axis of x (..., n)."""
+    lam^k (carry + sum_{j<k} lam^-(j+1) x[j]), along the last axis of x (..., n).
+    A one-term table (no inverse powers) takes the step itself: y[1] = lam
+    carry + x[0]."""
+    if inverse_powers is None:
+        return powers * carry[..., None] + x
     n = x.shape[-1]
     return powers[..., :n] * (carry[..., None]
                               + np.cumsum(inverse_powers[..., :n] * x, axis=-1))
@@ -207,12 +223,17 @@ def _power_table(r, n):
     """lam^k and lam^-k for k = 1..length of both diagonal entries of an
     upper-triangular 2x2 ``r`` (or a stack), and its coupling r[0, 1].  One
     chunk holds at most ``n`` and RECURRENCE_CHUNK terms, and no more than
-    keep lam^-k within RECURRENCE_RANGE e-folds."""
-    log_lam = np.log(np.diagonal(r, axis1=-2, axis2=-1))
+    keep lam^-k within RECURRENCE_RANGE e-folds.  A table of one term holds
+    lam alone: lam^-1 overflows where lam underflows to 0."""
+    lam = np.diagonal(r, axis1=-2, axis2=-1)
+    with np.errstate(divide="ignore"):
+        log_lam = np.log(lam)
     decay = np.abs(log_lam.real).max()
     length = min(n, RECURRENCE_CHUNK)
     if decay * length > RECURRENCE_RANGE:
         length = max(1, int(RECURRENCE_RANGE / decay))
+    if length == 1:
+        return lam[..., None], None, r[..., 0, 1, None]
     log_powers = log_lam[..., None] * np.arange(1, length + 1)
     return np.exp(log_powers), np.exp(-log_powers), r[..., 0, 1, None]
 
@@ -224,33 +245,22 @@ def _advance(table, forcing, n, every, out):
     ``forcing(i, j)`` gives g (..., 2, j - i) of terms i..j-1, and every
     ``every``-th value is written to ``out`` (..., 2, n // every)."""
     powers, inverse_powers, coupling = table
+    rows = [(powers[..., i, :], None if inverse_powers is None else inverse_powers[..., i, :])
+            for i in (0, 1)]
     y1 = y2 = np.zeros(out.shape[:-2], dtype=complex)
     for start in range(0, n, powers.shape[-1]):
         stop = min(start + powers.shape[-1], n)
         g = forcing(start, stop)
-        z2 = _scalar_recurrence(powers[..., 1, :], inverse_powers[..., 1, :], g[..., 1, :], y2)
+        z2 = _scalar_recurrence(*rows[1], g[..., 1, :], y2)
         # the first component sees y2 before each term: y2[start .. stop-1]
         g1 = g[..., 0, :] + coupling * np.concatenate([y2[..., None], z2[..., :-1]], axis=-1)
-        z1 = _scalar_recurrence(powers[..., 0, :], inverse_powers[..., 0, :], g1, y1)
+        z1 = _scalar_recurrence(*rows[0], g1, y1)
         y1, y2 = z1[..., -1], z2[..., -1]
         # values n = k * every with start < n <= stop sit at z[n - start - 1]
         first, last = start // every, stop // every
         offset = (first + 1) * every - start - 1
         out[..., 0, first:last] = z1[..., offset::every]
         out[..., 1, first:last] = z2[..., offset::every]
-
-
-def _envelope_pieces(pulse):
-    """The envelope on its five pieces (off, rising, flat, falling, off): on
-    piece p it is c0[p] + c1[p] (exp(i phi) + exp(-i phi)) with phi = pi (t -
-    t_ref[p]) / ramp, that is sum_j c_j exp(s_j (t - t_ref)) over s = (0,
-    i pi/ramp, -i pi/ramp).  Returns the four joints, c0, c1 and t_ref."""
-    eps, sig = pulse.amplitude, pulse.ramp
-    on, off = pulse.t_on, pulse.t_off
-    return (np.array([on, on + sig, off, off + sig]),
-            np.array([0.0, eps / 2.0, eps, eps / 2.0, 0.0]),
-            np.array([0.0, -eps / 4.0, 0.0, eps / 4.0, 0.0]),
-            np.array([0.0, on, 0.0, off, 0.0]))
 
 
 def _integrate(m, u, pulse, dt, n_steps, stride):
@@ -281,7 +291,7 @@ def _integrate(m, u, pulse, dt, n_steps, stride):
     n_blocks = n_steps // stride
     edges = np.arange(n_blocks + 1) * stride * dt
     joints, c0, c1, t_ref = _envelope_pieces(pulse)
-    # the piece of each block's end nodes, by the envelope's own >= tests
+    # the piece of each block's end nodes, as drive_envelope classifies them
     piece = np.searchsorted(joints, edges, side="right")
     block_piece, whole = piece[:-1], piece[:-1] == piece[1:]
     # the ramp exponentials only where a whole block needs them: pi/ramp may

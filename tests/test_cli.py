@@ -419,6 +419,10 @@ TRANSMON = {"type": "transmon", "josephson_energy_mhz": 20000.0,
     # positive as given, 0 once divided by kappa
     ("simulate", "pulse.ramp", 5e-324, "pulse.ramp"),
     ("simulate", "analysis.measurement_time", 5e-324, "analysis.measurement_time"),
+    # t_off before the end of the rising ramp, by any margin
+    ("simulate", "pulse.t_off", 0, "ramp must finish before t_off"),
+    ("simulate", "pulse.t_off", -1, "ramp must finish before t_off"),
+    ("simulate", "pulse.t_off", 1e-9, "ramp must finish before t_off"),
 ])
 def test_cli_rejects_malformed_field(tmp_path, capsys, command, path, value, message):
     # dotted keys step into objects, [i] into lists

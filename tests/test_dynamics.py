@@ -160,12 +160,16 @@ def test_evolve_step_guard():
         evolve(setup, 0, 28.0, dt=0.5)
 
 
-def test_evolve_probe_fails_closed_on_nan():
-    # one block of 2000/kappa: S^stride underflows to 0, and the closed-form
-    # sum over blocks gives NaN, which the probe must not pass
-    setup = make_setup(t_on=3000.0, t_off=3100.0)
-    with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(StepTooLarge):
-        evolve(setup, 1, 2000.0, stride=2_000_000)
+def test_evolve_probe_fails_closed_on_nan(monkeypatch):
+    # a NaN in the half-step run compares false with every bound
+    def poisoned(m, u, pulse, dt, n_steps, stride):
+        rec1, rec2 = _integrate(m, u, pulse, dt, n_steps, stride)
+        if dt < 1e-3:
+            rec1[:, -1] = math.nan
+        return rec1, rec2
+    monkeypatch.setattr(dynamics, "_integrate", poisoned)
+    with pytest.raises(StepTooLarge, match="disagreement nan"):
+        evolve(make_setup(), 1, 28.0)
 
 
 def test_evolve_probe_passes_at_default_step():
@@ -299,6 +303,19 @@ def test_integrate_long_blocks_shorten_the_chunk():
     # RECURRENCE_RANGE e-folds, where one chunk of all 400 would overflow lam^-k
     pulse = DrivePulse(amplitude=0.5, ramp=4.0, t_on=1.0, t_off=16.0)
     assert_matches_reference(NON_NORMAL, NON_NORMAL_DRIVE, pulse, 2e-2, 80000, 200)
+
+
+def test_integrate_blocks_decaying_past_the_float_range():
+    # 1500/kappa per block: S^stride underflows to 0, and each record on the
+    # plateau is the block forcing alone
+    pulse = DrivePulse(amplitude=0.5, ramp=1.0, t_on=0.0, t_off=1e6)
+    step = _rk4_coefficients(_schur2(NON_NORMAL)[0], 0.05, NON_NORMAL_DRIVE)[0]
+    assert not np.any(np.diagonal(np.linalg.matrix_power(step, 30000)))
+    assert_matches_reference(NON_NORMAL, NON_NORMAL_DRIVE, pulse, 0.05, 90000, 30000)
+    # the same through evolve without the probe: a ring-down to the float floor
+    late = evolve(make_setup(), 1, 2000.0, stride=2_000_000, probe=False)
+    assert np.all(np.isfinite(late.alpha1)) and np.all(np.isfinite(late.alpha2))
+    assert np.abs(late.alpha1[-1]) < 1e-300
 
 
 def test_integrate_zero_amplitude_stays_in_vacuum():
