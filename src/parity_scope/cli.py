@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import MHZ, derive_scenario, load_config, preset, preset_names
-from .dispersive import TcqSpec, tcq_mixing
+from .dispersive import TcqSpec, tcq_dispersive, tcq_mixing
 from .dynamics import evolve, reflection
 from .errors import ConfigError, ParityScopeError
 from .inference import analyze_trajectories, chi_sweep
@@ -349,10 +349,9 @@ def _validation_checks(cfg):
                           couplings=(0.0, g1m, g2p, 0.0),
                           qubit_levels=3, photon_levels=3)
     gaps = switch_splitting(ladder)
-    d1m = dressed_zs.omega_minus - w1
-    chi1 = g1m ** 2 * dressed_zs.delta_minus / (d1m * (d1m + dressed_zs.delta_minus))
+    chi1 = tcq_dispersive(dressed_zs, (w1, w1 + 0.01), ladder.couplings).chi1
     state_dep = abs(gaps["excited"] - gaps["ground"]) / 2.0
-    checks.append(("zero_switch_splitting", state_dep / abs(chi1), 1e-2,
+    checks.append(("zero_switch_splitting", state_dep / abs(chi1) if chi1 else math.nan, 1e-2,
                    state_dep < 1e-2 * abs(chi1), ""))
     return checks, []
 

@@ -39,6 +39,10 @@ from .errors import ConfigError, ParityConditionUnsatisfiable
 MHZ = 2.0 * math.pi
 
 MATCHED_CHI_RTOL = 1e-6
+# a 101 x 101 offset grid is about 5,000 dense charge-basis solves
+DISPERSION_GRID_MAX = 101
+# 10,001 points on each of the two cuts are about 10 minutes of sweep at ~25 ms a point
+SWEEP_POINTS_MAX = 10_001
 
 
 def _require(mapping, key, where):
@@ -261,7 +265,7 @@ def parse_config(tree, name="config"):
     sweep = SweepConfig(
         minimum=_number(raw_sweep, "minimum", "analysis.sweep", 0.1),
         maximum=_number(raw_sweep, "maximum", "analysis.sweep", 1.2),
-        points=_integer(raw_sweep, "points", "analysis.sweep", 61, 1),
+        points=_integer(raw_sweep, "points", "analysis.sweep", 61, 1, SWEEP_POINTS_MAX),
         asymmetric_chi2=_number(raw_sweep, "asymmetric_chi2", "analysis.sweep", 0.3),
     )
     if sweep.minimum <= 0 or sweep.maximum < sweep.minimum:
@@ -296,7 +300,8 @@ def parse_config(tree, name="config"):
         # room for one cutoff + 4 convergence probe below the ceiling
         charge_cutoff=_integer(raw_validation, "charge_cutoff", "validation", 12, 8,
                                CHARGE_CUTOFF_CEILING - 4),
-        dispersion_grid=_integer(raw_validation, "dispersion_grid", "validation", 21, 1),
+        dispersion_grid=_integer(raw_validation, "dispersion_grid", "validation", 21, 1,
+                                 DISPERSION_GRID_MAX),
     )
     output_dir = tree.get("output_dir", "out")
     if not isinstance(output_dir, str):

@@ -50,6 +50,19 @@ def _guard_denominator(value, scale, what):
         )
 
 
+def _duffing_factor(detuning, anharmonicity):
+    """``1/Delta - 1/(Delta + delta)``, the k of a Duffing branch's ``chi = g^2 k``."""
+    return 1.0 / detuning - 1.0 / (detuning + anharmonicity)
+
+
+def _branch_shifts(g, k):
+    """``(g1^2 k1, g2^2 k2, g1 g2 (k1 + k2)/2)``: the second-order shifts one
+    qubit branch with couplings ``g`` and per-resonator factors ``k`` gives two
+    resonators, so one branch alone has ``chi12^2 >= chi1 chi2``.  The pair term
+    is a product: a coupling ratio overflows near the float floor."""
+    return g[0] * g[0] * k[0], g[1] * g[1] * k[1], 0.5 * g[0] * g[1] * (k[0] + k[1])
+
+
 # ---------------------------------------------------------------------------
 # transmon
 # ---------------------------------------------------------------------------
@@ -149,10 +162,10 @@ def transmon_dispersive(spec, coupling):
     """Second-order effective model of one transmon coupled to two resonators.
 
     The three lowest transmon levels enter the elimination; the result is the
-    qubit-subspace model with shifts
+    qubit-subspace model with ``k_i = 1/Delta_i - 1/(Delta_i + delta)`` and
 
-        chi_i   = g_i^2/Delta_i - g_i^2/(Delta_i + delta),
-        chi12   = (g2/g1 * chi1 + g1/g2 * chi2) / 2,
+        chi_i   = g_i^2 k_i,
+        chi12   = g1 g2 (k1 + k2) / 2,
         chibar12 = -(g1 g2/2)(1/(Delta_1+delta) + 1/(Delta_2+delta)),
 
     dressed qubit frequency ``Omega_e + sum_i g_i^2/Delta_i`` and effective
@@ -169,14 +182,8 @@ def transmon_dispersive(spec, coupling):
         _guard_denominator(det[i], scale, f"Delta_{i + 1}")
         _guard_denominator(det[i] + delta, scale, f"Delta_{i + 1} + delta")
 
-    # chi_i = g_i^2 k_i and chi12 = g1 g2 (k1 + k2) / 2 with k_i = 1/Delta_i -
-    # 1/(Delta_i + delta): no coupling ratio, which overflows (and makes
-    # 0 * inf) for a coupling near the float floor; equal couplings and
-    # detunings give chi12 = chi1 = chi2 bit for bit
-    k = [1.0 / det[i] - 1.0 / (det[i] + delta) for i in range(2)]
-    chi = tuple(g[i] * g[i] * k[i] for i in range(2))
-    chi12 = 0.5 * g[0] * g[1] * (k[0] + k[1])
-    static12 = -0.5 * g[0] * g[1] * (1.0 / (det[0] + delta) + 1.0 / (det[1] + delta))
+    chi1, chi2, chi12 = _branch_shifts(g, [_duffing_factor(d, delta) for d in det])
+    pull1, pull2, static12 = _branch_shifts(g, [-1.0 / (d + delta) for d in det])
 
     warnings = list(spec.warnings)
     for ratio, label in zip(
@@ -188,10 +195,10 @@ def transmon_dispersive(spec, coupling):
 
     return DispersiveModel(
         qubit_frequency=omega_t + g[0] ** 2 / det[0] + g[1] ** 2 / det[1],
-        resonator1_frequency=(omega_t - det[0]) - g[0] ** 2 / (det[0] + delta),
-        resonator2_frequency=(omega_t - det[1]) - g[1] ** 2 / (det[1] + delta),
-        chi1=chi[0],
-        chi2=chi[1],
+        resonator1_frequency=(omega_t - det[0]) + pull1,
+        resonator2_frequency=(omega_t - det[1]) + pull2,
+        chi1=chi1,
+        chi2=chi2,
         static_switch=static12,
         quantum_switch=chi12,
         source="transmon",
@@ -348,13 +355,12 @@ def tcq_state_shifts(dressed, resonators, couplings):
 
     ``resonators = (omega1, omega2)`` are the bare resonator frequencies and
     ``couplings = (g1_plus, g1_minus, g2_plus, g2_minus)`` the dressed
-    couplings.  For resonator i with detunings D_pm = omega_pm_dressed - omega_i:
+    couplings.  Each state is the sum of the minus- and plus-branch
+    ``_branch_shifts``, with factors for resonator i at detunings
+    D_pm = omega_pm_dressed - omega_i
 
-        chi_i(excited) = g_-^2/D_- - 2 g_-^2/(D_- + delta_-) - g_+^2/(D_+ + delta_c)
-        chi_i(ground)  = g_+^2/D_+ + g_-^2/D_-
-
-    and the switch couplings are the matching two-resonator combinations with
-    1/D -> (1/D_1 + 1/D_2)/2.
+        excited:  k_- = 1/D_- - 2/(D_- + delta_-),   k_+ = -1/(D_+ + delta_c)
+        ground:   k_- = 1/D_-,                       k_+ = 1/D_+
     """
     g1p, g1m, g2p, g2m = couplings
     gp, gm = (g1p, g2p), (g1m, g2m)
@@ -371,31 +377,17 @@ def tcq_state_shifts(dressed, resonators, couplings):
         _guard_denominator(dp[i] + dressed.delta_plus, anh_scale, f"Delta_{i + 1}+ + delta_+")
         _guard_denominator(dp[i] + dressed.delta_cross, anh_scale, f"Delta_{i + 1}+ + delta_c")
 
-    def chi_excited(i):
-        return (gm[i] ** 2 / dm[i]
-                - 2.0 * gm[i] ** 2 / (dm[i] + dressed.delta_minus)
-                - gp[i] ** 2 / (dp[i] + dressed.delta_cross))
-
-    def chi_ground(i):
-        return gp[i] ** 2 / dp[i] + gm[i] ** 2 / dm[i]
-
-    pair_minus = 0.5 * (1.0 / dm[0] + 1.0 / dm[1])
-    pair_minus_anh = 0.5 * (1.0 / (dm[0] + dressed.delta_minus)
-                            + 1.0 / (dm[1] + dressed.delta_minus))
-    pair_plus = 0.5 * (1.0 / dp[0] + 1.0 / dp[1])
-    pair_plus_cross = 0.5 * (1.0 / (dp[0] + dressed.delta_cross)
-                             + 1.0 / (dp[1] + dressed.delta_cross))
-    gm_prod = gm[0] * gm[1]
-    gp_prod = gp[0] * gp[1]
-    chi12_excited = (gm_prod * pair_minus
-                     - 2.0 * gm_prod * pair_minus_anh
-                     - gp_prod * pair_plus_cross)
-    chi12_ground = gp_prod * pair_plus + gm_prod * pair_minus
-
+    # excited |0+1->: the minus branch holds the excitation and the plus
+    # branch sees it through delta_c; ground |0+0->: both branches empty
+    excited = [m + p for m, p in zip(
+        _branch_shifts(gm, [1.0 / d - 2.0 / (d + dressed.delta_minus) for d in dm]),
+        _branch_shifts(gp, [-1.0 / (d + dressed.delta_cross) for d in dp]))]
+    ground = [m + p for m, p in zip(_branch_shifts(gm, [1.0 / d for d in dm]),
+                                    _branch_shifts(gp, [1.0 / d for d in dp]))]
     return StateResolvedShifts(
-        chi1_excited=chi_excited(0), chi1_ground=chi_ground(0),
-        chi2_excited=chi_excited(1), chi2_ground=chi_ground(1),
-        chi12_excited=chi12_excited, chi12_ground=chi12_ground,
+        chi1_excited=excited[0], chi1_ground=ground[0],
+        chi2_excited=excited[1], chi2_ground=ground[1],
+        chi12_excited=excited[2], chi12_ground=ground[2],
     )
 
 
@@ -459,13 +451,14 @@ def solve_couplings_for_chi(targets, dressed, resonators):
     Resonator 1 drives minus-branch transitions and resonator 2 plus-branch
     ones:
 
-        chi1 = 2 g1^2 delta_- / (D_1- (D_1- + delta_-))
-        chi2 =   g2^2 delta_c / (D_2+ (D_2+ + delta_c))
+        chi1 = 2 g1^2 k(D_1-, delta_-)
+        chi2 =   g2^2 k(D_2+, delta_c)
 
-    (the dressed couplings are sqrt(2) g at pi/4).  Raises
-    DegenerateDenominator when D or D + delta sits within ``1e-9 * |delta|``
-    of zero, and NegativeDiscriminant when a target sign cannot be produced
-    by the branch's ``delta / (D (D + delta))`` factor.
+    with the Duffing factor ``k(D, delta) = 1/D - 1/(D + delta)`` (the
+    dressed couplings are sqrt(2) g at pi/4).  Raises DegenerateDenominator
+    when D or D + delta sits within ``1e-9 * |delta|`` of zero, and
+    NegativeDiscriminant when a target sign cannot be produced by the
+    branch's factor, or the factor rounds to 0.
     """
     if abs(abs(dressed.mixing_angle) - math.pi / 4.0) > 1e-6:
         raise ValueError("sign-flip inversion assumes mixing angle pi/4 "
@@ -478,12 +471,11 @@ def solve_couplings_for_chi(targets, dressed, resonators):
             (2, chi2, dressed.omega_plus - omega2, dressed.delta_cross, 0.5, "plus")):
         _guard_denominator(d, abs(delta), f"Delta_{i} ({branch} branch)")
         _guard_denominator(d + delta, abs(delta), f"Delta_{i} + delta ({branch} branch)")
-        factor = weight * delta / (d * (d + delta))
-        g_sq = chi / factor
-        if g_sq < 0.0:
+        factor = weight * _duffing_factor(d, delta)
+        if factor == 0.0 or chi / factor < 0.0:
             raise NegativeDiscriminant(
                 f"chi{i} = {chi:.3e} incompatible with {branch}-branch factor {factor:.3e}")
-        couplings.append(math.sqrt(g_sq / 2.0))  # bare g = g_dressed / sqrt(2)
+        couplings.append(math.sqrt(chi / factor / 2.0))  # bare g = g_dressed / sqrt(2)
     return tuple(couplings)
 
 

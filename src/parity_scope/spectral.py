@@ -26,6 +26,8 @@ import scipy.linalg as sla
 from .dispersive import (
     CHARGE_CUTOFF_CEILING,
     DressedTcq,
+    _branch_shifts,
+    _duffing_factor,
     tcq_dispersive,
     tcq_mixing,
 )
@@ -391,20 +393,20 @@ class ChiOracleReport:
 
     @property
     def relative_errors(self):
-        return (abs(self.chi1 - self.chi1_perturbative) / abs(self.chi1),
-                abs(self.chi2 - self.chi2_perturbative) / abs(self.chi2))
+        # an exact chi of 0 (underflowed couplings) gives NaN, which fails every check
+        return tuple(abs(exact - perturbative) / abs(exact) if exact else math.nan
+                     for exact, perturbative in ((self.chi1, self.chi1_perturbative),
+                                                 (self.chi2, self.chi2_perturbative)))
 
 
 def _perturbative_chis(cfg):
+    resonators = (cfg.resonator1_frequency, cfg.resonator2_frequency)
     if cfg.kind == "transmon":
-        g1, g2 = cfg.couplings
-        d1 = cfg.qubit_frequency - cfg.resonator1_frequency
-        d2 = cfg.qubit_frequency - cfg.resonator2_frequency
-        delta = cfg.anharmonicity
-        return (g1 ** 2 / d1 - g1 ** 2 / (d1 + delta),
-                g2 ** 2 / d2 - g2 ** 2 / (d2 + delta))
-    model = tcq_dispersive(cfg.dressed, (cfg.resonator1_frequency, cfg.resonator2_frequency),
-                           cfg.couplings)
+        # transmon_dispersive's shifts, from the ladder's qubit frequency
+        k = [_duffing_factor(cfg.qubit_frequency - omega, cfg.anharmonicity)
+             for omega in resonators]
+        return _branch_shifts(cfg.couplings, k)[:2]
+    model = tcq_dispersive(cfg.dressed, resonators, cfg.couplings)
     return model.chi1, model.chi2
 
 

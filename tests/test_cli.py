@@ -423,6 +423,11 @@ TRANSMON = {"type": "transmon", "josephson_energy_mhz": 20000.0,
     ("simulate", "pulse.t_off", 0, "ramp must finish before t_off"),
     ("simulate", "pulse.t_off", -1, "ramp must finish before t_off"),
     ("simulate", "pulse.t_off", 1e-9, "ramp must finish before t_off"),
+    # grids whose solves would take hours, or whose arrays gigabytes
+    ("validate", "validation.dispersion_grid", 102, "validation.dispersion_grid"),
+    ("validate", "validation.dispersion_grid", 1e9, "validation.dispersion_grid"),
+    ("sweep", "analysis.sweep.points", 10_002, "analysis.sweep.points"),
+    ("sweep", "analysis.sweep.points", 1e9, "analysis.sweep.points"),
 ])
 def test_cli_rejects_malformed_field(tmp_path, capsys, command, path, value, message):
     # dotted keys step into objects, [i] into lists
@@ -462,6 +467,32 @@ def test_cli_short_ramp_fails_the_probe(tmp_path, capsys):
     assert run(["simulate", "--config", str(config), "--out", str(tmp_path), "--quiet"]) == 4
     assert ("h_w=0: half-step probe disagreement 9.214e-05 > 1e-08"
             in capsys.readouterr().err)
+
+
+# validate sized down to a fraction of a second per run
+SMALL_VALIDATION = {"coupling_ratio": 0.05, "charge_cutoff": 8, "dispersion_grid": 1}
+
+
+@pytest.mark.parametrize("ratio", [5e-324, 1e-300, 2.2250738585072014e-308])
+def test_cli_validate_underflowed_coupling_ratio_fails(tmp_path, ratio):
+    # the couplings' shifts underflow to 0: a FAIL row with a non-finite
+    # value and exit 4, not a ZeroDivisionError
+    config = _write_variant(tmp_path, "ratio", lambda tree: tree.__setitem__(
+        "validation", dict(SMALL_VALIDATION, coupling_ratio=ratio)))
+    assert run(["validate", "--config", str(config), "--out", str(tmp_path), "--quiet"]) == 4
+    rows = [line.split(",") for line in
+            (tmp_path / "validation.csv").read_text().splitlines()[1:]]
+    assert any(not math.isfinite(float(value)) and status == "fail"
+               for _, value, _, status, _ in rows)
+
+
+def test_cli_tcq_far_from_resonators_exits_3(tmp_path, capsys):
+    # D (D + delta) overflowed and 1/D - 1/(D + delta) rounds to 0: no
+    # coupling produces the target shift
+    config = _write_variant(tmp_path, "far", lambda tree: tree["devices"][0].__setitem__(
+        "qubit_frequency_mhz", 1e200))
+    assert run(["dispersive", "--config", str(config), "--out", str(tmp_path), "--quiet"]) == 3
+    assert "minus-branch factor 0.000e+00" in capsys.readouterr().err
 
 
 def _subclasses(cls):
@@ -538,13 +569,11 @@ def _leaves(node, path=()):
         yield path
 
 
-def _contract_walk(tmp_path, name, sections, command):
-    """Every leaf under the paths ``sections`` of preset ``name``, one at a
-    time, set to each of CONTRACT_VALUES and run in-process as ``command``
-    (the command and its options): the runs that end in neither exit 0, 2, 3
-    nor 4."""
-    from parity_scope.config import PRESETS
-    base = PRESETS[name]
+def _contract_walk(tmp_path, base, sections, command):
+    """Every leaf under the paths ``sections`` of the config tree ``base``,
+    one at a time, set to each of CONTRACT_VALUES and run in-process as
+    ``command`` (the command and its options): the runs that end in neither
+    exit 0, 2, 3 nor 4."""
     config = tmp_path / "walk.json"
     failures = []
     for section in sections:
@@ -573,8 +602,9 @@ def _contract_walk(tmp_path, name, sections, command):
 def test_cli_dispersive_contract_walk(tmp_path, capsys, name):
     # every devices/bus/targets/pulse/analysis leaf, one at a time, set to
     # each value: an exit code, never a traceback
+    from parity_scope.config import PRESETS
     sections = [("devices",), ("bus",), ("targets",), ("pulse",), ("analysis",)]
-    failures = _contract_walk(tmp_path, name, sections, ["dispersive"])
+    failures = _contract_walk(tmp_path, PRESETS[name], sections, ["dispersive"])
     capsys.readouterr()
     assert not failures
 
@@ -583,12 +613,22 @@ def test_cli_simulate_contract_walk(tmp_path, capsys):
     # a simulate share: the pulse and the horizon reach the dynamics at one
     # Hamming weight, and the leaves that shape the gains reach the inference
     # guards with all four (the sweep leaves are only parsed, as in dispersive)
+    from parity_scope.config import PRESETS
+    base = PRESETS["paper-sec5-symmetric"]
     dynamics = [("pulse",), ("analysis", "measurement_time"), ("analysis", "time_unit")]
     inference = [("pulse", "amplitude"), ("analysis", "tau_points"), ("analysis", "phase")]
-    failures = (_contract_walk(tmp_path, "paper-sec5-symmetric", dynamics,
-                               ["simulate", "--hw", "1"])
-                + _contract_walk(tmp_path, "paper-sec5-symmetric", inference,
-                                 ["simulate", "--hw", "all"]))
+    failures = (_contract_walk(tmp_path, base, dynamics, ["simulate", "--hw", "1"])
+                + _contract_walk(tmp_path, base, inference, ["simulate", "--hw", "all"]))
+    capsys.readouterr()
+    assert not failures
+
+
+def test_cli_validate_contract_walk(tmp_path, capsys):
+    # the validation leaves on a sized-down tree (the presets have no
+    # validation block); most values exit 2 at parse time
+    from parity_scope.config import PRESETS
+    base = dict(PRESETS["paper-sec5-symmetric"], validation=SMALL_VALIDATION)
+    failures = _contract_walk(tmp_path, base, [("validation",)], ["validate"])
     capsys.readouterr()
     assert not failures
 

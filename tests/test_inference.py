@@ -21,7 +21,7 @@ from parity_scope.inference import (
     posteriors,
     signal_model,
 )
-from parity_scope.errors import GridTooCoarse, NonFiniteSignal
+from parity_scope.errors import GridTooCoarse, NonFiniteSignal, QuadratureNonconvergent
 
 
 def reference_pulse(kappa=1.0):
@@ -89,6 +89,19 @@ def test_integrated_signal_rejects_jagged_grid():
                       step=t[1] - t[0])
     with pytest.raises(GridTooCoarse):
         integrated_signal(traj, 0.0, 5.0)
+
+
+def test_integrated_signal_fails_closed_on_nan():
+    # a NaN sample makes the Richardson difference NaN, which no tolerance admits
+    from parity_scope.dynamics import Trajectory
+    t = np.linspace(0.0, 1.0, 11)
+    output = np.ones(t.size, dtype=complex)
+    output[5] = math.nan
+    traj = Trajectory(times=t, alpha1=np.zeros_like(output), alpha2=np.zeros_like(output),
+                      drive=np.zeros_like(t), output=output, hamming_weight=0,
+                      step=t[1] - t[0])
+    with pytest.raises(GridTooCoarse):
+        integrated_signal(traj, 0.0, 1.0)
 
 
 def test_variance_convention_switch():
@@ -172,6 +185,12 @@ def test_info_gains_zero_for_equal_means():
     gain_hw, gain_parity = info_gains(model)
     assert abs(gain_hw) < 1e-12
     assert abs(gain_parity) < 1e-12
+
+
+def test_info_gains_fail_closed_on_nan():
+    # means 1e160 apart overflow the integrands: NaN gains at both resolutions
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(QuadratureNonconvergent):
+        info_gains(SignalModel(1.0, 0.0, (0.0, 1e160, 2e160, 3e160)))
 
 
 def test_info_gains_perfect_discrimination():
@@ -305,6 +324,12 @@ def test_rates_reject_coarse_grid():
     gains = np.sin(taus) ** 2
     with pytest.raises(GridTooCoarse):
         measurement_rates(taus, gains)
+
+
+def test_rates_fail_closed_on_nan():
+    # a NaN gain makes the rate integral NaN, which no tolerance admits
+    with pytest.raises(GridTooCoarse):
+        measurement_rates([0.0, 1.0, 2.0, 3.0], [0.0, math.nan, 1.0, 1.5])
 
 
 # ---------------------------------------------------------------------------

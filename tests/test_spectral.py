@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from parity_scope.dispersive import TcqSpec, tcq_mixing
+from parity_scope.dispersive import (
+    QubitCavityCoupling,
+    TcqSpec,
+    TransmonSpec,
+    tcq_mixing,
+    transmon_dispersive,
+    transmon_levels,
+)
 from parity_scope import spectral
 from parity_scope.errors import ConvergenceFailure, LevelIdentificationFailure
 from parity_scope.spectral import (
@@ -325,6 +332,20 @@ def test_chi_oracle_tcq_quadratic_accuracy():
 def test_chi_oracle_convergence_probe_passes():
     report = chi_oracle(transmon_ladder_config(0.05), check_convergence=True)
     assert report.chi1 != 0.0
+
+
+def test_transmon_oracle_uses_the_production_shifts():
+    # the oracle's perturbative side is transmon_dispersive's formula, bit for bit
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        spec = TransmonSpec(rng.uniform(10.0, 60.0), rng.uniform(0.1, 0.5))
+        omega_t, delta = transmon_levels(spec)
+        g1, g2 = rng.uniform(-0.3, 0.3, 2)
+        w1, w2 = rng.uniform(6.0, 9.0, 2)
+        model = transmon_dispersive(spec, QubitCavityCoupling(g1, g2, omega_t - w1, omega_t - w2))
+        cfg = LadderConfig(kind="transmon", qubit_frequency=omega_t, anharmonicity=delta,
+                           resonator1_frequency=w1, resonator2_frequency=w2, couplings=(g1, g2))
+        assert spectral._perturbative_chis(cfg) == (model.chi1, model.chi2)
 
 
 def test_switch_splitting_transmon_state_dependence():
