@@ -1,8 +1,9 @@
 """Simulation and analysis toolkit for direct three-qubit dispersive parity readout.
 
 The public names below are loaded on first access (PEP 562), so importing
-the package, or one submodule, loads only what that code path needs: every
-command but ``validate`` runs on the stdlib and numpy alone.
+the package, or one submodule, loads only what that code path needs:
+``scenario-list`` and ``dispersive`` run on the stdlib alone, ``simulate``
+and ``sweep`` add numpy, and ``validate`` numpy and scipy.
 """
 
 import importlib
@@ -21,9 +22,10 @@ _EXPORTS = {
         "solve_couplings_for_chi", "tcq_dispersive", "tcq_mixing", "tcq_state_shifts",
         "transmon_dispersive", "transmon_levels",
     ),
+    "measurement": ("DrivePulse", "MeasurementSetup"),
     "dynamics": (
-        "DrivePulse", "MeasurementSetup", "Trajectory", "drive_envelope", "evolve",
-        "evolve_weights", "output_field", "reflection", "steady_state",
+        "Trajectory", "drive_envelope", "evolve", "evolve_weights", "output_field",
+        "reflection", "steady_state",
     ),
     "inference": (
         "InfoGainReport", "SignalModel", "SweepPoint", "analyze_trajectories",

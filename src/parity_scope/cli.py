@@ -11,17 +11,16 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
+# numpy, dynamics, inference and spectral are imported by the commands that
+# run them, so scenario-list and dispersive start on the stdlib alone
 from .config import MHZ, derive_scenario, load_config, preset, preset_names
 from .dispersive import TcqSpec, tcq_dispersive, tcq_mixing
-from .dynamics import evolve, reflection
 from .errors import ConfigError, ParityScopeError
-from .inference import analyze_trajectories, chi_sweep
 
 CONFIG_EXIT = 2
 PHYSICS_EXIT = 3
@@ -33,7 +32,8 @@ ERROR_PREFIX = {CONFIG_EXIT: "configuration error",
 
 def _fmt(value):
     """Shortest decimal that round-trips the float exactly."""
-    if isinstance(value, (float, np.floating)):
+    # numpy registers its floating types as Real and its integer types as Integral
+    if isinstance(value, numbers.Real) and not isinstance(value, numbers.Integral):
         return repr(float(value))
     return str(value)
 
@@ -147,6 +147,8 @@ TRAJECTORY_HEADER = ["t", "re_a1", "im_a1", "re_a2", "im_a2", "re_bout", "im_bou
 
 
 def trajectory_rows(traj):
+    import numpy as np
+
     # tolist() yields Python floats, whose repr is what _fmt writes
     return np.column_stack([traj.times, traj.alpha1.real, traj.alpha1.imag,
                             traj.alpha2.real, traj.alpha2.imag,
@@ -154,6 +156,9 @@ def trajectory_rows(traj):
 
 
 def cmd_simulate(args):
+    from .dynamics import evolve, reflection
+    from .inference import analyze_trajectories
+
     cfg = _load(args)
     report = derive_scenario(cfg)
     setup = report.measurement_setup()
@@ -222,6 +227,10 @@ def sweep_rows(points):
 
 
 def cmd_sweep(args):
+    import numpy as np
+
+    from .inference import chi_sweep
+
     cfg = _load(args)
     kappa = max(cfg.kappa1, cfg.kappa2)
     pulse = cfg.pulse.resolve(kappa)
@@ -262,6 +271,8 @@ def cmd_sweep(args):
 def _validation_checks(cfg):
     # the exact-diagonalization oracles are the only users of scipy, so no
     # other command pays for importing it
+    import numpy as np
+
     from .spectral import (
         ChargeBasisConfig,
         LadderConfig,

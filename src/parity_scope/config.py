@@ -32,13 +32,16 @@ from .dispersive import (
     transmon_dispersive,
     transmon_levels,
 )
-from .dynamics import DEFAULT_STEP_FACTOR, RK4_STEP_BUDGET, DrivePulse, MeasurementSetup
 from .errors import ConfigError, ParityConditionUnsatisfiable
+from .measurement import DEFAULT_STEP_FACTOR, RK4_STEP_BUDGET, DrivePulse, MeasurementSetup
 
 # ordinary frequency in MHz -> angular rad/us: omega = 2 pi f
 MHZ = 2.0 * math.pi
 
 MATCHED_CHI_RTOL = 1e-6
+# grids 1 and 2 sample only ng = 0 and ng = 1, one offset up to truncation,
+# so they cannot measure a charge dispersion
+DISPERSION_GRID_MIN = 3
 # a 101 x 101 offset grid is about 5,000 dense charge-basis solves
 DISPERSION_GRID_MAX = 101
 # 10,001 points on each of the two cuts are about 10 minutes of sweep at ~25 ms a point
@@ -300,8 +303,8 @@ def parse_config(tree, name="config"):
         # room for one cutoff + 4 convergence probe below the ceiling
         charge_cutoff=_integer(raw_validation, "charge_cutoff", "validation", 12, 8,
                                CHARGE_CUTOFF_CEILING - 4),
-        dispersion_grid=_integer(raw_validation, "dispersion_grid", "validation", 21, 1,
-                                 DISPERSION_GRID_MAX),
+        dispersion_grid=_integer(raw_validation, "dispersion_grid", "validation", 21,
+                                 DISPERSION_GRID_MIN, DISPERSION_GRID_MAX),
     )
     output_dir = tree.get("output_dir", "out")
     if not isinstance(output_dir, str):

@@ -15,9 +15,8 @@ couplings cancels ``chi12`` exactly while keeping ``chi1, chi2`` finite.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import (
     DegenerateDenominator,
@@ -512,7 +511,7 @@ def parity_detunings(model, kappa1, kappa2):
         raise ValueError("kappa1, kappa2 must be positive")
     chi1, chi2, chi12 = model.chi1, model.chi2, model.quantum_switch
     disc = chi1 * chi2 - chi12 ** 2
-    tol = 64.0 * np.finfo(float).eps * max(abs(chi1 * chi2), chi12 ** 2)
+    tol = 64.0 * sys.float_info.epsilon * max(abs(chi1 * chi2), chi12 ** 2)
     if disc < -tol:
         raise ParityConditionUnsatisfiable(
             f"chi12^2 - chi1*chi2 = {-disc:.3e} > 0: parity detunings would be complex")
@@ -601,6 +600,8 @@ def coupling_at_position(placement):
 
 def capacitance_matrix(mode_capacitances, line_capacitance, total_capacitance):
     """Bordered capacitance matrix: diag(Lc) block plus the -C_n border."""
+    import numpy as np      # the package's commands never call it, so they skip numpy
+
     c_modes = np.asarray(mode_capacitances, dtype=float)
     n = c_modes.size
     mat = np.zeros((n + 1, n + 1))
@@ -628,6 +629,8 @@ def capacitance_inverse(mode_capacitances, line_capacitance, total_capacitance):
     Lc*C_Sigma and drops the C_k C_l / (Lc C_Sigma) cross terms.  Raises
     SingularCapacitanceMatrix when Sigma <= 0.
     """
+    import numpy as np
+
     c_modes = np.asarray(mode_capacitances, dtype=float)
     n = c_modes.size
     sigma = line_capacitance * total_capacitance - float(np.sum(c_modes ** 2))

@@ -22,13 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateResponse, SingularResponseMatrix, StepTooLarge
+# the records the integrator takes, defined without numpy for the config parser
+from .measurement import (  # noqa: F401 -- re-exported
+    DEFAULT_STEP_FACTOR,
+    RK4_STEP_BUDGET,
+    DrivePulse,
+    MeasurementSetup,
+)
 
-# integrator defaults: classical fixed-step RK4, dt = 1e-3 / kappa, half-step
-# convergence probe on by default
-DEFAULT_STEP_FACTOR = 1e-3
-# most default-dt steps one trajectory may take: 1000/kappa, 36x the paper's
-# 28/kappa horizon; configurations asking for more are refused at parse time
-RK4_STEP_BUDGET = 10 ** 6
 STEP_MARGIN = 0.01          # dt <= STEP_MARGIN * min(1/kappa, 1/|D + 3 chi|)
 PROBE_RTOL = 1e-8
 RECORD_TARGET = 2800        # aim for ~2801 stored samples per trajectory
@@ -41,33 +42,6 @@ def hamming_prefactor(hamming_weight):
     if hamming_weight not in (0, 1, 2, 3):
         raise ValueError("hamming_weight must be one of 0..3")
     return 3 - 2 * hamming_weight
-
-
-@dataclass(frozen=True)
-class DrivePulse:
-    """Piecewise cosine-ramped measurement pulse.
-
-    Zero before ``t_on``, cosine ramp of duration ``ramp`` up to ``amplitude``,
-    flat until ``t_off``, cosine ramp back to zero.  The envelope is C^1 at
-    all four joints.
-    """
-
-    amplitude: float
-    ramp: float
-    t_on: float
-    t_off: float
-
-    def __post_init__(self):
-        if self.ramp <= 0:
-            raise ValueError("ramp duration must be positive")
-        if self.t_on < 0:
-            raise ValueError("t_on must be >= 0")
-        if self.t_on + self.ramp > self.t_off:
-            raise ValueError("ramp must finish before t_off")
-
-    @property
-    def t_end(self):
-        return self.t_off + self.ramp
 
 
 def _envelope_pieces(pulse):
@@ -95,26 +69,6 @@ def drive_envelope(t, pulse):
     p = piece[ramps]
     out[ramps] += 2.0 * c1[p] * np.cos(np.pi / pulse.ramp * (t_flat[ramps] - t_ref[p]))
     return float(out[0]) if np.isscalar(t) else out.reshape(t_arr.shape)
-
-
-@dataclass(frozen=True)
-class MeasurementSetup:
-    """Resonator bus, drive-frame detunings, dispersive model and pulse."""
-
-    kappa1: float
-    kappa2: float
-    detuning1: float
-    detuning2: float
-    model: "DispersiveModel"
-    pulse: DrivePulse
-
-    def __post_init__(self):
-        if self.kappa1 < 0 or self.kappa2 < 0 or self.kappa1 + self.kappa2 == 0:
-            raise ValueError("decay rates must be >= 0 and not both zero")
-
-    @property
-    def kappa_scale(self):
-        return max(self.kappa1, self.kappa2)
 
 
 def mode_matrix(setup, hamming_weight):

@@ -21,13 +21,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .dispersive import DispersiveModel, parity_detunings
-from .dynamics import MeasurementSetup, evolve_weights
+from .dynamics import evolve_weights
 from .errors import GridTooCoarse, NonFiniteSignal, QuadratureNonconvergent
+from .measurement import MeasurementSetup
 
 LOG2 = math.log(2.0)
 DEFAULT_QUADRATURE_POINTS = 4001
 QUADRATURE_PADDING = 8.0         # integration range: means +/- padding * sqrt(tau)
 QUADRATURE_RTOL = 1e-6           # doubling check, in bits
+NORMALIZATION_TOL = 1e-8         # |integral of the mixture density - 1| on a gain grid
 PHASE_COARSE_POINTS = 256
 PHASE_SCAN_POINTS = 201          # quadrature of the coarse phase scan, which only ranks phases
 PHASE_SCAN_FLOOR = 1e-12         # bits; rounding-level ties are re-scored too
@@ -252,37 +254,65 @@ def _gain_integrands(model, points):
 
 
 def _integrand_chunks(means, variance, points):
-    """Yield ``(rows, grid, hamming integrand, parity integrand)`` over a
-    stack of models, at most GAIN_CHUNK grid samples per pass so the
+    """Yield ``(rows, grid, density, hamming integrand, parity integrand)``
+    over a stack of models, at most GAIN_CHUNK grid samples per pass so the
     (rows, 4, points) scratch arrays stay small."""
     step = max(1, GAIN_CHUNK // points)
     for start in range(0, len(means), step):
         rows = slice(start, start + step)
         grid, density, info_hw, info_parity = _gain_integrands(
             _ModelStack(means[rows], variance[rows]), points)
-        yield rows, grid, density * info_hw, density * info_parity
+        yield rows, grid, density, density * info_hw, density * info_parity
+
+
+def _gains_and_masses(means, variance, points):
+    """Average (Hamming-weight, parity) gains in bits of n models, (n, 2),
+    by composite Simpson on ``points`` samples, and each model's mixture
+    density integrated on the same grid, (n,)."""
+    gains, masses = np.empty((len(means), 2)), np.empty(len(means))
+    for rows, grid, density, hamming, parity in _integrand_chunks(means, variance, points):
+        masses[rows] = _simpson(density, grid)
+        gains[rows, 0] = _simpson(hamming, grid)
+        gains[rows, 1] = _simpson(parity, grid)
+    return gains, masses
 
 
 def _stack_gains(means, variance, points):
-    """Average (Hamming-weight, parity) gains in bits of n models, (n, 2),
-    by composite Simpson on ``points`` samples."""
-    gains = np.empty((len(means), 2))
-    for rows, grid, hamming, parity in _integrand_chunks(means, variance, points):
-        gains[rows, 0] = _simpson(hamming, grid)
-        gains[rows, 1] = _simpson(parity, grid)
+    """The gains of ``_gains_and_masses``, where they only rank or cross-check."""
+    return _gains_and_masses(means, variance, points)[0]
+
+
+def _guarded_gains(means, variance, points):
+    """The gains of ``_gains_and_masses``, for publishing.
+
+    Every model's density must integrate to 1 within NORMALIZATION_TOL
+    (QuadratureNonconvergent otherwise).  Once the means spread over a few
+    thousand sigma the fixed grid's nodes fall too far apart for the
+    Gaussians; past about 1e4 sigma they step over them, and the density and
+    the gains read about 0 at any resolution the doubling check tries.
+    """
+    gains, masses = _gains_and_masses(means, variance, points)
+    error = np.abs(masses - 1.0)
+    worst = int(np.argmax(error))
+    if not error[worst] <= NORMALIZATION_TOL:       # a NaN fails too
+        spread = np.ptp(means[worst]) / math.sqrt(variance[worst])
+        raise QuadratureNonconvergent(
+            f"the signal density integrates to {masses[worst]:.12g}, not 1, on the "
+            f"{points}-point gain grid: means {spread:.3g} sigma apart are not resolved")
     return gains
 
 
 def info_gains(model, points=DEFAULT_QUADRATURE_POINTS, check=True):
     """Average information gains (bits) about Hamming weight and parity.
 
-    Composite Simpson over the signal mixture on means +/- 8 sigma; with
-    ``check=True`` the quadrature is repeated at doubled resolution and must
-    agree within 1e-6 bits (QuadratureNonconvergent otherwise).
+    Composite Simpson over the signal mixture on means +/- 8 sigma, on which
+    the mixture density must integrate to 1 within 1e-8; with ``check=True``
+    the quadrature is repeated at doubled resolution and must agree within
+    1e-6 bits (QuadratureNonconvergent otherwise).
     """
     means = np.reshape(np.asarray(model.means, dtype=float), (1, 4))
     variance = np.array([model.variance], dtype=float)
-    gains = _stack_gains(means, variance, points)[0]
+    gains = _guarded_gains(means, variance, points)[0]
     if check:
         moved = np.abs(_stack_gains(means, variance, 2 * (points - 1) + 1)[0] - gains)
         if not np.all(moved <= QUADRATURE_RTOL):       # a NaN fails too
@@ -303,7 +333,7 @@ def _phase_bracket(integrals, phis, tau):
     means = _project(np.asarray(integrals), phis[:, None])
     variance = np.full(phis.size, tau)
     values, errors = np.empty(phis.size), np.empty(phis.size)
-    for rows, grid, _, parity in _integrand_chunks(means, variance, PHASE_SCAN_POINTS):
+    for rows, grid, _, _, parity in _integrand_chunks(means, variance, PHASE_SCAN_POINTS):
         values[rows] = _simpson(parity, grid)
         errors[rows] = np.abs(values[rows] - _simpson(parity[:, ::2], grid[:, ::2]))
     best = int(np.argmax(values))
@@ -365,7 +395,8 @@ def measurement_rates(taus, gains):
     recovered = float(np.trapezoid(rates, taus))
     if not abs(recovered - (gains[-1] - gains[0])) <= RATE_CONSISTENCY_BITS:  # a NaN fails too
         raise GridTooCoarse(
-            f"rate integral {recovered:.4f} vs gain {gains[-1] - gains[0]:.4f} bits")
+            f"rate integral {recovered:.4f} vs gain {gains[-1] - gains[0]:.4f} bits; "
+            f"raise analysis.tau_points to resolve the gain's rise")
     return rates
 
 
@@ -443,7 +474,7 @@ def analyze_trajectories(trajectories, tau, phase="optimal", tau_points=57,
 
     rate_hw = rate_parity = series_hw = series_parity = None
     if with_rates:
-        series = _stack_gains(means, tau_grid[1:], DEFAULT_QUADRATURE_POINTS)
+        series = _guarded_gains(means, tau_grid[1:], DEFAULT_QUADRATURE_POINTS)
         series_hw = np.concatenate(([0.0], series[:, 0]))
         series_parity = np.concatenate(([0.0], series[:, 1]))
         rate_hw = measurement_rates(tau_grid, series_hw)

@@ -428,6 +428,9 @@ TRANSMON = {"type": "transmon", "josephson_energy_mhz": 20000.0,
     ("validate", "validation.dispersion_grid", 1e9, "validation.dispersion_grid"),
     ("sweep", "analysis.sweep.points", 10_002, "analysis.sweep.points"),
     ("sweep", "analysis.sweep.points", 1e9, "analysis.sweep.points"),
+    # grids that sample one offset (ng = 1 is ng = 0 up to truncation) measure no dispersion
+    ("validate", "validation.dispersion_grid", 1, "validation.dispersion_grid"),
+    ("validate", "validation.dispersion_grid", 2, "validation.dispersion_grid"),
 ])
 def test_cli_rejects_malformed_field(tmp_path, capsys, command, path, value, message):
     # dotted keys step into objects, [i] into lists
@@ -470,7 +473,7 @@ def test_cli_short_ramp_fails_the_probe(tmp_path, capsys):
 
 
 # validate sized down to a fraction of a second per run
-SMALL_VALIDATION = {"coupling_ratio": 0.05, "charge_cutoff": 8, "dispersion_grid": 1}
+SMALL_VALIDATION = {"coupling_ratio": 0.05, "charge_cutoff": 8, "dispersion_grid": 3}
 
 
 @pytest.mark.parametrize("ratio", [5e-324, 1e-300, 2.2250738585072014e-308])
@@ -484,6 +487,30 @@ def test_cli_validate_underflowed_coupling_ratio_fails(tmp_path, ratio):
             (tmp_path / "validation.csv").read_text().splitlines()[1:]]
     assert any(not math.isfinite(float(value)) and status == "fail"
                for _, value, _, status, _ in rows)
+
+
+@pytest.mark.parametrize("amplitude", [1e6, 1e7])
+def test_cli_unresolved_gain_quadrature_exits_4(tmp_path, capsys, amplitude):
+    # means millions of sigma apart fall between the nodes of the gain grid:
+    # unguarded, the gains read about 1e-12 bits where the true ones are 2 and 1
+    config = _write_variant(tmp_path, "loud", lambda tree: tree["pulse"].__setitem__(
+        "amplitude", amplitude))
+    assert run(["simulate", "--config", str(config), "--out", str(tmp_path), "--quiet"]) == 4
+    assert "the signal density integrates to" in capsys.readouterr().err
+
+
+def test_cli_rate_consistency_names_tau_points(tmp_path, capsys):
+    # the gain of a strong drive rises faster than 57 tau points resolve; 201 do
+    def edit(tau_points):
+        def apply(tree):
+            tree["pulse"]["amplitude"] = 30
+            tree["analysis"]["tau_points"] = tau_points
+        return apply
+    argv = ["simulate", "--out", str(tmp_path), "--quiet", "--config"]
+    assert run(argv + [str(_write_variant(tmp_path, "coarse", edit(57)))]) == 4
+    assert ("rate integral 1.0105 vs gain 1.0092 bits; raise analysis.tau_points"
+            in capsys.readouterr().err)
+    assert run(argv + [str(_write_variant(tmp_path, "fine", edit(201)))]) == 0
 
 
 def test_cli_tcq_far_from_resonators_exits_3(tmp_path, capsys):
@@ -634,7 +661,8 @@ def test_cli_validate_contract_walk(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# start-up: scipy is loaded by validate only, and no command starts a process pool
+# start-up: scenario-list and dispersive load no numpy, scipy is loaded by
+# validate only, and no command starts a process pool
 # ---------------------------------------------------------------------------
 
 def _modules_after(code, tmp_path, packages=("scipy",)):
@@ -666,9 +694,50 @@ def test_design_commands_load_no_scipy(tmp_path):
                           ("scipy", "concurrent")) == "[]"
 
 
+def test_cli_import_loads_no_numpy(tmp_path):
+    assert _modules_after("import parity_scope.cli", tmp_path, ("numpy",)) == "[]"
+
+
+def test_scenario_list_and_dispersive_load_no_numpy(tmp_path):
+    from parity_scope.config import PRESETS
+    tcq = _write_variant(tmp_path, "tcq", lambda tree: None)
+    transmon = tmp_path / "transmon.json"
+    transmon.write_text(json.dumps(PRESETS["transmon-obstruction"]))
+    malformed = _write_variant(tmp_path, "malformed", lambda tree: tree["bus"].__setitem__(
+        "kappa1_mhz", -5.0))
+    code = "\n".join(
+        f"assert main({argv!r}) == {exit_code}" for argv, exit_code in (
+            (["scenario-list"], 0),
+            (["dispersive", "--config", str(tcq), "--out", "out", "--quiet"], 0),
+            (["dispersive", "--config", str(transmon), "--out", "out", "--quiet"], 3),
+            (["dispersive", "--config", str(malformed), "--out", "out", "--quiet"], 2)))
+    assert _modules_after("from parity_scope.cli import main\n" + code, tmp_path,
+                          ("numpy",)) == "[]"
+
+
+def test_validate_loads_neither_dynamics_nor_inference(tmp_path):
+    path = _write_variant(tmp_path, "tiny", lambda tree: tree.__setitem__(
+        "validation", SMALL_VALIDATION))
+    code = ("from parity_scope.cli import main\n"
+            f"assert main(['validate', '--config', {str(path)!r}, '--out', 'out', '--quiet']) == 0")
+    loaded = _modules_after(code, tmp_path, ("parity_scope",))
+    assert "'parity_scope.spectral'" in loaded
+    assert "'parity_scope.dynamics'" not in loaded
+    assert "'parity_scope.inference'" not in loaded
+
+
+def test_measurement_records_have_one_definition():
+    # config builds them without numpy; dynamics and the package re-export them
+    from parity_scope import config, dynamics, measurement
+    for name in ("DEFAULT_STEP_FACTOR", "RK4_STEP_BUDGET", "DrivePulse", "MeasurementSetup"):
+        assert getattr(config, name) is getattr(dynamics, name) is getattr(measurement, name)
+    for name in ("DrivePulse", "MeasurementSetup"):
+        assert getattr(parity_scope, name) is getattr(measurement, name)
+
+
 def test_validate_loads_scipy(tmp_path):
     path = _write_variant(tmp_path, "tiny", lambda tree: tree.__setitem__(
-        "validation", {"charge_cutoff": 8, "dispersion_grid": 1}))
+        "validation", {"charge_cutoff": 8, "dispersion_grid": 3}))
     code = ("from parity_scope.cli import main\n"
             f"main(['validate', '--config', {str(path)!r}, '--out', 'out', '--quiet'])")
     loaded = _modules_after(code, tmp_path)

@@ -193,6 +193,24 @@ def test_info_gains_fail_closed_on_nan():
         info_gains(SignalModel(1.0, 0.0, (0.0, 1e160, 2e160, 3e160)))
 
 
+@pytest.mark.parametrize("check", [True, False])
+def test_info_gains_fail_closed_on_an_unresolved_mixture(check):
+    # means 1e5 sigma apart fall between the nodes of both grids: the density,
+    # and with it every gain, integrates to about 0 at either resolution
+    model = SignalModel(1.0, 0.0, (0.0, 1e5, 2e5, 3e5))
+    with pytest.raises(QuadratureNonconvergent, match="density integrates"):
+        info_gains(model, check=check)
+
+
+def test_stacked_gains_fail_closed_on_an_unresolved_row():
+    # the tau-series kernel behind the rates: one unresolved row among
+    # resolved ones fails the whole stack
+    from parity_scope.inference import _guarded_gains
+    means = np.array([[0.0, 1.0, 2.0, 3.0]] * 3 + [[0.0, 1e5, 2e5, 3e5]])
+    with pytest.raises(QuadratureNonconvergent, match="density integrates"):
+        _guarded_gains(means, np.ones(4), 4001)
+
+
 def test_info_gains_perfect_discrimination():
     tau = 1.0
     sep = 25.0 * math.sqrt(tau)
