@@ -387,8 +387,10 @@ PRESETS = {
         "analysis": {"measurement_time": 28.0},
         "output_dir": "out",
     },
+    # the TCQs sit below the resonators, so the derivable shifts are negative;
+    # the sweep reads no targets, and its gains are even in chi
     "fig4-cuts": _tcq_preset(
-        0.5, 0.5, "fig4-cuts",
+        -0.5, -0.5, "fig4-cuts",
         "diagonal and asymmetric information-gain cuts over chi/kappa"),
 }
 

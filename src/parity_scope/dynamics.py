@@ -34,7 +34,6 @@ STEP_MARGIN = 0.01          # dt <= STEP_MARGIN * min(1/kappa, 1/|D + 3 chi|)
 PROBE_RTOL = 1e-8
 RECORD_TARGET = 2800        # aim for ~2801 stored samples per trajectory
 RECURRENCE_CHUNK = 1024     # most steps or blocks summed at once; bounds the scratch arrays
-RECURRENCE_RANGE = 16.0     # most e-folds of decay one chunk spans; bounds lam^-k
 
 
 def hamming_prefactor(hamming_weight):
@@ -144,18 +143,6 @@ def _rk4_coefficients(m, dt, u):
     return step, w_left, w_mid, w_right
 
 
-def _scalar_recurrence(powers, inverse_powers, x, carry):
-    """y[k] for k = 1..n of y[k] = lam y[k-1] + x[k-1] from y[0] = carry, as
-    lam^k (carry + sum_{j<k} lam^-(j+1) x[j]), along the last axis of x (..., n).
-    A one-term table (no inverse powers) takes the step itself: y[1] = lam
-    carry + x[0]."""
-    if inverse_powers is None:
-        return powers * carry[..., None] + x
-    n = x.shape[-1]
-    return powers[..., :n] * (carry[..., None]
-                              + np.cumsum(inverse_powers[..., :n] * x, axis=-1))
-
-
 def _schur2(m):
     """Complex Schur form of a 2x2 matrix or a stack of them, M = Q T Q^H
     with T upper triangular.
@@ -173,48 +160,35 @@ def _schur2(m):
     return t, q
 
 
-def _power_table(r, n):
-    """lam^k and lam^-k for k = 1..length of both diagonal entries of an
-    upper-triangular 2x2 ``r`` (or a stack), and its coupling r[0, 1].  One
-    chunk holds at most ``n`` and RECURRENCE_CHUNK terms, and no more than
-    keep lam^-k within RECURRENCE_RANGE e-folds.  A table of one term holds
-    lam alone: lam^-1 overflows where lam underflows to 0."""
-    lam = np.diagonal(r, axis1=-2, axis2=-1)
-    with np.errstate(divide="ignore"):
-        log_lam = np.log(lam)
-    decay = np.abs(log_lam.real).max()
-    length = min(n, RECURRENCE_CHUNK)
-    if decay * length > RECURRENCE_RANGE:
-        length = max(1, int(RECURRENCE_RANGE / decay))
-    if length == 1:
-        return lam[..., None], None, r[..., 0, 1, None]
-    log_powers = log_lam[..., None] * np.arange(1, length + 1)
-    return np.exp(log_powers), np.exp(-log_powers), r[..., 0, 1, None]
+def _scan(step, g):
+    """y[k] = step y[k-1] + g[k] for every k along the last axis of g (..., 2, n),
+    from y[-1] = 0, by a doubling scan (Hillis and Steele, CACM 29, 1170, 1986):
+    pass s adds P y[k - s] with P = step^s, so after it y[k] sums the terms
+    of its last 2 s inputs.  Matrix products alone: no power of step is ever
+    inverted, so no decay or growth needs a bound.  g is overwritten."""
+    s, p = 1, step
+    while s < g.shape[-1]:
+        g[..., s:] += p @ g[..., :-s]
+        s, p = 2 * s, p @ p
+    return g
 
 
-def _advance(table, forcing, n, every, out):
-    """``n`` terms of y <- r y + g from y = 0, for the upper-triangular r of
-    ``table``, in closed form one chunk of the table's length at a time: the
-    second component is a scalar recurrence and it feeds the first.
+def _advance(step, forcing, n, every, out):
+    """``n`` terms of y <- step y + g from y = 0, one RECURRENCE_CHUNK of terms
+    at a time: the last value of a chunk enters the first term of the next.
     ``forcing(i, j)`` gives g (..., 2, j - i) of terms i..j-1, and every
     ``every``-th value is written to ``out`` (..., 2, n // every)."""
-    powers, inverse_powers, coupling = table
-    rows = [(powers[..., i, :], None if inverse_powers is None else inverse_powers[..., i, :])
-            for i in (0, 1)]
-    y1 = y2 = np.zeros(out.shape[:-2], dtype=complex)
-    for start in range(0, n, powers.shape[-1]):
-        stop = min(start + powers.shape[-1], n)
+    y = np.zeros(out.shape[:-1] + (1,), dtype=complex)
+    for start in range(0, n, RECURRENCE_CHUNK):
+        stop = min(start + RECURRENCE_CHUNK, n)
         g = forcing(start, stop)
-        z2 = _scalar_recurrence(*rows[1], g[..., 1, :], y2)
-        # the first component sees y2 before each term: y2[start .. stop-1]
-        g1 = g[..., 0, :] + coupling * np.concatenate([y2[..., None], z2[..., :-1]], axis=-1)
-        z1 = _scalar_recurrence(*rows[0], g1, y1)
-        y1, y2 = z1[..., -1], z2[..., -1]
+        g[..., :1] += step @ y
+        z = _scan(step, g)
+        y = z[..., -1:]
         # values n = k * every with start < n <= stop sit at z[n - start - 1]
         first, last = start // every, stop // every
         offset = (first + 1) * every - start - 1
-        out[..., 0, first:last] = z1[..., offset::every]
-        out[..., 1, first:last] = z2[..., offset::every]
+        out[..., first:last] = z[..., offset::every]
 
 
 def _integrate(m, u, pulse, dt, n_steps, stride):
@@ -224,7 +198,10 @@ def _integrate(m, u, pulse, dt, n_steps, stride):
     vector ``u`` and the pulse; each returned component is (..., n_steps //
     stride + 1).  Solved in the complex Schur basis of the generator,
     M = Q T Q^H, which exists for every M (defective ones included): there
-    S = Q p(dt T) Q^H is upper triangular.
+    the step p(dt T) is upper triangular, and so is every power of it, with
+    entry [1, 0] exactly 0.  So the second component stays an exact scalar
+    recurrence, as in the step loop.  (In M's own basis the rounding of the
+    scan leaks into an undamped mode, as at chi = 0, 1e-9 of the final value.)
 
     Each block of ``stride`` steps between two records is one jump y[k+1] =
     S^stride y[k] + F[k].  Inside one pulse piece the drive is sum_j c_j
@@ -238,7 +215,7 @@ def _integrate(m, u, pulse, dt, n_steps, stride):
     which never divides by lam - mu, so a drive resonant with the generator
     needs no special case.  A block whose end nodes fall in different pieces
     straddles a joint; its F[k] is its own steps of S with the sampled drive.
-    The jumps, like those steps, are summed in closed form.
+    The jumps, like those steps, are summed by ``_scan``.
     """
     t, q = _schur2(m)
     r, v_left, v_mid, v_right = _rk4_coefficients(t, dt, np.swapaxes(q.conj(), -1, -2) @ u)
@@ -268,8 +245,6 @@ def _integrate(m, u, pulse, dt, n_steps, stride):
         return (v_left[..., None] * beta[:size] + v_mid[..., None] * beta[size + 1:]
                 + v_right[..., None] * beta[1:size + 1])
 
-    steps = _power_table(r, stride)
-
     def forcing(i, j):
         # F[k] of blocks i..j-1
         p = block_piece[i:j]
@@ -280,13 +255,12 @@ def _integrate(m, u, pulse, dt, n_steps, stride):
             g += jump[..., :2, 3, None] * wave
             g += jump[..., :2, 4, None] * wave.conj()
         for k in np.flatnonzero(~whole[i:j]):
-            _advance(steps, lambda a, b, first=(i + k) * stride: sampled(first + a, first + b),
+            _advance(r, lambda a, b, first=(i + k) * stride: sampled(first + a, first + b),
                      stride, stride, g[..., k:k + 1])
         return g
 
     rec = np.zeros(m.shape[:-2] + (2, n_blocks + 1), dtype=complex)
-    _advance(_power_table(jump[..., :2, :2], n_blocks),
-             forcing, n_blocks, 1, rec[..., 1:])
+    _advance(jump[..., :2, :2], forcing, n_blocks, 1, rec[..., 1:])
     q = q[..., None]
     rec1, rec2 = rec[..., 0, :], rec[..., 1, :]
     return (q[..., 0, 0, :] * rec1 + q[..., 0, 1, :] * rec2,

@@ -160,6 +160,14 @@ def test_cli_dispersive_transmon_exit_code(tmp_path):
     assert payload["switch_excess"] >= 0.0
 
 
+def test_cli_dispersive_fig4_cuts(tmp_path):
+    # the preset's TCQs sit below the resonators, where the shifts are negative
+    code = run(["dispersive", "--preset", "fig4-cuts", "--out", str(tmp_path), "--quiet"])
+    assert code == 0
+    payload = json.loads((tmp_path / "dispersive.json").read_text())
+    assert payload["parity_condition_satisfiable"] is True
+
+
 def test_cli_simulate_single_weight(tmp_path):
     code = run(["simulate", "--preset", "paper-sec5-symmetric",
                 "--out", str(tmp_path), "--hw", "2", "--quiet"])
@@ -500,17 +508,62 @@ def test_cli_unresolved_gain_quadrature_exits_4(tmp_path, capsys, amplitude):
 
 
 def test_cli_rate_consistency_names_tau_points(tmp_path, capsys):
-    # the gain of a strong drive rises faster than 57 tau points resolve; 201 do
+    # the gain of a strong drive rises faster than 57 tau points resolve; 201 do.
+    # The parity gain saturates at 1 bit to rounding over a range of phases, so
+    # "optimal" would pick one by a rounding tie: the phase is pinned
     def edit(tau_points):
         def apply(tree):
             tree["pulse"]["amplitude"] = 30
             tree["analysis"]["tau_points"] = tau_points
+            tree["analysis"]["phase"] = 2.4709148669175103
         return apply
     argv = ["simulate", "--out", str(tmp_path), "--quiet", "--config"]
     assert run(argv + [str(_write_variant(tmp_path, "coarse", edit(57)))]) == 4
     assert ("rate integral 1.0105 vs gain 1.0092 bits; raise analysis.tau_points"
             in capsys.readouterr().err)
     assert run(argv + [str(_write_variant(tmp_path, "fine", edit(201)))]) == 0
+
+
+def _simulate_summary(tmp_path, name, edit):
+    out = tmp_path / name
+    config = _write_variant(tmp_path, name, edit)
+    assert run(["simulate", "--config", str(config), "--out", str(out), "--quiet"]) == 0
+    summary = json.loads((out / "simulate.json").read_text())
+    del summary["files"]
+    files = {path.name: path.read_bytes() for path in sorted(out.glob("*.csv"))}
+    return summary, files
+
+
+def test_cli_simulate_metamorphic_relations(tmp_path):
+    # the physics is in units of kappa and the register is matched: scaling
+    # every frequency, reversing the devices or quoting the times in us must
+    # not move the gains or the phase beyond rounding
+    def scaled(factor):
+        def apply(tree):
+            for section in tree["devices"] + [tree["bus"]]:
+                for key, value in section.items():
+                    if key.endswith("_mhz") and not isinstance(value, str):
+                        section[key] = value * factor
+        return apply
+
+    def reversed_devices(tree):
+        tree["devices"].reverse()
+
+    def in_us(tree):
+        kappa = max(tree["bus"]["kappa1_mhz"], tree["bus"]["kappa2_mhz"]) * MHZ
+        for key in ("ramp", "t_on", "t_off"):
+            tree["pulse"][key] *= 1.0 / kappa
+        tree["analysis"]["measurement_time"] /= kappa
+        tree["pulse"]["time_unit"] = tree["analysis"]["time_unit"] = "us"
+
+    base, base_files = _simulate_summary(tmp_path, "base", lambda tree: None)
+    variants = [(f"x{factor}", scaled(factor)) for factor in (0.5, 2, 3)]
+    for name, edit in variants + [("reversed", reversed_devices)]:
+        summary, _ = _simulate_summary(tmp_path, name, edit)
+        for key in ("info_parity_bits", "info_hamming_bits"):
+            assert abs(summary[key] - base[key]) <= 1e-13, (name, key)
+        assert abs(summary["optimal_phase_rad"] - base["optimal_phase_rad"]) <= 1e-12, name
+    assert _simulate_summary(tmp_path, "us", in_us) == (base, base_files)
 
 
 def test_cli_tcq_far_from_resonators_exits_3(tmp_path, capsys):
