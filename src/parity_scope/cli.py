@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import numbers
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -25,6 +26,9 @@ from .errors import ConfigError, ParityScopeError
 CONFIG_EXIT = 2
 PHYSICS_EXIT = 3
 NUMERICS_EXIT = 4
+# OpenBLAS reads its thread count from the first of these that is set, once,
+# when numpy loads
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 ERROR_PREFIX = {CONFIG_EXIT: "configuration error",
                 PHYSICS_EXIT: "physics condition failed",
                 NUMERICS_EXIT: "numerical convergence failure"}
@@ -431,8 +435,22 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one command and return its exit code.
+
+    Both process entry points, ``python -m parity_scope.cli`` and the
+    ``parity-scope`` script, call this without arguments.  Then ``simulate``
+    and ``sweep`` load numpy with one BLAS thread unless the environment
+    already names a count: their products are at most 2x2 by 2x1024, far
+    below OpenBLAS's threading threshold, so a second thread only spins.
+    ``validate`` keeps the library default, since its dense ``eigh`` uses both
+    cores.  A call with ``argv`` runs in a process that may hold other work,
+    so it leaves the environment as it is.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
+    if (argv is None and args.func in (cmd_simulate, cmd_sweep)
+            and not any(name in os.environ for name in BLAS_THREAD_VARIABLES)):
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
     try:
         return args.func(args)
     except ParityScopeError as exc:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import parity_scope
-from parity_scope.cli import main, read_csv
+from parity_scope.cli import BLAS_THREAD_VARIABLES, main, read_csv
 from parity_scope.config import (
     MHZ,
     derive_scenario,
@@ -534,18 +534,20 @@ def _simulate_summary(tmp_path, name, edit):
     return summary, files
 
 
+def _scaled(factor):
+    """Config edit that multiplies every numeric MHz field by ``factor``."""
+    def apply(tree):
+        for section in tree["devices"] + [tree["bus"]]:
+            for key, value in section.items():
+                if key.endswith("_mhz") and not isinstance(value, str):
+                    section[key] = value * factor
+    return apply
+
+
 def test_cli_simulate_metamorphic_relations(tmp_path):
     # the physics is in units of kappa and the register is matched: scaling
     # every frequency, reversing the devices or quoting the times in us must
     # not move the gains or the phase beyond rounding
-    def scaled(factor):
-        def apply(tree):
-            for section in tree["devices"] + [tree["bus"]]:
-                for key, value in section.items():
-                    if key.endswith("_mhz") and not isinstance(value, str):
-                        section[key] = value * factor
-        return apply
-
     def reversed_devices(tree):
         tree["devices"].reverse()
 
@@ -557,13 +559,39 @@ def test_cli_simulate_metamorphic_relations(tmp_path):
         tree["pulse"]["time_unit"] = tree["analysis"]["time_unit"] = "us"
 
     base, base_files = _simulate_summary(tmp_path, "base", lambda tree: None)
-    variants = [(f"x{factor}", scaled(factor)) for factor in (0.5, 2, 3)]
+    variants = [(f"x{factor}", _scaled(factor)) for factor in (0.5, 2, 3)]
     for name, edit in variants + [("reversed", reversed_devices)]:
         summary, _ = _simulate_summary(tmp_path, name, edit)
         for key in ("info_parity_bits", "info_hamming_bits"):
             assert abs(summary[key] - base[key]) <= 1e-13, (name, key)
         assert abs(summary["optimal_phase_rad"] - base["optimal_phase_rad"]) <= 1e-12, name
     assert _simulate_summary(tmp_path, "us", in_us) == (base, base_files)
+
+
+def test_cli_sweep_metamorphic_relations(tmp_path):
+    # the sweep works in units of kappa and its pulse and horizon are given in
+    # 1/kappa: scaling every frequency must not move a gain or a phase beyond
+    # rounding.  missing_parity_log10 amplifies the rounding of 1 - gain
+    def cuts(name, edit):
+        def apply(tree):
+            tree["analysis"]["sweep"] = {"minimum": 0.4, "maximum": 0.6, "points": 2,
+                                         "asymmetric_chi2": 0.3}
+            edit(tree)
+        config = _write_variant(tmp_path, name, apply)
+        out = tmp_path / name
+        assert run(["sweep", "--config", str(config), "--out", str(out), "--quiet"]) == 0
+        return [row for cut in ("diagonal", "asymmetric")
+                for row in read_csv(out / f"sweep_{cut}.csv")[1]]
+
+    base = cuts("base", lambda tree: None)
+    for factor in (0.5, 2, 3):
+        for row, ref in zip(cuts(f"x{factor}", _scaled(factor)), base, strict=True):
+            chi1, chi2, parity, hamming, _, missing_log10, phase = row
+            assert [chi1, chi2] == ref[:2]
+            assert abs(parity - ref[2]) <= 1e-13, (factor, row)
+            assert abs(hamming - ref[3]) <= 1e-13, (factor, row)
+            assert abs(missing_log10 - ref[5]) <= 1e-12, (factor, row)
+            assert abs(phase - ref[6]) <= 1e-12, (factor, row)
 
 
 def test_cli_tcq_far_from_resonators_exits_3(tmp_path, capsys):
@@ -718,16 +746,27 @@ def test_cli_validate_contract_walk(tmp_path, capsys):
 # validate only, and no command starts a process pool
 # ---------------------------------------------------------------------------
 
-def _modules_after(code, tmp_path, packages=("scipy",)):
-    """Modules of ``packages`` loaded in a fresh interpreter after running ``code``."""
+def _fresh_interpreter(code, tmp_path, env=None):
+    """Last stdout line of ``code`` run in a fresh interpreter.  ``env`` adds
+    to this process's environment; a value of None removes the variable."""
     src = os.path.dirname(os.path.dirname(parity_scope.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    environ = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    probe = (code + "\nimport sys\nprint(sorted(m for m in sys.modules"
-             f" if m.split('.')[0] in {tuple(packages)!r}))")
-    out = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env=env,
+    for name, value in (env or {}).items():
+        if value is None:
+            environ.pop(name, None)
+        else:
+            environ[name] = value
+    out = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=environ,
                          capture_output=True, text=True, check=True, timeout=300)
     return out.stdout.strip().splitlines()[-1]
+
+
+def _modules_after(code, tmp_path, packages=("scipy",)):
+    """Modules of ``packages`` loaded in a fresh interpreter after running ``code``."""
+    probe = (code + "\nimport sys\nprint(sorted(m for m in sys.modules"
+             f" if m.split('.')[0] in {tuple(packages)!r}))")
+    return _fresh_interpreter(probe, tmp_path)
 
 
 def test_cli_import_loads_no_scipy(tmp_path):
@@ -806,3 +845,67 @@ def test_package_exports_resolve():
     assert set(parity_scope.__all__) <= set(dir(parity_scope))
     with pytest.raises(AttributeError):
         parity_scope.no_such_name
+
+
+# ---------------------------------------------------------------------------
+# BLAS threads: simulate and sweep processes load numpy with one, validate
+# keeps the library default, and a count the user set wins
+# ---------------------------------------------------------------------------
+
+def _tasks_after(argv, tmp_path, **env):
+    """Threads of a fresh interpreter that ran ``argv`` through the process
+    entry point, with no BLAS thread variable set but those in ``env``."""
+    code = ("import os, sys\nfrom parity_scope.cli import main\n"
+            f"sys.argv = ['parity-scope', *{argv!r}]\n"
+            "assert main() == 0\n"
+            "print(len(os.listdir('/proc/self/task')))")
+    return int(_fresh_interpreter(code, tmp_path,
+                                  dict(dict.fromkeys(BLAS_THREAD_VARIABLES), **env)))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task") or (os.cpu_count() or 1) < 2,
+                    reason="needs /proc/self/task and two CPUs")
+def test_cli_blas_threads_per_command(tmp_path):
+    one = _write_variant(tmp_path, "one", lambda tree: tree["analysis"].__setitem__(
+        "sweep", {"minimum": 0.5, "maximum": 0.5, "points": 1, "asymmetric_chi2": 0.3}))
+    small = _write_variant(tmp_path, "small", lambda tree: tree.__setitem__(
+        "validation", SMALL_VALIDATION))
+    simulate = ["simulate", "--preset", "paper-sec5-symmetric", "--hw", "0",
+                "--out", "out", "--quiet"]
+    assert _tasks_after(simulate, tmp_path) == 1
+    assert _tasks_after(["sweep", "--config", str(one), "--out", "out", "--quiet"],
+                        tmp_path) == 1
+    assert _tasks_after(simulate, tmp_path, OPENBLAS_NUM_THREADS="2") == 2
+    assert _tasks_after(simulate, tmp_path, OMP_NUM_THREADS="2") == 2
+    assert _tasks_after(["validate", "--config", str(small), "--out", "out", "--quiet"],
+                        tmp_path) >= 2
+
+
+def test_cli_in_process_main_leaves_the_environment(tmp_path, monkeypatch):
+    # a caller of main(argv) may run validate next in the same process
+    for name in BLAS_THREAD_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    before = dict(os.environ)
+    assert run(["simulate", "--preset", "paper-sec5-symmetric", "--hw", "0",
+                "--out", str(tmp_path), "--quiet"]) == 0
+    assert dict(os.environ) == before
+
+
+def test_validate_agrees_across_blas_thread_counts(tmp_path):
+    # the charge-basis eigh rounds differently on one and two BLAS threads:
+    # the last digits may move, by no more than the benchmark's reference rule
+    config = _write_variant(tmp_path, "small", lambda tree: tree.__setitem__(
+        "validation", SMALL_VALIDATION))
+    rows = {}
+    for threads in ("1", "2"):
+        argv = ["validate", "--config", str(config), "--out", threads, "--quiet"]
+        code = f"from parity_scope.cli import main\nprint(main({argv!r}))"
+        assert _fresh_interpreter(code, tmp_path, dict(
+            dict.fromkeys(BLAS_THREAD_VARIABLES), OPENBLAS_NUM_THREADS=threads)) == "0"
+        lines = (tmp_path / threads / "validation.csv").read_text().splitlines()[1:]
+        rows[threads] = [line.split(",") for line in lines]
+    assert [row[0] for row in rows["1"]] == [row[0] for row in rows["2"]]
+    for (name, one, threshold, *_), (_, two, *_) in zip(rows["1"], rows["2"]):
+        one, two, threshold = float(one), float(two), float(threshold)
+        tolerance = 1e-10 * max(abs(one), abs(threshold)) + 1e-13
+        assert abs(one - two) <= tolerance, (name, one, two)

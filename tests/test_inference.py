@@ -316,6 +316,14 @@ def test_sweep_bit_identical_across_worker_counts():
     assert serial == parallel
 
 
+def test_sweep_reversed_pairs_give_reversed_rows():
+    # each point is scored on its own: input order is output order, bitwise
+    from parity_scope.inference import chi_sweep
+    pairs = [(0.3, 0.3), (0.5, 0.5), (0.7, 0.3), (1.0, 0.6)]
+    forward = chi_sweep(pairs, 1.0, reference_pulse(), 28.0)
+    assert chi_sweep(pairs[::-1], 1.0, reference_pulse(), 28.0) == forward[::-1]
+
+
 def test_sweep_runs_richardson_guard(monkeypatch):
     from parity_scope import dynamics
     from parity_scope.inference import chi_sweep
