@@ -236,7 +236,11 @@ def cmd_sweep(args):
     from .inference import chi_sweep
 
     cfg = _load(args)
-    kappa = max(cfg.kappa1, cfg.kappa2)
+    if cfg.kappa1 != cfg.kappa2:
+        # every point puts one kappa on both buses, the unit of the chi/kappa axis
+        raise ConfigError("bus.kappa1_mhz and bus.kappa2_mhz differ: sweep needs one decay "
+                          "rate, the kappa of its chi/kappa axis")
+    kappa = cfg.kappa1
     pulse = cfg.pulse.resolve(kappa)
     tau = cfg.analysis.resolve_measurement_time(kappa)
     sweep = cfg.analysis.sweep

@@ -42,6 +42,8 @@ MATCHED_CHI_RTOL = 1e-6
 # grids 1 and 2 sample only ng = 0 and ng = 1, one offset up to truncation,
 # so they cannot measure a charge dispersion
 DISPERSION_GRID_MIN = 3
+# up to about 5.5e-3 the zero-switch check fails on the minimizer's rounding
+COUPLING_RATIO_MIN = 1e-2
 # a 101 x 101 offset grid is about 5,000 dense charge-basis solves
 DISPERSION_GRID_MAX = 101
 # 10,001 points on each of the two cuts are about 10 minutes of sweep at ~25 ms a point
@@ -299,13 +301,16 @@ def parse_config(tree, name="config"):
             f"of {RK4_STEP_BUDGET:.0e}")
     raw_validation = _section(tree, "validation")
     validation = ValidationConfig(
-        coupling_ratio=_positive(raw_validation, "coupling_ratio", "validation", 0.05),
+        coupling_ratio=_number(raw_validation, "coupling_ratio", "validation", 0.05),
         # room for one cutoff + 4 convergence probe below the ceiling
         charge_cutoff=_integer(raw_validation, "charge_cutoff", "validation", 12, 8,
                                CHARGE_CUTOFF_CEILING - 4),
         dispersion_grid=_integer(raw_validation, "dispersion_grid", "validation", 21,
                                  DISPERSION_GRID_MIN, DISPERSION_GRID_MAX),
     )
+    if validation.coupling_ratio < COUPLING_RATIO_MIN:
+        raise ConfigError(f"validation.coupling_ratio: expected at least "
+                          f"{COUPLING_RATIO_MIN:g}, got {validation.coupling_ratio!r}")
     output_dir = tree.get("output_dir", "out")
     if not isinstance(output_dir, str):
         raise ConfigError(f"output_dir: expected a path string, got {output_dir!r}")

@@ -277,7 +277,9 @@ def evolve_weights(setup, weights, t_final, dt=None, stride=None, probe=True):
     trajectory is repeated at dt/2 (the same ``_integrate`` call on the same
     record grid) and its final amplitudes must agree to 1e-8 relative,
     otherwise StepTooLarge.  ``stride`` controls the recorded grid (default
-    ~2801 samples); the work grows with the records, not the steps.
+    ~2801 samples, at most 2 * RECORD_TARGET + 1: where no divisor keeps that
+    few, the step count moves to a multiple of the stride); the work grows
+    with the records, not the steps.
     Returns a list of Trajectory.
     """
     if t_final <= 0:
@@ -294,6 +296,12 @@ def evolve_weights(setup, weights, t_final, dt=None, stride=None, probe=True):
         stride = max(1, n_steps // RECORD_TARGET)
         while n_steps % stride:
             stride -= 1
+        if n_steps // stride > 2 * RECORD_TARGET:
+            # no divisor near the target (a prime count ends at stride 1): move
+            # the steps to the nearest multiple of the target stride instead
+            stride = n_steps // RECORD_TARGET
+            n_steps = (n_steps + stride // 2) // stride * stride
+            dt = t_final / n_steps
     elif n_steps % stride:
         raise ValueError("stride must divide the number of steps")
 

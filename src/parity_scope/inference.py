@@ -435,46 +435,34 @@ class InfoGainReport:
         return self.info_hamming - self.info_parity
 
 
-def _score(trajectories, tau, phase="optimal", taus=None):
-    """Integrate, pick the phase, guard and score four trajectories.
+def analyze_trajectories(trajectories, tau, phase="optimal", tau_points=57,
+                         with_rates=True):
+    """Information-gain report of four evolved trajectories, the one path
+    from trajectories to published gains (``simulate`` and the sweep).
 
-    The complex output integrals at ``tau`` choose the phase ("optimal") or
-    a number is taken as it is; one guarded cumulative pass per trajectory
-    then gives the means at every time of ``taus`` (ending at ``tau``,
-    default ``[tau]``).  Returns ``(phase, (gain_hw, gain_parity), means)``,
-    means (len(taus), 4); the gains at ``tau`` carry the doubling check.
+    ``phase`` is a number, or "optimal" to pick it from the complex output
+    integrals at ``tau``.  One guarded cumulative pass per trajectory gives
+    the means at ``tau``, whose gains carry the doubling check, and with
+    ``with_rates`` on a uniform ``tau_points`` grid over [0, tau] too (it
+    must be commensurate with the trajectory sampling), scored in one
+    stacked pass and differentiated into measurement rates.
     """
+    if with_rates and tau_points < 3:
+        raise ValueError("need at least 3 grid points")
     ordered = _ordered(trajectories)
     if phase == "optimal":
         phase, _ = optimal_phase([output_integral(tr, tau) for tr in ordered], tau)
     else:
         phase = float(phase)
-    taus = np.array([tau] if taus is None else taus, dtype=float)
-    means = np.stack([integrated_signal(tr, phase, taus) for tr in ordered], axis=1)
-    gains = info_gains(SignalModel(tau, phase, tuple(means[-1])))
-    return phase, gains, means
-
-
-def analyze_trajectories(trajectories, tau, phase="optimal", tau_points=57,
-                         with_rates=True):
-    """Full information-gain report for a set of four evolved trajectories.
-
-    ``phase`` may be a number or "optimal"; with ``with_rates`` the gains are
-    also computed on a uniform ``tau_points`` grid over [0, tau] (requires
-    the grid to be commensurate with the trajectory sampling) and
-    differentiated into measurement rates.  All tau points come from one
-    cumulative quadrature per trajectory and one stacked gain evaluation.
-    """
-    if with_rates and tau_points < 3:
-        raise ValueError("need at least 3 grid points")
     tau_grid = np.linspace(0.0, tau, tau_points) if with_rates else None
-    phi, (gain_hw, gain_parity), means = _score(
-        trajectories, tau, phase,
-        None if tau_grid is None else tau_grid[1:])  # gains vanish at tau=0
+    # the gains vanish at tau = 0
+    taus = np.array([tau], dtype=float) if tau_grid is None else tau_grid[1:]
+    means = np.stack([integrated_signal(tr, phase, taus) for tr in ordered], axis=1)
+    gain_hw, gain_parity = info_gains(SignalModel(tau, phase, tuple(means[-1])))
 
     rate_hw = rate_parity = series_hw = series_parity = None
     if with_rates:
-        series = _guarded_gains(means, tau_grid[1:], DEFAULT_QUADRATURE_POINTS)
+        series = _guarded_gains(means, taus, DEFAULT_QUADRATURE_POINTS)
         series_hw = np.concatenate(([0.0], series[:, 0]))
         series_parity = np.concatenate(([0.0], series[:, 1]))
         rate_hw = measurement_rates(tau_grid, series_hw)
@@ -482,7 +470,7 @@ def analyze_trajectories(trajectories, tau, phase="optimal", tau_points=57,
 
     return InfoGainReport(
         measurement_time=tau,
-        optimal_phase=phi,
+        optimal_phase=phase,
         info_hamming=gain_hw,
         info_parity=gain_parity,
         tau_grid=tau_grid,
@@ -520,8 +508,8 @@ def _sweep_point(chi1, chi2, kappa, pulse, tau):
     model = DispersiveModel(0.0, 0.0, 0.0, chi1 * kappa, chi2 * kappa, 0.0, 0.0)
     det = parity_detunings(model, kappa, kappa).plus_branch
     setup = MeasurementSetup(kappa, kappa, det[0], det[1], model, pulse)
-    phi, (gain_hw, gain_parity), _ = _score(evolve_weights(setup, range(4), tau), tau)
-    return SweepPoint(chi1, chi2, gain_parity, gain_hw, phi)
+    report = analyze_trajectories(evolve_weights(setup, range(4), tau), tau, with_rates=False)
+    return SweepPoint(chi1, chi2, report.info_parity, report.info_hamming, report.optimal_phase)
 
 
 def chi_sweep(chi_pairs, kappa, pulse, tau, workers=None):

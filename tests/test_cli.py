@@ -376,6 +376,41 @@ def test_cli_sweep_splits_cuts_in_order(tmp_path):
     assert [row[:2] for row in asymmetric] == [[0.4, 0.3], [0.6, 0.3]]
 
 
+ONE_POINT_SWEEP = {"minimum": 0.5, "maximum": 0.5, "points": 1, "asymmetric_chi2": 0.3}
+
+
+@pytest.mark.parametrize("kappa1, kappa2", [(5.0, 10.0), (10.0, 5.0)])
+def test_cli_sweep_rejects_unequal_kappas(tmp_path, capsys, kappa1, kappa2):
+    # the chi/kappa axis has one kappa, and every sweep point puts it on both
+    # buses: a second rate would be dropped, in either order
+    def edit(tree):
+        tree["bus"].update(kappa1_mhz=kappa1, kappa2_mhz=kappa2)
+        tree["analysis"]["sweep"] = ONE_POINT_SWEEP
+    config = _write_variant(tmp_path, "kappas", edit)
+    out = tmp_path / "out"
+    assert run(["sweep", "--config", str(config), "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "bus.kappa1_mhz" in err and "bus.kappa2_mhz" in err
+    assert not list(out.glob("*.csv"))
+
+
+def test_cli_sweep_fails_closed_on_a_nan_gain(tmp_path, monkeypatch, capsys):
+    # sweep publishes its gains through the checked report, as simulate does:
+    # a NaN from the checked gain call exits 4 instead of reaching the CSV
+    from parity_scope import inference
+    info_gains = inference.info_gains
+
+    def nan_when_checked(model, points=inference.DEFAULT_QUADRATURE_POINTS, check=True):
+        return (math.nan, math.nan) if check else info_gains(model, points, check)
+    monkeypatch.setattr(inference, "info_gains", nan_when_checked)
+    config = _write_variant(tmp_path, "one", lambda tree: tree["analysis"].__setitem__(
+        "sweep", ONE_POINT_SWEEP))
+    out = tmp_path / "out"
+    assert run(["sweep", "--config", str(config), "--out", str(out), "--quiet"]) == 4
+    assert "are not numbers" in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
+
+
 TRANSMON = {"type": "transmon", "josephson_energy_mhz": 20000.0,
             "charging_energy_mhz": 300.0, "g1_mhz": 100.0, "g2_mhz": 100.0}
 
@@ -439,6 +474,9 @@ TRANSMON = {"type": "transmon", "josephson_energy_mhz": 20000.0,
     # grids that sample one offset (ng = 1 is ng = 0 up to truncation) measure no dispersion
     ("validate", "validation.dispersion_grid", 1, "validation.dispersion_grid"),
     ("validate", "validation.dispersion_grid", 2, "validation.dispersion_grid"),
+    # below the floor where the ladder oracles resolve their own thresholds
+    ("validate", "validation.coupling_ratio", 1e-4, "validation.coupling_ratio"),
+    ("validate", "validation.coupling_ratio", 3.5e-3, "validation.coupling_ratio"),
 ])
 def test_cli_rejects_malformed_field(tmp_path, capsys, command, path, value, message):
     # dotted keys step into objects, [i] into lists
@@ -485,16 +523,22 @@ SMALL_VALIDATION = {"coupling_ratio": 0.05, "charge_cutoff": 8, "dispersion_grid
 
 
 @pytest.mark.parametrize("ratio", [5e-324, 1e-300, 2.2250738585072014e-308])
-def test_cli_validate_underflowed_coupling_ratio_fails(tmp_path, ratio):
+def test_cli_validate_underflowed_coupling_ratio_fails(tmp_path, capsys, ratio):
+    # below COUPLING_RATIO_MIN the parser exits 2.  The checks underneath see
     # the couplings' shifts underflow to 0: a FAIL row with a non-finite
-    # value and exit 4, not a ZeroDivisionError
+    # value, not a ZeroDivisionError
+    from dataclasses import replace
+
+    from parity_scope.cli import _validation_checks
     config = _write_variant(tmp_path, "ratio", lambda tree: tree.__setitem__(
         "validation", dict(SMALL_VALIDATION, coupling_ratio=ratio)))
-    assert run(["validate", "--config", str(config), "--out", str(tmp_path), "--quiet"]) == 4
-    rows = [line.split(",") for line in
-            (tmp_path / "validation.csv").read_text().splitlines()[1:]]
-    assert any(not math.isfinite(float(value)) and status == "fail"
-               for _, value, _, status, _ in rows)
+    assert run(["validate", "--config", str(config), "--out", str(tmp_path), "--quiet"]) == 2
+    assert "validation.coupling_ratio" in capsys.readouterr().err
+    cfg = load_config(_write_variant(tmp_path, "small", lambda tree: tree.__setitem__(
+        "validation", SMALL_VALIDATION)))
+    checks, _ = _validation_checks(
+        replace(cfg, validation=replace(cfg.validation, coupling_ratio=ratio)))
+    assert any(not math.isfinite(value) and not ok for _, value, _, ok, _ in checks)
 
 
 @pytest.mark.parametrize("amplitude", [1e6, 1e7])

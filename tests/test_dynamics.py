@@ -179,6 +179,20 @@ def test_evolve_probe_passes_at_default_step():
     assert traj.times[-1] == pytest.approx(28.0)
 
 
+def test_evolve_bounds_the_records_of_a_prime_step_count():
+    # 28,019 steps is prime, so no stride divides it: the steps move to the
+    # nearest multiple of 28019 // RECORD_TARGET = 10 instead of being kept one
+    # record each.  28,000 steps keep their divisor and their 2,801 records
+    setup = make_setup()
+    traj = evolve(setup, 2, 28.019)
+    assert traj.times.size <= 2 * dynamics.RECORD_TARGET + 1
+    assert traj.step == 28.019 / 28020
+    assert traj.times[-1] == pytest.approx(28.019, rel=1e-12)
+    assert evolve(setup, 2, 28.0).times.size == 2801
+    with pytest.raises(ValueError, match="stride must divide"):
+        evolve(setup, 2, 28.019, stride=10)
+
+
 # ---------------------------------------------------------------------------
 # RK4 recurrence against the step-by-step loop
 # ---------------------------------------------------------------------------

@@ -324,6 +324,23 @@ def test_sweep_reversed_pairs_give_reversed_rows():
     assert chi_sweep(pairs[::-1], 1.0, reference_pulse(), 28.0) == forward[::-1]
 
 
+def test_sweep_rows_are_the_rate_less_report():
+    # one scoring path: a sweep row is analyze_trajectories' report on the
+    # same stacked trajectories, and the rate series leaves the phase and the
+    # gains at tau as they are, bitwise
+    from parity_scope.dynamics import evolve_weights
+    from parity_scope.inference import chi_sweep
+    [point] = chi_sweep([(0.6, 0.3)], 1.0, reference_pulse(), 28.0)
+    trajectories = evolve_weights(reference_setup(0.6, 0.3), range(4), 28.0)
+    bare = analyze_trajectories(trajectories, 28.0, with_rates=False)
+    assert (point.phase, point.info_hamming, point.info_parity) == (
+        bare.optimal_phase, bare.info_hamming, bare.info_parity)
+    full = analyze_trajectories(trajectories, 28.0)
+    assert (full.optimal_phase, full.info_hamming, full.info_parity) == (
+        bare.optimal_phase, bare.info_hamming, bare.info_parity)
+    assert full.rate_parity is not None and bare.rate_parity is None
+
+
 def test_sweep_runs_richardson_guard(monkeypatch):
     from parity_scope import dynamics
     from parity_scope.inference import chi_sweep
