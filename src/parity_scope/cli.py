@@ -66,6 +66,11 @@ def _emit(args, message):
         print(message)
 
 
+def _write_json(args, path, payload):
+    path.write_text(json.dumps(payload, indent=2) + "\n")
+    _emit(args, f"wrote {path}")
+
+
 def _load(args):
     if args.preset and args.config:
         raise ConfigError("give either --preset or --config, not both")
@@ -133,10 +138,8 @@ def cmd_dispersive(args):
     cfg = _load(args)
     report = derive_scenario(cfg)
     payload = _scenario_summary(report)
-    path = Path(cfg.output_dir) / "dispersive.json"
-    path.write_text(json.dumps(payload, indent=2) + "\n")
     _emit(args, json.dumps(payload, indent=2))
-    _emit(args, f"wrote {path}")
+    _write_json(args, Path(cfg.output_dir) / "dispersive.json", payload)
     if not report.parity_satisfiable:
         _emit(args, "parity condition unsatisfiable")
         return PHYSICS_EXIT
@@ -206,9 +209,7 @@ def cmd_simulate(args):
         _emit(args, f"info gains: parity {gains.info_parity:.6f} bits, "
                     f"hamming {gains.info_hamming:.6f} bits")
 
-    path = Path(cfg.output_dir) / "simulate.json"
-    path.write_text(json.dumps(summary, indent=2) + "\n")
-    _emit(args, f"wrote {path}")
+    _write_json(args, Path(cfg.output_dir) / "simulate.json", summary)
     return 0
 
 
@@ -266,9 +267,7 @@ def cmd_sweep(args):
         _emit(args, f"{cut_name}: argmin chi1/kappa = {best.chi1_over_kappa:.4f}, "
                     f"missing parity info {best.missing_parity:.3e}")
 
-    path = Path(cfg.output_dir) / "sweep.json"
-    path.write_text(json.dumps(summary, indent=2) + "\n")
-    _emit(args, f"wrote {path}")
+    _write_json(args, Path(cfg.output_dir) / "sweep.json", summary)
     return 0
 
 
@@ -295,19 +294,21 @@ def _validation_checks(cfg):
     ratio = cfg.validation.coupling_ratio
     checks = []
 
+    def check(name, value, threshold, lower=False):
+        # the rule reads the printed value, so a NaN fails either way
+        ok = value >= threshold if lower else value <= threshold
+        checks.append((name, value, threshold, ok, "lower bound" if lower else ""))
+
     ec = 0.3 * MHZ * 1e3
     flat = ChargeBasisConfig(ec, ec, 50 * ec, 50 * ec, -0.5 * ec,
                              charge_cutoff=cfg.validation.charge_cutoff)
-    dispersion = charge_dispersion(flat, levels=6,
-                                   grid_points=cfg.validation.dispersion_grid)
-    checks.append(("charge_dispersion_flat", float(np.max(dispersion) / ec),
-                   1e-3, float(np.max(dispersion)) < 1e-3 * ec, ""))
-
     steep = replace(flat, josephson_plus=ec, josephson_minus=ec)
-    dispersion = charge_dispersion(steep, levels=6,
-                                   grid_points=cfg.validation.dispersion_grid)
-    checks.append(("charge_dispersion_contrast", float(dispersion[1] / ec),
-                   0.05, float(dispersion[1]) > 0.05 * ec, "lower bound"))
+    for name, basis, pick, threshold, lower in (
+            ("charge_dispersion_flat", flat, np.max, 1e-3, False),
+            ("charge_dispersion_contrast", steep, lambda levels: levels[1], 0.05, True)):
+        dispersion = charge_dispersion(basis, levels=6,
+                                       grid_points=cfg.validation.dispersion_grid)
+        check(name, float(pick(dispersion) / ec), threshold, lower)
 
     factor = replace(flat, interaction=0.0, offset_plus=0.13, offset_minus=0.41)
     coupled = tcq_charge_spectrum(factor, levels=6)
@@ -316,16 +317,12 @@ def _validation_checks(cfg):
     single_m = transmon_charge_spectrum(factor.josephson_minus, factor.charging_minus,
                                         0.41, cutoff=16, levels=4)
     sums = np.sort((single_p[:, None] + single_m[None, :]).ravel())[:6]
-    residual = float(np.max(np.abs(coupled - sums)) / max(abs(sums[-1]), ec))
-    checks.append(("interaction_free_factorization", residual, 1e-10,
-                   residual < 1e-10, ""))
+    check("interaction_free_factorization",
+          float(np.max(np.abs(coupled - sums)) / max(abs(sums[-1]), ec)), 1e-10)
 
     j = -1.0
-    spec = TcqSpec(5.0, 5.0, 0.1 * j, 0.1 * j, j)
-    report = dressed_tcq_check(spec, levels=10)
-    bound = 5.0 * (0.1 / 2.0) ** 2
-    checks.append(("dressed_normal_form", float(report.worst_error), bound,
-                   report.worst_error <= bound, ""))
+    report = dressed_tcq_check(TcqSpec(5.0, 5.0, 0.1 * j, 0.1 * j, j), levels=10)
+    check("dressed_normal_form", float(report.worst_error), 5.0 * (0.1 / 2.0) ** 2)
 
     if ratio >= 0.3:
         reason = f"coupling ratio {ratio} >= 0.3: outside the dispersive regime"
@@ -333,34 +330,25 @@ def _validation_checks(cfg):
             checks.append((name, float("nan"), float("nan"), True, "skipped: " + reason))
         return checks, [reason]
 
-    frequency, anharmonicity = 5.0, -3.2
-    w1, w2 = 7.0, 8.4
-    ladder = LadderConfig(kind="transmon", qubit_frequency=frequency,
-                          anharmonicity=anharmonicity,
-                          resonator1_frequency=w1, resonator2_frequency=w2,
-                          couplings=(ratio * abs(frequency - w1),
-                                     0.2 * ratio * abs(frequency - w2)),
-                          qubit_levels=3, photon_levels=4)
-    err = float(chi_oracle(ladder).relative_errors[0])
-    checks.append(("transmon_chi_accuracy", err, 3.0 * ratio ** 2,
-                   err <= 3.0 * ratio ** 2, ""))
-
+    frequency, w1, w2 = 5.0, 7.0, 8.4
+    transmon = LadderConfig(kind="transmon", qubit_frequency=frequency, anharmonicity=-3.2,
+                            resonator1_frequency=w1, resonator2_frequency=w2,
+                            couplings=(ratio * abs(frequency - w1),
+                                       0.2 * ratio * abs(frequency - w2)),
+                            qubit_levels=3, photon_levels=4)
     dressed = replace(tcq_mixing(TcqSpec(6.4, 6.4, -1.2, -1.2, -0.4)),
                       delta_plus=-1.2, delta_minus=-1.2, delta_cross=-1.36)
     w1, w2 = 7.5, 8.5
-    g1m = ratio * abs(dressed.omega_minus - w1)
-    g2p = 0.2 * ratio * abs(dressed.omega_plus - w2)
-    ladder = LadderConfig(kind="tcq", dressed=dressed,
-                          resonator1_frequency=w1, resonator2_frequency=w2,
-                          couplings=(0.0, g1m, g2p, 0.0),
-                          qubit_levels=3, photon_levels=3)
-    err = float(chi_oracle(ladder).relative_errors[0])
-    checks.append(("tcq_chi_accuracy", err, 3.0 * ratio ** 2,
-                   err <= 3.0 * ratio ** 2, ""))
+    tcq = LadderConfig(kind="tcq", dressed=dressed,
+                       resonator1_frequency=w1, resonator2_frequency=w2,
+                       couplings=(0.0, ratio * abs(dressed.omega_minus - w1),
+                                  0.2 * ratio * abs(dressed.omega_plus - w2), 0.0),
+                       qubit_levels=3, photon_levels=3)
+    for name, ladder in (("transmon_chi_accuracy", transmon), ("tcq_chi_accuracy", tcq)):
+        check(name, float(chi_oracle(ladder).relative_errors[0]), 3.0 * ratio ** 2)
 
     dressed_zs = replace(tcq_mixing(TcqSpec(6.4, 6.4, -0.3, -0.3, -0.4)),
                          delta_plus=-0.15, delta_minus=-0.15, delta_cross=-0.3)
-    w1 = 7.5
     g1m = ratio * abs(dressed_zs.omega_minus - w1)
     g2p = ratio * abs(dressed_zs.omega_plus - w1)
     ladder = LadderConfig(kind="tcq", dressed=dressed_zs,
@@ -370,8 +358,7 @@ def _validation_checks(cfg):
     gaps = switch_splitting(ladder)
     chi1 = tcq_dispersive(dressed_zs, (w1, w1 + 0.01), ladder.couplings).chi1
     state_dep = abs(gaps["excited"] - gaps["ground"]) / 2.0
-    checks.append(("zero_switch_splitting", state_dep / abs(chi1) if chi1 else math.nan, 1e-2,
-                   state_dep < 1e-2 * abs(chi1), ""))
+    check("zero_switch_splitting", state_dep / abs(chi1) if chi1 else math.nan, 1e-2)
     return checks, []
 
 

@@ -93,6 +93,16 @@ def _mhz(mapping, key, where, check=_number):
     return check(mapping, key, where, scale=MHZ) * MHZ
 
 
+def _rate(mapping, key, where):
+    """A decay rate in MHz, as angular rad/us whose square, the unit of the
+    switch excess, is a finite nonzero float."""
+    value = _mhz(mapping, key, where, _positive)
+    if not 0.0 < value * value < math.inf:
+        raise ConfigError(f"{where}.{key}: {mapping[key]!r} squared in rad/us leaves "
+                          "the float range")
+    return value
+
+
 def _integer(mapping, key, where, default, minimum, maximum=math.inf):
     """Integer in [minimum, maximum] (integral floats accepted); optional."""
     value = mapping.get(key, default)
@@ -232,8 +242,8 @@ def parse_config(tree, name="config"):
         resonator2 = float(raw_r2) * MHZ
     else:
         raise ConfigError(f"bus.resonator2_mhz: expected a number or 'auto-parity', got {raw_r2!r}")
-    kappa1 = _mhz(bus, "kappa1_mhz", "bus", _positive)
-    kappa2 = _mhz(bus, "kappa2_mhz", "bus", _positive)
+    kappa1 = _rate(bus, "kappa1_mhz", "bus")
+    kappa2 = _rate(bus, "kappa2_mhz", "bus")
     kappa = max(kappa1, kappa2)
 
     targets = tree.get("targets")
@@ -267,11 +277,13 @@ def parse_config(tree, name="config"):
 
     raw_analysis = _section(tree, "analysis")
     raw_sweep = _section(raw_analysis, "sweep", "analysis.")
+    # in units of kappa, like the targets
     sweep = SweepConfig(
-        minimum=_number(raw_sweep, "minimum", "analysis.sweep", 0.1),
-        maximum=_number(raw_sweep, "maximum", "analysis.sweep", 1.2),
+        minimum=_number(raw_sweep, "minimum", "analysis.sweep", 0.1, scale=kappa),
+        maximum=_number(raw_sweep, "maximum", "analysis.sweep", 1.2, scale=kappa),
         points=_integer(raw_sweep, "points", "analysis.sweep", 61, 1, SWEEP_POINTS_MAX),
-        asymmetric_chi2=_number(raw_sweep, "asymmetric_chi2", "analysis.sweep", 0.3),
+        asymmetric_chi2=_number(raw_sweep, "asymmetric_chi2", "analysis.sweep", 0.3,
+                                scale=kappa),
     )
     if sweep.minimum <= 0 or sweep.maximum < sweep.minimum:
         raise ConfigError("analysis.sweep: invalid range")

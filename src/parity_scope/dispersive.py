@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import (
     DegenerateDenominator,
     NegativeDiscriminant,
     ParityConditionUnsatisfiable,
+    ShiftOverflow,
     SingularCapacitanceMatrix,
 )
 
@@ -47,6 +48,16 @@ def _guard_denominator(value, scale, what):
         raise DegenerateDenominator(
             f"{what} = {value:.3e} is within {DENOMINATOR_RTOL:.0e} * {scale:.3e} of resonance"
         )
+
+
+def _require_finite(record):
+    """Raise ShiftOverflow at the first float field of a model or shift
+    record that is not finite."""
+    for field in fields(record):
+        value = getattr(record, field.name)
+        if field.type == "float" and not math.isfinite(value):
+            raise ShiftOverflow(f"{field.name} = {value}: the dispersive model leaves "
+                                "the float range")
 
 
 def _duffing_factor(detuning, anharmonicity):
@@ -149,10 +160,7 @@ class DispersiveModel:
     warnings: tuple = ()
 
     def __post_init__(self):
-        for name in ("qubit_frequency", "resonator1_frequency", "resonator2_frequency",
-                     "chi1", "chi2", "static_switch", "quantum_switch"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        _require_finite(self)
         if self.source not in ("transmon", "tcq", "manual"):
             raise ValueError(f"unknown source tag {self.source!r}")
 
@@ -193,7 +201,7 @@ def transmon_dispersive(spec, coupling):
             warnings.append(f"dispersive ratio {label} = {ratio:.3f} >= {DISPERSIVE_RATIO_LIMIT}")
 
     return DispersiveModel(
-        qubit_frequency=omega_t + g[0] ** 2 / det[0] + g[1] ** 2 / det[1],
+        qubit_frequency=omega_t + g[0] * g[0] / det[0] + g[1] * g[1] / det[1],
         resonator1_frequency=(omega_t - det[0]) + pull1,
         resonator2_frequency=(omega_t - det[1]) + pull2,
         chi1=chi1,
@@ -343,10 +351,7 @@ class StateResolvedShifts:
     chi12_ground: float
 
     def __post_init__(self):
-        for name in ("chi1_excited", "chi1_ground", "chi2_excited", "chi2_ground",
-                     "chi12_excited", "chi12_ground"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        _require_finite(self)
 
 
 def tcq_state_shifts(dressed, resonators, couplings):
@@ -405,7 +410,7 @@ def tcq_dispersive(dressed, resonators, couplings):
     quantum_switch = 0.5 * (shifts.chi12_excited + shifts.chi12_ground)
     static_switch = 0.5 * (shifts.chi12_excited - shifts.chi12_ground)
 
-    lamb = sum(g ** 2 / (dressed.omega_minus - omega)
+    lamb = sum(g * g / (dressed.omega_minus - omega)
                for g, omega in zip(couplings[1::2], resonators))
     return DispersiveModel(
         qubit_frequency=dressed.omega_minus + lamb,
@@ -505,13 +510,18 @@ def parity_detunings(model, kappa1, kappa2):
 
     Raises ParityConditionUnsatisfiable when chi1*chi2 - chi12^2 < 0 (the
     detunings would be complex); at the exact boundary returns (0, 0) flagged
-    degenerate.
+    degenerate.  Raises ShiftOverflow when chi1*chi2 or chi12^2 overflows, as
+    ``inf - inf`` would otherwise read as that boundary.
     """
     if kappa1 <= 0 or kappa2 <= 0:
         raise ValueError("kappa1, kappa2 must be positive")
     chi1, chi2, chi12 = model.chi1, model.chi2, model.quantum_switch
-    disc = chi1 * chi2 - chi12 ** 2
-    tol = 64.0 * sys.float_info.epsilon * max(abs(chi1 * chi2), chi12 ** 2)
+    product, square = chi1 * chi2, chi12 * chi12
+    if not (math.isfinite(product) and math.isfinite(square)):
+        raise ShiftOverflow(f"chi1*chi2 = {product:.3e} and chi12^2 = {square:.3e}: "
+                            "the parity condition leaves the float range")
+    disc = product - square
+    tol = 64.0 * sys.float_info.epsilon * max(abs(product), square)
     if disc < -tol:
         raise ParityConditionUnsatisfiable(
             f"chi12^2 - chi1*chi2 = {-disc:.3e} > 0: parity detunings would be complex")
@@ -543,7 +553,9 @@ def purcell_time(kappa, g1, omega_minus, omega1):
     if g1 == 0.0:
         return PurcellEstimate(math.inf, math.inf)
     _guard_denominator(gap, abs(g1), "omega_minus - omega1")
-    dimensionless = (gap / (math.sqrt(2.0) * g1)) ** 2
+    # a ratio too large to square reads inf, as a vanishing coupling does
+    ratio = gap / (math.sqrt(2.0) * g1)
+    dimensionless = ratio * ratio
     return PurcellEstimate(dimensionless / kappa, dimensionless)
 
 

@@ -34,6 +34,13 @@ class NegativeDiscriminant(ParityScopeError):
     exit_code = 3
 
 
+class ShiftOverflow(ParityScopeError):
+    """A derived dispersive frequency or shift, or a product of two shifts,
+    is beyond the float range: the shift diverges, as at a resonance."""
+
+    exit_code = 3
+
+
 class SingularCapacitanceMatrix(ParityScopeError):
     """The capacitance-matrix Schur complement is non-positive."""
 

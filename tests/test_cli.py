@@ -541,6 +541,71 @@ def test_cli_validate_underflowed_coupling_ratio_fails(tmp_path, capsys, ratio):
     assert any(not math.isfinite(value) and not ok for _, value, _, ok, _ in checks)
 
 
+@pytest.mark.parametrize("ratio", [0.05, 0.5])
+def test_validation_rows_pass_by_their_printed_value(tmp_path, ratio):
+    # one rule for every row that runs: value <= threshold, or >= for a lower
+    # bound, so a NaN value fails
+    from parity_scope.cli import _validation_checks
+    cfg = load_config(_write_variant(tmp_path, "rows", lambda tree: tree.__setitem__(
+        "validation", dict(SMALL_VALIDATION, coupling_ratio=ratio))))
+    checks, _ = _validation_checks(cfg)
+    assert len(checks) == 7
+    for name, value, threshold, ok, note in checks:
+        if note.startswith("skipped"):
+            continue
+        assert ok == (value >= threshold if note == "lower bound" else value <= threshold), name
+        assert not (math.isnan(value) and ok), name
+
+
+def _devices(key, value):
+    def edit(tree):
+        for device in tree["devices"]:
+            device[key] = value
+    return edit
+
+
+def _off_resonance_couplings(tree):
+    # g^2/Delta_1 overflows, 1.3e-4 MHz off the transmon frequency
+    _devices("g1_mhz", 1e152)(tree)
+    tree["bus"]["resonator1_mhz"] = 6628.2031
+
+
+@pytest.mark.parametrize("name, command, edit, code, message", [
+    ("fig4-cuts", "sweep", lambda tree: tree["analysis"]["sweep"].__setitem__(
+        "maximum", 1e308), 2, "analysis.sweep.maximum"),
+    ("fig4-cuts", "sweep", lambda tree: tree["analysis"]["sweep"].__setitem__(
+        "asymmetric_chi2", -1e308), 2, "analysis.sweep.asymmetric_chi2"),
+    ("transmon-obstruction", "dispersive", lambda tree: tree["devices"][0].__setitem__(
+        "g1_mhz", 1e154), 3, "qubit_frequency = -inf"),
+    ("transmon-obstruction", "dispersive",
+     lambda tree: (_devices("g1_mhz", 1e100)(tree), _devices("g2_mhz", 1e100)(tree)),
+     3, "chi1*chi2 = inf"),
+    ("transmon-obstruction", "dispersive", _off_resonance_couplings, 3,
+     "qubit_frequency = inf"),
+    ("transmon-obstruction", "dispersive", lambda tree: tree["bus"].__setitem__(
+        "kappa1_mhz", 1e154), 2, "bus.kappa1_mhz"),
+    ("transmon-obstruction", "dispersive", lambda tree: tree["bus"].update(
+        kappa1_mhz=1e-300, kappa2_mhz=1e-300), 2, "bus.kappa1_mhz"),
+    # g1 about 1e-162: the Purcell time overflows to inf, as at g1 = 0
+    ("paper-sec5-symmetric", "dispersive", lambda tree: (
+        tree["bus"].__setitem__("resonator2_mhz", 7520),
+        tree["targets"].__setitem__("chi1_over_kappa", -5e-324)), 0, ""),
+], ids=["sweep-maximum", "sweep-asymmetric-chi2", "transmon-g1", "transmon-all-g",
+        "transmon-near-resonance", "kappa-huge", "kappa-tiny", "purcell-inf"])
+def test_cli_overflowing_shifts_fail_closed(tmp_path, capsys, name, command, edit, code,
+                                            message):
+    # an exit code and a message, never a traceback, and no NaN in the JSON
+    from parity_scope.config import PRESETS
+    tree = json.loads(json.dumps(PRESETS[name]))
+    edit(tree)
+    config = tmp_path / "overflow.json"
+    config.write_text(json.dumps(tree))
+    out = tmp_path / "out"
+    assert run([command, "--config", str(config), "--out", str(out), "--quiet"]) == code
+    assert message in capsys.readouterr().err
+    assert not any("NaN" in path.read_text() for path in out.glob("*.json"))
+
+
 @pytest.mark.parametrize("amplitude", [1e6, 1e7])
 def test_cli_unresolved_gain_quadrature_exits_4(tmp_path, capsys, amplitude):
     # means millions of sigma apart fall between the nodes of the gain grid:
@@ -656,7 +721,7 @@ def _subclasses(cls):
 EXIT_CODES = {
     "ConfigError": 2,
     "ParityConditionUnsatisfiable": 3, "NegativeDiscriminant": 3,
-    "DegenerateDenominator": 3, "SingularCapacitanceMatrix": 3,
+    "DegenerateDenominator": 3, "ShiftOverflow": 3, "SingularCapacitanceMatrix": 3,
     "SingularResponseMatrix": 3, "DegenerateResponse": 3,
     "ConvergenceFailure": 4, "LevelIdentificationFailure": 4, "StepTooLarge": 4,
     "GridTooCoarse": 4, "QuadratureNonconvergent": 4, "NonFiniteSignal": 4,
@@ -708,6 +773,8 @@ def test_cli_tcq_on_resonator_exits_3(tmp_path, capsys, section, key, index, val
 
 CONTRACT_VALUES = [0, -1, 1e-9, 1e9, 1e308, -1e308, 1e-300, "x", None, [], {}, True,
                    7200, 7500, 7800, 5600,
+                   # finite in rad/us, but not squared
+                   1e154, -1e154,
                    # positive, but 0 once divided by kappa; the smallest normal float
                    5e-324, 2.2250738585072014e-308]
 

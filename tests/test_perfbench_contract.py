@@ -8,6 +8,7 @@ catch that in tier-1 instead of in the minute-long harness self-check.
 import importlib
 import importlib.util
 import inspect
+import json
 import sys
 from pathlib import Path
 
@@ -15,6 +16,8 @@ import pytest
 import scipy.linalg
 
 from parity_scope import dynamics, inference, spectral
+from parity_scope.cli import main
+from parity_scope.config import PRESETS
 
 RUN = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
 
@@ -45,3 +48,23 @@ def test_harness_calls_match_the_signatures():
     assert list(inspect.signature(dynamics.evolve).parameters)[:6] == [
         "setup", "hamming_weight", "t_final", "dt", "stride", "probe"]
     assert spectral.sla is scipy.linalg
+
+
+def test_traced_names_are_called_by_the_commands(harness, tmp_path):
+    # --trace 1 fails with "no calls to <name>" when a command stops calling
+    # a traced function; simulate, a one-point-per-cut sweep and a sized-down
+    # validate between them must call each, with its info filter
+    from spans import Tracer        # on sys.path once run.py is loaded
+
+    base = PRESETS["paper-sec5-symmetric"]
+    tree = dict(base, analysis=dict(base["analysis"], sweep={
+        "minimum": 0.5, "maximum": 0.5, "points": 1, "asymmetric_chi2": 0.3}),
+        validation={"coupling_ratio": 0.05, "charge_cutoff": 8, "dispersion_grid": 3})
+    config = tmp_path / "small.json"
+    config.write_text(json.dumps(tree))
+    with Tracer() as tracer:
+        for command in ("simulate", "sweep", "validate"):
+            argv = [command, "--config", str(config), "--out", str(tmp_path), "--quiet"]
+            assert main(argv) == 0, command
+    for metric, (name, info) in harness.UNIT_SPANS.items():
+        assert tracer.named(name, **info), metric
