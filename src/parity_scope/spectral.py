@@ -10,8 +10,11 @@ Three layers of brute force:
 * full qubit-plus-two-cavity ladders, for extracting dispersive shifts and
   the resonator-resonator switch from raw spectra.
 
-All Hamiltonians are dense real-symmetric; sizes stay at desk scale
-(<~ 4000) so plain eigh is both adequate and easy to audit.
+Every published level comes from a plain dense eigh of a real-symmetric
+matrix; sizes stay at desk scale (<~ 4000), where that is both adequate
+and easy to audit.  Only the charge basis's cutoff probes, whose levels
+decide convergence and are never published, are solved on the band
+(LAPACK upper band storage, bandwidth 2 cutoff + 1).
 """
 
 from __future__ import annotations
@@ -85,6 +88,17 @@ def transmon_charge_spectrum(josephson, charging, offset=0.0, cutoff=20, levels=
     return sla.eigh(h, eigvals_only=True, subset_by_index=(0, levels - 1))
 
 
+def _charge_onsite(cfg, cutoff):
+    """Diagonal of the two-island Hamiltonian: 4 E_C+ N+^2 + 4 E_C- N-^2 +
+    4 E_I N+ N- at each basis state (n+, n-), in basis order."""
+    n = np.arange(-cutoff, cutoff + 1, dtype=float)
+    charge_plus, charge_minus = n - cfg.offset_plus, n - cfg.offset_minus
+    onsite = (4.0 * cfg.charging_plus * charge_plus[:, None] ** 2
+              + 4.0 * cfg.charging_minus * charge_minus ** 2)
+    onsite += 4.0 * cfg.interaction * np.outer(charge_plus, charge_minus)
+    return onsite.ravel()
+
+
 def tcq_charge_hamiltonian(cfg, cutoff):
     """Two-island Hamiltonian with the 4 E_I (n+ - ng+)(n- - ng-) cross term.
 
@@ -93,12 +107,7 @@ def tcq_charge_hamiltonian(cfg, cutoff):
     state (n+, n-) sits at index (n+ + cutoff) * dim + (n- + cutoff).
     """
     dim = 2 * cutoff + 1
-    n = np.arange(-cutoff, cutoff + 1, dtype=float)
-    charge_plus, charge_minus = n - cfg.offset_plus, n - cfg.offset_minus
-    onsite = (4.0 * cfg.charging_plus * charge_plus[:, None] ** 2
-              + 4.0 * cfg.charging_minus * charge_minus ** 2)
-    onsite += 4.0 * cfg.interaction * np.outer(charge_plus, charge_minus)
-    h = np.diag(onsite.ravel())
+    h = np.diag(_charge_onsite(cfg, cutoff))
     # plus-island hopping n+ -> n+ + 1 moves by dim; minus-island hopping
     # n- -> n- + 1 moves by 1 except across the end of a row of n-
     plus = np.arange(dim * dim - dim)
@@ -108,21 +117,55 @@ def tcq_charge_hamiltonian(cfg, cutoff):
     return h
 
 
+def _charge_band(cfg, cutoff):
+    """tcq_charge_hamiltonian in LAPACK upper band storage.
+
+    The bandwidth is dim = 2 cutoff + 1, the plus-island hop, and
+    ``band[dim + i - j, j] = H[i, j]`` for ``j - dim <= i <= j``: row dim is
+    the diagonal, row dim - 1 the minus-island hop and row 0 the plus-island
+    hop.  Every other row is zero.
+    """
+    dim = 2 * cutoff + 1
+    band = np.zeros((dim + 1, dim * dim))
+    band[dim] = _charge_onsite(cfg, cutoff)
+    band[dim - 1, 1:] = -cfg.josephson_minus / 2.0
+    band[dim - 1, ::dim] = 0.0   # no minus hop across the end of a row of n-
+    band[0, dim:] = -cfg.josephson_plus / 2.0
+    return band
+
+
 def _lowest_levels(cfg, cutoff, levels):
-    return sla.eigh(tcq_charge_hamiltonian(cfg, cutoff), eigvals_only=True,
-                    subset_by_index=(0, levels - 1))
+    # the matrix is exactly symmetric, so its transpose holds the same bits in
+    # Fortran order, which LAPACK overwrites in place instead of copying
+    return sla.eigh(tcq_charge_hamiltonian(cfg, cutoff).T, overwrite_a=True,
+                    eigvals_only=True, subset_by_index=(0, levels - 1))
+
+
+def _probe_levels(cfg, cutoff, levels):
+    # a probe only decides convergence, so its levels come from the band
+    return sla.eig_banded(_charge_band(cfg, cutoff), eigvals_only=True,
+                          overwrite_a_band=True, select="i",
+                          select_range=(0, levels - 1))
 
 
 def _converge_cutoff(cfg, levels):
     """The cutoff loop of tcq_charge_spectrum and charge_dispersion: the
-    converged cutoff and its lowest levels."""
+    converged cutoff and its lowest levels.
+
+    The starting cutoff is solved dense and each probe at cutoff + 4 on the
+    band.  A failed probe's banded levels are the baseline of the next one;
+    the levels returned come from a dense solve at the returned cutoff, so
+    no dense matrix above it is ever built.
+    """
     cutoff = cfg.charge_cutoff
     values = _lowest_levels(cfg, cutoff, levels)
     tol = CONVERGENCE_RTOL * cfg.charging_scale
     # no basis above the ceiling is ever built, the probe's included
     while cutoff + 4 <= cfg.cutoff_ceiling:
-        probe = _lowest_levels(cfg, cutoff + 4, levels)
+        probe = _probe_levels(cfg, cutoff + 4, levels)
         if np.max(np.abs(probe - values)) <= tol:
+            if cutoff != cfg.charge_cutoff:
+                values = _lowest_levels(cfg, cutoff, levels)
             return cutoff, values
         cutoff += 4
         values = probe
@@ -143,9 +186,11 @@ def tcq_charge_spectrum(cfg, levels=6):
 def charge_dispersion(cfg, levels=6, grid_points=21):
     """Max-min excursion of each level over the offset-charge unit square.
 
-    One convergence probe (at the corner and the center of the square) fixes
-    the cutoff for the whole sweep; a probe that converged at that cutoff
-    stands in for its grid point.  With identical islands, swapping the two
+    One cutoff loop (at the corner and the center of the square) fixes the
+    cutoff for the whole sweep; a loop that returned that cutoff stands in
+    for its grid point with its dense levels.  Every grid point is one dense
+    solve at that cutoff, and the loops' banded probes above it build no
+    dense matrix.  With identical islands, swapping the two
     offsets gives the index-swapped matrix bit for bit, so of each swapped
     pair only the point with ng+ <= ng- is solved.
     """
@@ -204,9 +249,14 @@ def _fock_hamiltonian(dims, terms, hops):
     h = reduce(np.add, (c * _product(dims, factors) for c, factors in terms))
     for g, j, k in hops:
         if g != 0.0:
-            hop = _product(dims, {j: _lowering(dims[j]).T, k: _lowering(dims[k])})
-            h += g * (hop + hop.T)
+            h += g * _exchange(dims, j, k)
     return h
+
+
+def _exchange(dims, j, k):
+    """b_j^dagger b_k + h.c. on the modes of ``dims``."""
+    hop = _product(dims, {j: _lowering(dims[j]).T, k: _lowering(dims[k])})
+    return hop + hop.T
 
 
 # ---------------------------------------------------------------------------
@@ -429,9 +479,35 @@ def chi_oracle(cfg, check_convergence=True):
     return ChiOracleReport(chi1, chi2, pert1, pert2)
 
 
-def _photon_pair_gap(cfg, qubit_label, resonator2_frequency):
-    dims, terms, hops, _ = _ladder(cfg, resonator2_frequency)
-    values, vectors = sla.eigh(_fock_hamiltonian(dims, terms, hops))
+def _switch_ladder(cfg):
+    """The ladder as a function of the second resonator frequency w2:
+    ``(dims, labels, hamiltonian)`` with ``hamiltonian(w2)`` bitwise
+    ``_ladder_hamiltonian(cfg, w2)``.
+
+    The w2-independent terms (Duffing, cross-Kerr, cavity 1) are summed
+    once in _fock_hamiltonian's order; each call adds ``w2 n2`` and then
+    the exchanges, also in that order.
+    """
+    dims, terms, hops, labels = _ladder(cfg)
+    *fixed, (_, cavity2) = terms
+    base = reduce(np.add, (c * _product(dims, factors) for c, factors in fixed))
+    photons2 = _product(dims, cavity2)
+    exchanges = [g * _exchange(dims, j, k) for g, j, k in hops if g != 0.0]
+
+    def hamiltonian(resonator2_frequency):
+        h = base + resonator2_frequency * photons2
+        for exchange in exchanges:
+            h += exchange
+        return h
+
+    return dims, labels, hamiltonian
+
+
+def _photon_pair_gap(cfg, qubit_label, resonator2_frequency, ladder=None):
+    """Gap of the two photon-like eigenstates; ``ladder`` is
+    ``_switch_ladder(cfg)``, built here when not given."""
+    dims, _, hamiltonian = ladder or _switch_ladder(cfg)
+    values, vectors = sla.eigh(hamiltonian(resonator2_frequency))
     i10, i01 = (np.ravel_multi_index(qubit_label + photons, dims)
                 for photons in ((1, 0), (0, 1)))
     k10 = int(np.argmax(np.abs(vectors[i10, :])))
@@ -550,10 +626,11 @@ def switch_splitting(cfg):
     """
     omega1 = cfg.resonator1_frequency
     halfwidth = 0.02 * abs(omega1)
+    ladder = _switch_ladder(cfg)
     gaps = {}
-    for name, label in zip(("ground", "excited"), _ladder(cfg)[3]):
+    for name, label in zip(("ground", "excited"), ladder[1]):
         _, gap, _ = _minimize_bounded(
-            lambda w2: _photon_pair_gap(cfg, label, w2),
+            lambda w2: _photon_pair_gap(cfg, label, w2, ladder),
             omega1 - halfwidth, omega1 + halfwidth, xatol=1e-12 * max(abs(omega1), 1.0))
         gaps[name] = float(gap)
     return gaps

@@ -16,6 +16,7 @@ from parity_scope.dispersive import (
     transmon_levels,
 )
 from parity_scope import spectral
+from parity_scope.config import MHZ
 from parity_scope.errors import ConvergenceFailure, LevelIdentificationFailure
 from parity_scope.spectral import (
     ChargeBasisConfig,
@@ -47,10 +48,46 @@ def charge_config(ej_over_ec=50.0, ec=0.3, ei_over_ec=-0.5, **kwargs):
 # charge basis
 # ---------------------------------------------------------------------------
 
+def unequal_islands(cfg):
+    return replace(cfg, charging_minus=0.39, josephson_minus=0.8 * cfg.josephson_plus)
+
+
 def test_charge_hamiltonians_symmetric():
+    # exact symmetry lets the dense solve hand LAPACK the transpose in place
     cfg = charge_config(offset_plus=0.13, offset_minus=0.41, charge_cutoff=8)
-    h = tcq_charge_hamiltonian(cfg, 8)
-    assert np.array_equal(h, h.T)
+    for islands in (cfg, unequal_islands(cfg)):
+        for cutoff in (8, 12):
+            h = tcq_charge_hamiltonian(islands, cutoff)
+            assert np.array_equal(h, h.T)
+
+
+@pytest.mark.parametrize("cutoff", [8, 9, 12])
+@pytest.mark.parametrize("offsets", [(0.0, 0.0), (0.5, 0.5), (0.13, 0.41)])
+@pytest.mark.parametrize("make", [lambda cfg: cfg, unequal_islands])
+def test_charge_band_is_the_dense_band(make, offsets, cutoff):
+    # LAPACK upper band storage: row dim - d holds superdiagonal d, and the
+    # dense matrix has nothing beyond superdiagonal dim
+    cfg = make(charge_config(offset_plus=offsets[0], offset_minus=offsets[1]))
+    dim = 2 * cutoff + 1
+    h = tcq_charge_hamiltonian(cfg, cutoff)
+    expected = np.zeros((dim + 1, dim * dim))
+    for d in range(dim + 1):
+        expected[dim - d, d:] = np.diagonal(h, d)
+    assert np.array_equal(spectral._charge_band(cfg, cutoff), expected)
+    assert not np.any(np.triu(h, dim + 1))
+
+
+@pytest.mark.parametrize("cutoff", [12, 16])
+@pytest.mark.parametrize("ej_over_ec", [50.0, 1.0])   # validate's flat and steep
+def test_banded_probe_levels_match_dense(ej_over_ec, cutoff):
+    # measured at most 15.1 eps ||H||_1 apart; convergence asks for 1e-8 E_C
+    for offsets in ((0.0, 0.0), (0.5, 0.5), (0.13, 0.41)):
+        cfg = charge_config(ej_over_ec, offset_plus=offsets[0], offset_minus=offsets[1])
+        h = tcq_charge_hamiltonian(cfg, cutoff)
+        dense = sla.eigh(h, eigvals_only=True, subset_by_index=(0, 5))
+        banded = spectral._probe_levels(cfg, cutoff, 6)
+        norm = np.max(np.sum(np.abs(h), axis=0))
+        assert np.max(np.abs(banded - dense)) <= 32 * np.finfo(float).eps * norm
 
 
 def kron_charge_hamiltonian(cfg, cutoff):
@@ -98,19 +135,58 @@ def test_charge_spectrum_convergence_failure():
         tcq_charge_spectrum(cfg)
 
 
-def test_charge_cutoff_probe_never_exceeds_ceiling(monkeypatch):
+def spy_charge_builders(monkeypatch):
+    """Record ``(builder, cfg, cutoff)`` for each dense and banded build."""
     built = []
-    build = spectral.tcq_charge_hamiltonian
+    for name in ("tcq_charge_hamiltonian", "_charge_band"):
+        def spy(cfg, cutoff, name=name, build=getattr(spectral, name)):
+            built.append((name, cfg, cutoff))
+            return build(cfg, cutoff)
+        monkeypatch.setattr(spectral, name, spy)
+    return built
 
-    def spy(cfg, cutoff):
-        built.append(cutoff)
-        return build(cfg, cutoff)
 
-    monkeypatch.setattr(spectral, "tcq_charge_hamiltonian", spy)
+def dense_cutoffs(built):
+    return [cutoff for name, _, cutoff in built if name == "tcq_charge_hamiltonian"]
+
+
+def test_charge_cutoff_probe_never_exceeds_ceiling(monkeypatch):
+    built = spy_charge_builders(monkeypatch)
     cfg = charge_config(charge_cutoff=8, cutoff_ceiling=16, ej_over_ec=5000.0)
     with pytest.raises(ConvergenceFailure):
         tcq_charge_spectrum(cfg)
-    assert built == [8, 12, 16]
+    assert [cutoff for _, _, cutoff in built] == [8, 12, 16]
+    assert dense_cutoffs(built) == [8]
+
+
+def test_charge_cutoff_loop_solves_dense_only_where_it_starts_and_returns(monkeypatch):
+    # the (0.5, 0.5) point of this config converges at 12, one probe above 8
+    cfg = charge_config(ej_over_ec=40.0, ec=1.0, charge_cutoff=8,
+                        offset_plus=0.5, offset_minus=0.5)
+    built = spy_charge_builders(monkeypatch)
+    cutoff, values = spectral._converge_cutoff(cfg, 6)
+    assert cutoff == 12
+    assert dense_cutoffs(built) == [8, 12]
+    assert [c for name, _, c in built if name == "_charge_band"] == [12, 16]
+    published = sla.eigh(tcq_charge_hamiltonian(cfg, 12), eigvals_only=True,
+                         subset_by_index=(0, 5))
+    assert np.array_equal(values, published)
+
+
+def test_charge_spectrum_peak_memory_is_one_dense_matrix():
+    # validate's flat configuration at cutoff 12 converges there: one 625^2
+    # dense matrix, solved in place, and a banded probe at 16
+    import tracemalloc
+    ec = 0.3 * MHZ * 1e3
+    cfg = ChargeBasisConfig(ec, ec, 50 * ec, 50 * ec, -0.5 * ec, charge_cutoff=12)
+    tcq_charge_spectrum(cfg)   # first calls load LAPACK wrappers
+    tracemalloc.start()
+    try:
+        tcq_charge_spectrum(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 625 ** 2 * 8
 
 
 def test_charge_dispersion_flat_in_transmon_regime():
@@ -123,10 +199,6 @@ def test_charge_dispersion_large_at_small_ej():
     cfg = charge_config(ej_over_ec=1.0, charge_cutoff=12)
     dispersion = charge_dispersion(cfg, levels=6, grid_points=21)
     assert dispersion[1] > 0.05 * cfg.charging_scale
-
-
-def unequal_islands(cfg):
-    return replace(cfg, charging_minus=0.39, josephson_minus=0.8 * cfg.josephson_plus)
 
 
 @pytest.mark.parametrize("make", [lambda cfg: cfg, unequal_islands])
@@ -159,19 +231,15 @@ def full_grid_dispersion(cfg, levels, grid_points):
 
 @pytest.mark.parametrize("make, builds", [(lambda cfg: cfg, 17), (unequal_islands, 27)])
 def test_charge_dispersion_solves_orbits_once(monkeypatch, make, builds):
-    # grid 5: 25 points; probes converge at cutoff 8 (two builds each) and
-    # stand in for (0, 0) and (0.5, 0.5); equal islands solve ng+ <= ng- only
+    # grid 5: 25 points; probes converge at cutoff 8 (a dense and a banded
+    # build each) and stand in for (0, 0) and (0.5, 0.5); equal islands solve
+    # ng+ <= ng- only
     cfg = make(charge_config(ej_over_ec=1.0, charge_cutoff=8))
-    built = []
-    build = spectral.tcq_charge_hamiltonian
-
-    def spy(cfg, cutoff):
-        built.append((cfg.offset_plus, cfg.offset_minus))
-        return build(cfg, cutoff)
-
-    monkeypatch.setattr(spectral, "tcq_charge_hamiltonian", spy)
+    spied = spy_charge_builders(monkeypatch)
     charge_dispersion(cfg, levels=6, grid_points=5)
+    built = [(point.offset_plus, point.offset_minus) for _, point, _ in spied]
     assert len(built) == builds
+    assert set(dense_cutoffs(spied)) == {8}
     if make is unequal_islands:
         assert (0.75, 0.25) in built
     else:
@@ -428,6 +496,17 @@ def test_switch_splitting_raises_on_evaluation_budget(monkeypatch):
     monkeypatch.setattr(spectral, "MINIMIZER_MAXFUN", 3)
     with pytest.raises(ConvergenceFailure):
         switch_splitting(zero_switch_ladder())
+
+
+@pytest.mark.parametrize("make", [
+    lambda: transmon_ladder_config(0.05), lambda: tcq_ladder_config(0.05), zero_switch_ladder])
+def test_switch_ladder_reuses_the_fixed_terms_bitwise(make):
+    cfg = make()
+    dims, labels, hamiltonian = spectral._switch_ladder(cfg)
+    assert dims == spectral._ladder(cfg)[0] and labels == spectral._ladder(cfg)[3]
+    w1 = cfg.resonator1_frequency
+    for w2 in (w1 - 0.15, w1, w1 + 1e-7, cfg.resonator2_frequency, 0.0):
+        assert np.array_equal(hamiltonian(w2), _ladder_hamiltonian(cfg, w2))
 
 
 # ---------------------------------------------------------------------------
