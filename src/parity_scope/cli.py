@@ -429,18 +429,20 @@ def main(argv=None):
     """Run one command and return its exit code.
 
     Both process entry points, ``python -m parity_scope.cli`` and the
-    ``parity-scope`` script, call this without arguments.  Then ``simulate``
-    and ``sweep`` load numpy with one BLAS thread unless the environment
-    already names a count: their products are at most 2x2 by 2x1024, far
-    below OpenBLAS's threading threshold, so a second thread only spins.
-    ``validate`` keeps the library default, since its dense ``eigh`` uses both
-    cores.  A call with ``argv`` runs in a process that may hold other work,
+    ``parity-scope`` script, call this without arguments.  Then numpy loads
+    with one BLAS thread unless the environment already names a count.
+    ``simulate`` and ``sweep`` multiply at most 2x2 by 2x1024, far below
+    OpenBLAS's threading threshold, and ``validate`` runs its few dense
+    charge-basis solves as fast on one thread as on two, since inertia
+    counts decide its cutoff probes and most of its offset grid; a second
+    thread only spins, and it would make ``validate``'s rounding depend on
+    the thread count.  ``scenario-list`` and ``dispersive`` never load
+    numpy.  A call with ``argv`` runs in a process that may hold other work,
     so it leaves the environment as it is.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
-    if (argv is None and args.func in (cmd_simulate, cmd_sweep)
-            and not any(name in os.environ for name in BLAS_THREAD_VARIABLES)):
+    if argv is None and not any(name in os.environ for name in BLAS_THREAD_VARIABLES):
         os.environ["OPENBLAS_NUM_THREADS"] = "1"
     try:
         return args.func(args)

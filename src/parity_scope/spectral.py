@@ -12,9 +12,14 @@ Three layers of brute force:
 
 Every published level comes from a plain dense eigh of a real-symmetric
 matrix; sizes stay at desk scale (<~ 4000), where that is both adequate
-and easy to audit.  Only the charge basis's cutoff probes, whose levels
-decide convergence and are never published, are solved on the band
-(LAPACK upper band storage, bandwidth 2 cutoff + 1).
+and easy to audit.  In the charge basis, solves that only decide a yes/no
+question are replaced by Sylvester inertia counts of H - s I from a block
+LDL^T (Parlett, *The Symmetric Eigenvalue Problem*, SIAM 1998): a cutoff
+probe passes when the counts certify that no level moved by more than the
+tolerance, and a grid point of the charge dispersion is skipped when they
+certify that none of its levels can set a max or a min.  A probe the
+counts cannot certify is solved on the band (LAPACK upper band storage,
+bandwidth 2 cutoff + 1), and a grid point is solved dense.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from functools import reduce
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg import lapack
 
 from .dispersive import (
     CHARGE_CUTOFF_CEILING,
@@ -38,6 +44,8 @@ from .errors import ConvergenceFailure, LevelIdentificationFailure
 
 CONVERGENCE_RTOL = 1e-8
 OVERLAP_FLOOR = 0.5
+TWIST_BLOCKS = 2                 # on each side of the middle one; see _count_below
+DISPERSION_MARGIN = 100          # eps times the Gershgorin bound; see charge_dispersion
 MINIMIZER_MAXFUN = 500           # evaluations; scipy's default for the bounded search
 
 
@@ -148,27 +156,145 @@ def _probe_levels(cfg, cutoff, levels):
                           select_range=(0, levels - 1))
 
 
+def _charge_scale(cfg, cutoff):
+    """Gershgorin bound on the spectrum of tcq_charge_hamiltonian(cfg, cutoff)."""
+    onsite = np.max(np.abs(_charge_onsite(cfg, cutoff)))
+    return onsite + abs(cfg.josephson_plus) + abs(cfg.josephson_minus)
+
+
+def _count_below(cfg, cutoff, shifts):
+    """Number of eigenvalues of tcq_charge_hamiltonian(cfg, cutoff) below
+    each shift, or None when a count is in doubt.
+
+    H - s I is block tridiagonal over n+: diagonal blocks A_i - s I, each the
+    minus island's tridiagonal Hamiltonian at one n+, coupled by -E_J+/2
+    times the identity.  A block LDL^T eliminates the blocks one at a time
+    from both ends of the n+ range, with pivot blocks
+    ``D_i = A_i - s I - (E_J+/2)^2 D_{i-1}^{-1}``, up to the twist: the
+    2 TWIST_BLOCKS + 1 blocks around the one nearest ng+, where the low
+    levels have their weight, taken with both Schur updates as one matrix.
+    A pivot block turns singular where s meets an eigenvalue of the part of
+    H eliminated so far, and keeping the low levels' weight in the twist
+    keeps that part's spectrum away from them.  The negative eigenvalues of
+    the pivot blocks and the twist add up to those of H - s I (Haynsworth's
+    inertia additivity and Sylvester's law of inertia).  A pivot block is
+    factored by Cholesky (dpotrf, inverted by dpotri) when it is positive
+    definite and otherwise by Bunch-Kaufman (dsytrf, inverted by dsytri),
+    whose 1x1 and 2x2 pivots give its inertia; the twist by Bunch-Kaufman.
+
+    Doubt rule: the count is None when a shift is not finite, when a pivot
+    block or the twist is exactly singular, or when a Schur update would
+    outgrow the matrix, that is, when (E_J+/2)^2 ||D_i^{-1}||_F exceeds the
+    Gershgorin bound of H.
+    Every block then stays within a small multiple of that bound, so each
+    count is exact for a symmetric matrix within O(dim eps bound) of H.
+    """
+    if not np.all(np.isfinite(shifts)):
+        return None
+    dim = 2 * cutoff + 1
+    onsite = _charge_onsite(cfg, cutoff).reshape(dim, dim)
+    scale = _charge_scale(cfg, cutoff)
+    coupling = (cfg.josephson_plus / 2.0) ** 2
+    middle = min(max(cutoff + round(cfg.offset_plus), TWIST_BLOCKS), dim - 1 - TWIST_BLOCKS)
+    first, last = middle - TWIST_BLOCKS, middle + TWIST_BLOCKS
+    # every block is Fortran-ordered, so LAPACK works on it in place, and
+    # holds its upper triangle over zeros: the storage LAPACK reads and
+    # writes with lower=0
+    size = (last - first + 1) * dim
+    twist = np.zeros((size, size), order="F")
+    hops = np.arange(size - 1)
+    twist[hops, hops + 1] = -cfg.josephson_minus / 2.0
+    twist[hops[dim - 1::dim], hops[dim - 1::dim] + 1] = 0.0
+    twist[hops[:size - dim], hops[:size - dim] + dim] = -cfg.josephson_plus / 2.0
+    hop = np.asfortranarray(twist[:dim, :dim])
+    # with its default workspace dsytrf runs unblocked, 1.6x slower on the twist
+    lwork = int(lapack.dsytrf_lwork(size)[0])
+
+    def block(base, update, diagonal):
+        matrix = base - update
+        # a view of the entries in memory order, which puts the diagonal at
+        # stride len + 1 in either layout
+        matrix.ravel(order="K")[::len(matrix) + 1] += diagonal
+        return matrix
+
+    counts = []
+    for shift in shifts:
+        diagonals = onsite - shift
+        below, updates = 0, []
+        for chain in (range(first), range(dim - 1, last, -1)):
+            update = 0.0
+            for i in chain:
+                factor, info = lapack.dpotrf(block(hop, update, diagonals[i]), overwrite_a=1)
+                if info == 0:
+                    update = lapack.dpotri(factor, overwrite_c=1)[0]
+                else:
+                    # dpotrf stopped part way through, so the block is built again
+                    factor, pivots, info = lapack.dsytrf(
+                        block(hop, update, diagonals[i]), overwrite_a=1)
+                    if info != 0:
+                        return None
+                    below += _negative_pivots(factor, pivots)
+                    update = lapack.dsytri(factor, pivots, overwrite_a=1)[0]
+                # the squared Frobenius norm of the symmetric inverse
+                entries, diagonal = update.ravel(order="K"), update.diagonal()
+                norm2 = 2.0 * np.dot(entries, entries) - np.dot(diagonal, diagonal)
+                if not coupling * coupling * norm2 <= scale * scale:
+                    return None
+                update *= coupling
+            updates.append(update)
+        inflow = np.zeros((size, size), order="F")
+        inflow[:dim, :dim] = updates[0]
+        inflow[-dim:, -dim:] += updates[1]
+        # the twist is indefinite above the lowest level, so no Cholesky try
+        factor, pivots, info = lapack.dsytrf(
+            block(twist, inflow, diagonals[first:last + 1].ravel()),
+            lwork=lwork, overwrite_a=1)
+        if info != 0:
+            return None
+        counts.append(below + _negative_pivots(factor, pivots))
+    return np.array(counts)
+
+
+def _negative_pivots(factor, pivots):
+    """Negative eigenvalues of D in dsytrf's upper U D U^T factor."""
+    d = factor.diagonal()
+    # a 2x2 block's two negative entries of ``pivots`` sit side by side
+    first = np.flatnonzero(pivots < 0)[::2]
+    a, c, b = d[first], d[first + 1], factor[first, first + 1]
+    det = a * c - b * b
+    return (int(np.count_nonzero(d[pivots > 0] < 0)) + int(np.count_nonzero(det < 0))
+            + 2 * int(np.count_nonzero((det > 0) & (a + c < 0))))
+
+
 def _converge_cutoff(cfg, levels):
     """The cutoff loop of tcq_charge_spectrum and charge_dispersion: the
     converged cutoff and its lowest levels.
 
-    The starting cutoff is solved dense and each probe at cutoff + 4 on the
-    band.  A failed probe's banded levels are the baseline of the next one;
-    the levels returned come from a dense solve at the returned cutoff, so
-    no dense matrix above it is ever built.
+    The starting cutoff is solved dense.  ``H(cutoff)`` is a principal
+    submatrix of ``H(cutoff + 4)``, so by Cauchy interlacing no level falls
+    below its baseline value by more than rounding; a probe at cutoff + 4
+    passes when an inertia count (_count_below) certifies that level k
+    lies above its baseline minus the tolerance for every k.  Only when
+    that certificate fails or is in doubt is the probe solved on the band
+    and compared level by level, and a failed banded probe's levels are the
+    baseline of the next one.  The levels returned come from a dense solve
+    at the returned cutoff, so no dense matrix above it is ever built.
     """
     cutoff = cfg.charge_cutoff
     values = _lowest_levels(cfg, cutoff, levels)
     tol = CONVERGENCE_RTOL * cfg.charging_scale
     # no basis above the ceiling is ever built, the probe's included
     while cutoff + 4 <= cfg.cutoff_ceiling:
-        probe = _probe_levels(cfg, cutoff + 4, levels)
-        if np.max(np.abs(probe - values)) <= tol:
-            if cutoff != cfg.charge_cutoff:
-                values = _lowest_levels(cfg, cutoff, levels)
-            return cutoff, values
-        cutoff += 4
-        values = probe
+        counts = _count_below(cfg, cutoff + 4, values - tol)
+        if counts is None or np.any(counts > np.arange(levels)):
+            probe = _probe_levels(cfg, cutoff + 4, levels)
+            if not np.max(np.abs(probe - values)) <= tol:
+                cutoff += 4
+                values = probe
+                continue
+        if cutoff != cfg.charge_cutoff:
+            values = _lowest_levels(cfg, cutoff, levels)
+        return cutoff, values
     raise ConvergenceFailure(
         f"charge-basis spectrum not converged at cutoff {cfg.cutoff_ceiling}")
 
@@ -188,11 +314,18 @@ def charge_dispersion(cfg, levels=6, grid_points=21):
 
     One cutoff loop (at the corner and the center of the square) fixes the
     cutoff for the whole sweep; a loop that returned that cutoff stands in
-    for its grid point with its dense levels.  Every grid point is one dense
-    solve at that cutoff, and the loops' banded probes above it build no
-    dense matrix.  With identical islands, swapping the two
-    offsets gives the index-swapped matrix bit for bit, so of each swapped
-    pair only the point with ng+ <= ng- is solved.
+    for its grid point with its dense levels.  With identical islands,
+    swapping the two offsets gives the index-swapped matrix bit for bit, so
+    of each swapped pair only the point with ng+ <= ng- is visited.
+
+    The anchor points, both offsets in {0, 0.5, 1}, are solved dense first.
+    Every other point is skipped when inertia counts (_count_below) certify
+    each of its levels inside the current envelope of dense levels shrunk by
+    ``DISPERSION_MARGIN * eps`` times the Gershgorin bound of its matrix, a
+    margin far above the dense solver's rounding; otherwise it is solved
+    dense and widens the envelope.  A skipped point's dense levels could
+    not have set a max or a min, so the result equals the all-dense loop's
+    bit for bit, and every published level comes from a dense solve.
     """
     probes = {ng: _converge_cutoff(replace(cfg, offset_plus=ng, offset_minus=ng), levels)
               for ng in (0.0, 0.5)}
@@ -202,17 +335,35 @@ def charge_dispersion(cfg, levels=6, grid_points=21):
     swap = (cfg.charging_plus == cfg.charging_minus
             and cfg.josephson_plus == cfg.josephson_minus)
     grid = np.linspace(0.0, 1.0, grid_points).tolist()
+    points = [(ng_plus, ng_minus) for i, ng_plus in enumerate(grid)
+              for ng_minus in grid[i if swap else 0:]]
+    anchors = {0.0, 0.5, 1.0}
+    points.sort(key=lambda point: not anchors.issuperset(point))
     lows = np.full(levels, np.inf)
     highs = np.full(levels, -np.inf)
-    for i, ng_plus in enumerate(grid):
-        for ng_minus in grid[i if swap else 0:]:
-            vals = solved.get((ng_plus, ng_minus))
-            if vals is None:
-                probe = replace(cfg, offset_plus=ng_plus, offset_minus=ng_minus)
-                vals = _lowest_levels(probe, cutoff, levels)
-            lows = np.minimum(lows, vals)
-            highs = np.maximum(highs, vals)
+    for point in points:
+        vals = solved.get(point)
+        if vals is None:
+            probe = replace(cfg, offset_plus=point[0], offset_minus=point[1])
+            if not anchors.issuperset(point) and _inside(probe, cutoff, lows, highs):
+                continue
+            vals = _lowest_levels(probe, cutoff, levels)
+        lows = np.minimum(lows, vals)
+        highs = np.maximum(highs, vals)
     return highs - lows
+
+
+def _inside(cfg, cutoff, lows, highs):
+    """Whether inertia counts certify each level k of
+    tcq_charge_hamiltonian(cfg, cutoff) strictly inside (lows[k], highs[k])
+    shrunk by DISPERSION_MARGIN eps times its Gershgorin bound."""
+    margin = DISPERSION_MARGIN * np.finfo(float).eps * _charge_scale(cfg, cutoff)
+    if not np.all(lows + margin < highs - margin):
+        return False
+    counts = _count_below(cfg, cutoff, np.concatenate([lows + margin, highs - margin]))
+    below = np.arange(len(lows))
+    return (counts is not None and bool(np.all(counts[:len(lows)] <= below))
+            and bool(np.all(counts[len(lows):] > below)))
 
 
 # ---------------------------------------------------------------------------

@@ -959,8 +959,8 @@ def test_package_exports_resolve():
 
 
 # ---------------------------------------------------------------------------
-# BLAS threads: simulate and sweep processes load numpy with one, validate
-# keeps the library default, and a count the user set wins
+# BLAS threads: processes started through the entry point load numpy with
+# one, and a count the user set wins
 # ---------------------------------------------------------------------------
 
 def _tasks_after(argv, tmp_path, **env):
@@ -988,8 +988,10 @@ def test_cli_blas_threads_per_command(tmp_path):
                         tmp_path) == 1
     assert _tasks_after(simulate, tmp_path, OPENBLAS_NUM_THREADS="2") == 2
     assert _tasks_after(simulate, tmp_path, OMP_NUM_THREADS="2") == 2
-    assert _tasks_after(["validate", "--config", str(small), "--out", "out", "--quiet"],
-                        tmp_path) >= 2
+    validate = ["validate", "--config", str(small), "--out", "out", "--quiet"]
+    assert _tasks_after(validate, tmp_path) == 1
+    # numpy and scipy each load their own OpenBLAS, and each starts a thread
+    assert _tasks_after(validate, tmp_path, OPENBLAS_NUM_THREADS="2") >= 2
 
 
 def test_cli_in_process_main_leaves_the_environment(tmp_path, monkeypatch):
@@ -1004,17 +1006,26 @@ def test_cli_in_process_main_leaves_the_environment(tmp_path, monkeypatch):
 
 def test_validate_agrees_across_blas_thread_counts(tmp_path):
     # the charge-basis eigh rounds differently on one and two BLAS threads:
-    # the last digits may move, by no more than the benchmark's reference rule
+    # the last digits may move, by no more than the benchmark's reference rule;
+    # the entry point with no count set runs on one thread, bit for bit
     config = _write_variant(tmp_path, "small", lambda tree: tree.__setitem__(
         "validation", SMALL_VALIDATION))
-    rows = {}
-    for threads in ("1", "2"):
+    unset = dict.fromkeys(BLAS_THREAD_VARIABLES)
+    for threads in ("1", "2", "entry"):
         argv = ["validate", "--config", str(config), "--out", threads, "--quiet"]
-        code = f"from parity_scope.cli import main\nprint(main({argv!r}))"
-        assert _fresh_interpreter(code, tmp_path, dict(
-            dict.fromkeys(BLAS_THREAD_VARIABLES), OPENBLAS_NUM_THREADS=threads)) == "0"
-        lines = (tmp_path / threads / "validation.csv").read_text().splitlines()[1:]
-        rows[threads] = [line.split(",") for line in lines]
+        if threads == "entry":
+            code = ("import sys\nfrom parity_scope.cli import main\n"
+                    f"sys.argv = ['parity-scope', *{argv!r}]\nprint(main())")
+            env = unset
+        else:
+            code = f"from parity_scope.cli import main\nprint(main({argv!r}))"
+            env = dict(unset, OPENBLAS_NUM_THREADS=threads)
+        assert _fresh_interpreter(code, tmp_path, env) == "0"
+    csv = {threads: (tmp_path / threads / "validation.csv").read_text()
+           for threads in ("1", "2", "entry")}
+    assert csv["entry"] == csv["1"]
+    rows = {threads: [line.split(",") for line in text.splitlines()[1:]]
+            for threads, text in csv.items()}
     assert [row[0] for row in rows["1"]] == [row[0] for row in rows["2"]]
     for (name, one, threshold, *_), (_, two, *_) in zip(rows["1"], rows["2"]):
         one, two, threshold = float(one), float(two), float(threshold)

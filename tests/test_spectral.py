@@ -136,18 +136,24 @@ def test_charge_spectrum_convergence_failure():
 
 
 def spy_charge_builders(monkeypatch):
-    """Record ``(builder, cfg, cutoff)`` for each dense and banded build."""
+    """Record ``(name, cfg, cutoff)`` for each dense build, banded build and
+    inertia count; a count also records its shifts and result."""
     built = []
-    for name in ("tcq_charge_hamiltonian", "_charge_band"):
-        def spy(cfg, cutoff, name=name, build=getattr(spectral, name)):
-            built.append((name, cfg, cutoff))
-            return build(cfg, cutoff)
+    for name in ("tcq_charge_hamiltonian", "_charge_band", "_count_below"):
+        def spy(cfg, cutoff, *shifts, name=name, build=getattr(spectral, name)):
+            result = build(cfg, cutoff, *shifts)
+            built.append((name, cfg, cutoff, *shifts, result) if shifts else (name, cfg, cutoff))
+            return result
         monkeypatch.setattr(spectral, name, spy)
     return built
 
 
+def cutoffs_of(built, name):
+    return [record[2] for record in built if record[0] == name]
+
+
 def dense_cutoffs(built):
-    return [cutoff for name, _, cutoff in built if name == "tcq_charge_hamiltonian"]
+    return cutoffs_of(built, "tcq_charge_hamiltonian")
 
 
 def test_charge_cutoff_probe_never_exceeds_ceiling(monkeypatch):
@@ -155,27 +161,170 @@ def test_charge_cutoff_probe_never_exceeds_ceiling(monkeypatch):
     cfg = charge_config(charge_cutoff=8, cutoff_ceiling=16, ej_over_ec=5000.0)
     with pytest.raises(ConvergenceFailure):
         tcq_charge_spectrum(cfg)
-    assert [cutoff for _, _, cutoff in built] == [8, 12, 16]
+    probes = cutoffs_of(built, "_count_below") + cutoffs_of(built, "_charge_band")
+    assert sorted(set(probes)) == [12, 16]
+    assert max(cutoff for _, _, cutoff, *_ in built) == 16
     assert dense_cutoffs(built) == [8]
 
 
 def test_charge_cutoff_loop_solves_dense_only_where_it_starts_and_returns(monkeypatch):
-    # the (0.5, 0.5) point of this config converges at 12, one probe above 8
+    # the (0.5, 0.5) point of this config converges at 12: its certificate
+    # fails at 12 and the banded probe confirms it, then 16 is certified
     cfg = charge_config(ej_over_ec=40.0, ec=1.0, charge_cutoff=8,
                         offset_plus=0.5, offset_minus=0.5)
     built = spy_charge_builders(monkeypatch)
     cutoff, values = spectral._converge_cutoff(cfg, 6)
     assert cutoff == 12
     assert dense_cutoffs(built) == [8, 12]
-    assert [c for name, _, c in built if name == "_charge_band"] == [12, 16]
+    assert cutoffs_of(built, "_charge_band") == [12]
+    counts = {record[2]: record[4] for record in built if record[0] == "_count_below"}
+    assert sorted(counts) == [12, 16]
+    assert np.any(counts[12] > np.arange(6))
+    assert np.all(counts[16] <= np.arange(6))
     published = sla.eigh(tcq_charge_hamiltonian(cfg, 12), eigvals_only=True,
                          subset_by_index=(0, 5))
     assert np.array_equal(values, published)
 
 
+COUNT_CASES = [   # E_J/E_C, E_I/E_C, offsets
+    (50.0, -0.5, (0.0, 0.0)), (1.0, 0.8, (0.5, 0.5)),
+    (7.0, -0.5, (0.13, 0.41)), (20.0, 0.3, (0.5, 0.0)),
+]
+
+
+@pytest.mark.parametrize("cutoff", [8, 9, 12, 16])
+@pytest.mark.parametrize("ej_over_ec, ei_over_ec, offsets", COUNT_CASES)
+@pytest.mark.parametrize("make", [lambda cfg: cfg, unequal_islands])
+def test_count_below_is_the_eigenvalue_count(make, ej_over_ec, ei_over_ec, offsets, cutoff):
+    cfg = make(charge_config(ej_over_ec, ei_over_ec=ei_over_ec,
+                             offset_plus=offsets[0], offset_minus=offsets[1]))
+    h = tcq_charge_hamiltonian(cfg, cutoff)
+    values = np.linalg.eigvalsh(h)
+    low = values[:9]
+    gaps = np.diff(low) > 1e-9 * spectral._charge_scale(cfg, cutoff)
+    shifts = np.concatenate([[low[0] - cfg.charging_scale],
+                             0.5 * (low[:-1] + low[1:])[gaps], [low[-1] + 1e3]])
+    counts = spectral._count_below(cfg, cutoff, shifts)
+    assert counts is not None
+    assert np.array_equal(counts, np.searchsorted(values, shifts))
+
+
+def test_count_below_doubts_at_an_eigenvalue_of_the_first_block_or_a_nan():
+    # the first pivot block is H's n+ = -cutoff block itself, so a shift at
+    # one of its eigenvalues makes it singular
+    for make in (lambda cfg: cfg, unequal_islands):
+        cfg = make(charge_config(7.0, offset_plus=0.13, offset_minus=0.41))
+        dim = 2 * 8 + 1
+        first = np.linalg.eigvalsh(tcq_charge_hamiltonian(cfg, 8)[:dim, :dim])
+        for shift in first[[0, dim // 2, -1]]:
+            assert spectral._count_below(cfg, 8, [shift]) is None
+        assert spectral._count_below(cfg, 8, [first[0] - 1.0]) is not None
+        assert spectral._count_below(cfg, 8, [first[0] - 1.0, math.nan]) is None
+
+
+def random_charge_config(rng, **kwargs):
+    """Equal or unequal islands, E_J/E_C from 1 to 50, E_I of either sign."""
+    ec = rng.uniform(0.2, 0.5)
+    ratio = math.exp(rng.uniform(0.0, math.log(50.0)))
+    cfg = charge_config(ratio, ec=ec, ei_over_ec=rng.uniform(-0.8, 0.8),
+                        offset_plus=rng.uniform(), offset_minus=rng.uniform(), **kwargs)
+    if rng.uniform() < 0.5:
+        cfg = replace(cfg, charging_minus=ec * rng.uniform(0.7, 1.4),
+                      josephson_minus=ratio * ec * rng.uniform(0.7, 1.4))
+    return cfg
+
+
+def test_probe_certificate_agrees_with_the_banded_comparison():
+    rng = np.random.default_rng(18)
+    outcomes = []
+    for _ in range(120):
+        cfg = random_charge_config(rng, charge_cutoff=8)
+        values = spectral._lowest_levels(cfg, 8, 6)
+        tol = spectral.CONVERGENCE_RTOL * cfg.charging_scale
+        counts = spectral._count_below(cfg, 12, values - tol)
+        banded = spectral._probe_levels(cfg, 12, 6)
+        passes = bool(np.max(np.abs(banded - values)) <= tol)
+        if counts is not None:
+            assert bool(np.all(counts <= np.arange(6))) == passes
+            outcomes.append(passes)
+    assert len(outcomes) >= 100
+    assert set(outcomes) == {True, False}
+
+
+def all_dense_dispersion(cfg, levels=6, grid_points=21):
+    """charge_dispersion's loop before certification, kept as the reference:
+    every visited orbit point is a dense solve.  Returns the dispersion and
+    the levels of each point."""
+    probes = {ng: spectral._converge_cutoff(
+                  replace(cfg, offset_plus=ng, offset_minus=ng), levels)
+              for ng in (0.0, 0.5)}
+    cutoff = max(converged for converged, _ in probes.values())
+    solved = {(ng, ng): values for ng, (converged, values) in probes.items()
+              if converged == cutoff}
+    swap = (cfg.charging_plus == cfg.charging_minus
+            and cfg.josephson_plus == cfg.josephson_minus)
+    grid = np.linspace(0.0, 1.0, grid_points).tolist()
+    lows = np.full(levels, np.inf)
+    highs = np.full(levels, -np.inf)
+    points = {}
+    for i, ng_plus in enumerate(grid):
+        for ng_minus in grid[i if swap else 0:]:
+            vals = solved.get((ng_plus, ng_minus))
+            if vals is None:
+                probe = replace(cfg, offset_plus=ng_plus, offset_minus=ng_minus)
+                vals = spectral._lowest_levels(probe, cutoff, levels)
+            points[ng_plus, ng_minus] = vals
+            lows = np.minimum(lows, vals)
+            highs = np.maximum(highs, vals)
+    return highs - lows, points
+
+
+def dense_points(monkeypatch):
+    solved = []
+
+    def spy(cfg, cutoff, levels, solve=spectral._lowest_levels):
+        solved.append((cfg.offset_plus, cfg.offset_minus))
+        return solve(cfg, cutoff, levels)
+    monkeypatch.setattr(spectral, "_lowest_levels", spy)
+    return solved
+
+
+def assert_certified_equals_all_dense(monkeypatch, cfg, grid_points):
+    reference, points = all_dense_dispersion(cfg, 6, grid_points)
+    with monkeypatch.context() as patch:
+        solved = dense_points(patch)
+        dispersion = charge_dispersion(cfg, levels=6, grid_points=grid_points)
+    assert np.array_equal(dispersion, reference)
+    levels = np.array(list(points.values()))
+    extreme = (levels == levels.max(axis=0)) | (levels == levels.min(axis=0))
+    attained = {point for point, hit in zip(points, extreme.any(axis=1)) if hit}
+    assert attained <= set(solved)
+    return len(set(solved)), len(points)
+
+
+def test_certified_dispersion_equals_all_dense_on_random_configs(monkeypatch):
+    rng = np.random.default_rng(7)
+    skipped = 0
+    for k in range(42):
+        cfg = random_charge_config(rng, charge_cutoff=8)
+        dense, visited = assert_certified_equals_all_dense(
+            monkeypatch, cfg, (5, 6, 9)[k % 3])
+        skipped += visited - dense
+    assert skipped > 0
+
+
+@pytest.mark.parametrize("josephson", [50.0, 1.0])   # validate's flat and steep
+def test_certified_dispersion_equals_all_dense_on_validate_grid(monkeypatch, josephson):
+    ec = 0.3 * MHZ * 1e3
+    cfg = ChargeBasisConfig(ec, ec, josephson * ec, josephson * ec, -0.5 * ec,
+                            charge_cutoff=12)
+    dense, visited = assert_certified_equals_all_dense(monkeypatch, cfg, 21)
+    assert dense < visited
+
+
 def test_charge_spectrum_peak_memory_is_one_dense_matrix():
     # validate's flat configuration at cutoff 12 converges there: one 625^2
-    # dense matrix, solved in place, and a banded probe at 16
+    # dense matrix, solved in place, and a probe at 16 certified by counts
     import tracemalloc
     ec = 0.3 * MHZ * 1e3
     cfg = ChargeBasisConfig(ec, ec, 50 * ec, 50 * ec, -0.5 * ec, charge_cutoff=12)
@@ -231,15 +380,21 @@ def full_grid_dispersion(cfg, levels, grid_points):
 
 @pytest.mark.parametrize("make, builds", [(lambda cfg: cfg, 17), (unequal_islands, 27)])
 def test_charge_dispersion_solves_orbits_once(monkeypatch, make, builds):
-    # grid 5: 25 points; probes converge at cutoff 8 (a dense and a banded
-    # build each) and stand in for (0, 0) and (0.5, 0.5); equal islands solve
-    # ng+ <= ng- only
+    # grid 5: 25 points; probes converge at cutoff 8 (a dense build and a
+    # certified probe each) and stand in for (0, 0) and (0.5, 0.5); equal
+    # islands visit ng+ <= ng- only.  A grid point is decided once, by a
+    # dense build, a certificate, or a failed certificate and a dense build.
     cfg = make(charge_config(ej_over_ec=1.0, charge_cutoff=8))
     spied = spy_charge_builders(monkeypatch)
     charge_dispersion(cfg, levels=6, grid_points=5)
-    built = [(point.offset_plus, point.offset_minus) for _, point, _ in spied]
-    assert len(built) == builds
+    visits = [(name, point.offset_plus, point.offset_minus, cutoff)
+              for name, point, cutoff, *_ in spied]
+    assert len(set(visits)) == len(visits)
+    decided = {visit[1:] for visit in visits}
+    assert len(decided) == builds
     assert set(dense_cutoffs(spied)) == {8}
+    assert not cutoffs_of(spied, "_charge_band")
+    built = [point[:2] for point in decided]
     if make is unequal_islands:
         assert (0.75, 0.25) in built
     else:
