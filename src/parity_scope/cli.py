@@ -252,8 +252,11 @@ def cmd_sweep(args):
         "diagonal": [(chi, chi) for chi in grid],
         "asymmetric": [(chi, sweep.asymmetric_chi2) for chi in grid],
     }
+    # both cuts are scored in one lockstep pass, then split by position
+    scored = iter(chi_sweep([pair for pairs in cuts.values() for pair in pairs],
+                            kappa, pulse, tau))
     for cut_name, pairs in cuts.items():
-        points = chi_sweep(pairs, kappa, pulse, tau)
+        points = [next(scored) for _ in pairs]
         path = Path(cfg.output_dir) / f"sweep_{cut_name}.csv"
         write_csv(path, SWEEP_HEADER, sweep_rows(points))
         best = min(points, key=lambda p: p.missing_parity)

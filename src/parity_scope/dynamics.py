@@ -184,11 +184,12 @@ def _advance(step, forcing, n, every, out):
         g = forcing(start, stop)
         g[..., :1] += step @ y
         z = _scan(step, g)
-        y = z[..., -1:]
+        y = z[..., -1:].copy()
         # values n = k * every with start < n <= stop sit at z[n - start - 1]
         first, last = start // every, stop // every
         offset = (first + 1) * every - start - 1
         out[..., first:last] = z[..., offset::every]
+        del g, z        # before the next chunk is built: one chunk at a time
 
 
 def _integrate(m, u, pulse, dt, n_steps, stride):
@@ -261,34 +262,58 @@ def _integrate(m, u, pulse, dt, n_steps, stride):
 
     rec = np.zeros(m.shape[:-2] + (2, n_blocks + 1), dtype=complex)
     _advance(jump[..., :2, :2], forcing, n_blocks, 1, rec[..., 1:])
+    # back to M's basis, a1 = Q00 y1 + Q01 y2 and a2 = Q10 y1 + Q11 y2, in
+    # rec's own storage: the records are most of the memory a stack takes
     q = q[..., None]
     rec1, rec2 = rec[..., 0, :], rec[..., 1, :]
-    return (q[..., 0, 0, :] * rec1 + q[..., 0, 1, :] * rec2,
-            q[..., 1, 0, :] * rec1 + q[..., 1, 1, :] * rec2)
+    cross2, cross1 = q[..., 0, 1, :] * rec2, q[..., 1, 0, :] * rec1
+    rec1 *= q[..., 0, 0, :]
+    rec1 += cross2
+    rec2 *= q[..., 1, 1, :]
+    rec2 += cross1
+    return rec1, rec2
 
 
-def evolve_weights(setup, weights, t_final, dt=None, stride=None, probe=True):
+def evolve_setups(setups, weights, t_final, dt=None, stride=None, probe=True, labels=None):
     """Integrate the driven amplitude pair from vacuum with fixed-step RK4,
-    one trajectory per Hamming weight in ``weights``, all in one array pass.
+    one trajectory per setup and Hamming weight in ``weights``, all in one
+    array pass.  Returns one list of Trajectory per setup.
 
-    ``dt`` defaults to ``1e-3 / max(kappa)`` and must respect
-    ``dt <= 0.01 * min(1/kappa, 1/|detuning + 3 chi|)``; it is nudged so the
-    horizon is a whole number of steps.  With ``probe=True`` every
-    trajectory is repeated at dt/2 (the same ``_integrate`` call on the same
-    record grid) and its final amplitudes must agree to 1e-8 relative,
-    otherwise StepTooLarge.  ``stride`` controls the recorded grid (default
-    ~2801 samples, at most 2 * RECORD_TARGET + 1: where no divisor keeps that
-    few, the step count moves to a multiple of the stride); the work grows
-    with the records, not the steps.
-    Returns a list of Trajectory.
+    The setups must share the decay rates and the pulse, and so the step,
+    the record grid and the drive vector.  ``dt`` defaults to ``1e-3 /
+    max(kappa)`` and must respect every setup's ``dt <= 0.01 * min(1/kappa,
+    1/|detuning + 3 chi|)``; it is nudged so the horizon is a whole number of
+    steps.  With ``probe=True`` every trajectory is repeated at dt/2 (the
+    same ``_integrate`` call on the same record grid) and its final
+    amplitudes must agree to 1e-8 relative, otherwise StepTooLarge.  Setups
+    are checked in input order, so the error is the first failing setup's,
+    prefixed with ``labels[i]`` when labels are given.  ``stride`` controls
+    the recorded grid (default ~2801 samples, at most 2 * RECORD_TARGET + 1:
+    where no divisor keeps that few, the step count moves to a multiple of
+    the stride); the work grows with the records, not the steps.
     """
+    setups = list(setups)
+    first = setups[0]
+    if any((s.kappa1, s.kappa2, s.pulse) != (first.kappa1, first.kappa2, first.pulse)
+           for s in setups):
+        raise ValueError("stacked setups must share the decay rates and the pulse")
     if t_final <= 0:
         raise ValueError("t_final must be positive")
+
+    def failure(i, message):
+        return StepTooLarge(message if labels is None else f"{labels[i]}: {message}")
+
     if dt is None:
-        dt = DEFAULT_STEP_FACTOR / setup.kappa_scale
-    bound = _step_bound(setup)
-    if dt > bound:
-        raise StepTooLarge(f"dt = {dt:.3e} exceeds the stability margin {bound:.3e}")
+        dt = DEFAULT_STEP_FACTOR / first.kappa_scale
+    bounds = [_step_bound(setup) for setup in setups]
+    # the setups before the first one dt fails are integrated, and their
+    # probes checked, before that failure is raised
+    passing = next((i for i, bound in enumerate(bounds) if dt > bound), len(setups))
+    if passing < len(setups):
+        unstable = failure(passing, f"dt = {dt:.3e} exceeds the stability margin "
+                                    f"{bounds[passing]:.3e}")
+        if passing == 0:
+            raise unstable
 
     n_steps = max(1, int(round(t_final / dt)))
     dt = t_final / n_steps
@@ -306,25 +331,41 @@ def evolve_weights(setup, weights, t_final, dt=None, stride=None, probe=True):
         raise ValueError("stride must divide the number of steps")
 
     weights = list(weights)
-    m = np.stack([mode_matrix(setup, hw) for hw in weights])
-    u = -1j * _drive_vector(setup)
-    rec1, rec2 = _integrate(m, u, setup.pulse, dt, n_steps, stride)
+    m = np.stack([mode_matrix(setup, hw) for setup in setups[:passing] for hw in weights])
+    u = -1j * _drive_vector(first)
+    if probe:
+        # the half-step run first, so that only its final amplitudes are
+        # held while the recorded run takes its memory
+        f1, f2 = (f[:, -1].copy() for f in
+                  _integrate(m, u, first.pulse, dt / 2.0, 2 * n_steps, 2 * stride))
+    rec1, rec2 = _integrate(m, u, first.pulse, dt, n_steps, stride)
 
     if probe:
-        f1, f2 = _integrate(m, u, setup.pulse, dt / 2.0, 2 * n_steps, 2 * stride)
-        ref = np.maximum(np.maximum(np.abs(f1[:, -1]), np.abs(f2[:, -1])), 1e-30)
-        err = np.maximum(np.abs(rec1[:, -1] - f1[:, -1]), np.abs(rec2[:, -1] - f2[:, -1])) / ref
-        worst = int(np.argmax(err))
-        if not err[worst] <= PROBE_RTOL:       # a NaN fails too
-            raise StepTooLarge(f"h_w={weights[worst]}: half-step probe disagreement "
-                               f"{err[worst]:.3e} > {PROBE_RTOL}")
+        ref = np.maximum(np.maximum(np.abs(f1), np.abs(f2)), 1e-30)
+        err = np.maximum(np.abs(rec1[:, -1] - f1), np.abs(rec2[:, -1] - f2)) / ref
+        failing = np.flatnonzero(~(err <= PROBE_RTOL))      # a NaN fails too
+        if failing.size:
+            i = failing[0] // len(weights)
+            own = err[i * len(weights):(i + 1) * len(weights)]
+            worst = int(np.argmax(own))
+            raise failure(i, f"h_w={weights[worst]}: half-step probe disagreement "
+                             f"{own[worst]:.3e} > {PROBE_RTOL}")
+    if passing < len(setups):
+        raise unstable
 
     times = np.arange(0, n_steps + 1, stride) * dt
-    drive = drive_envelope(times, setup.pulse)
-    output = output_field(rec1, rec2, drive, setup)
-    return [Trajectory(times=times, alpha1=rec1[i], alpha2=rec2[i], drive=drive,
-                       output=output[i], hamming_weight=hw, step=dt)
-            for i, hw in enumerate(weights)]
+    drive = drive_envelope(times, first.pulse)
+    output = output_field(rec1, rec2, drive, first)
+    trajectories = [Trajectory(times=times, alpha1=rec1[i], alpha2=rec2[i], drive=drive,
+                               output=output[i], hamming_weight=hw, step=dt)
+                    for i, hw in enumerate(weights * len(setups))]
+    return [trajectories[i:i + len(weights)] for i in range(0, len(trajectories), len(weights))]
+
+
+def evolve_weights(setup, weights, t_final, dt=None, stride=None, probe=True):
+    """``evolve_setups`` for one setup: its list of Trajectory, one per
+    Hamming weight in ``weights``."""
+    return evolve_setups([setup], weights, t_final, dt, stride, probe)[0]
 
 
 def evolve(setup, hamming_weight, t_final, dt=None, stride=None, probe=True):

@@ -21,21 +21,23 @@ from typing import NamedTuple
 import numpy as np
 
 from .dispersive import DispersiveModel, parity_detunings
-from .dynamics import evolve_weights
+from .dynamics import evolve_setups
 from .errors import GridTooCoarse, NonFiniteSignal, QuadratureNonconvergent
 from .measurement import MeasurementSetup
 
 LOG2 = math.log(2.0)
-DEFAULT_QUADRATURE_POINTS = 4001
+DEFAULT_QUADRATURE_POINTS = 4001  # most nodes of a gain grid
+QUADRATURE_DENSITY = 16          # gain-grid nodes per sigma
 QUADRATURE_PADDING = 8.0         # integration range: means +/- padding * sqrt(tau)
 QUADRATURE_RTOL = 1e-6           # doubling check, in bits
 NORMALIZATION_TOL = 1e-8         # |integral of the mixture density - 1| on a gain grid
 PHASE_COARSE_POINTS = 256
-PHASE_SCAN_POINTS = 201          # quadrature of the coarse phase scan, which only ranks phases
+PHASE_SCAN_DENSITY = 4           # nodes per sigma of the coarse phase scan, which only ranks phases
 PHASE_SCAN_FLOOR = 1e-12         # bits; rounding-level ties are re-scored too
 GAIN_CHUNK = 4096                # grid samples (models x points) per stacked kernel pass
 PHASE_TOLERANCE = 1e-4
 RATE_CONSISTENCY_BITS = 1e-3
+SWEEP_CHUNK = 8                  # sweep points scored in lockstep; bounds the stacked trajectories
 
 
 @dataclass(frozen=True)
@@ -231,13 +233,15 @@ class _ModelStack(NamedTuple):
     variance: np.ndarray    # (n,)
 
 
-def _gain_integrands(model, points):
+def _gain_integrands(model, points, hamming=True):
     """Quadrature grid and integrands of the average gains, for one signal
     model or a stack of them, in one array pass.
 
     ``model.means`` is (4,) or (n, 4) and ``model.variance`` a number or
     (n,).  Returns the grid on means +/- 8 sigma, the mixture density and the
-    pointwise Hamming-weight and parity information, each (n, points).
+    pointwise Hamming-weight and parity information, each (n, points); with
+    ``hamming=False`` (the phase scan ranks by parity alone) the
+    Hamming-weight information is None.
     """
     means = np.reshape(np.asarray(model.means, dtype=float), (-1, 4))
     variance = np.broadcast_to(np.asarray(model.variance, dtype=float), means.shape[:1])
@@ -247,134 +251,210 @@ def _gain_integrands(model, points):
         means.max(axis=1) + QUADRATURE_PADDING * sigma, points, axis=-1))
     post, log_evidence = _posterior(_log_likelihoods(grid, means, variance))
     density = np.exp(log_evidence) / 4.0
-    info_hw = 2.0 + _xlog2x(post).sum(axis=1)
+    info_hw = 2.0 + _xlog2x(post).sum(axis=1) if hamming else None
     p_even = post[:, 0] + post[:, 2]
     info_parity = 1.0 + _xlog2x(p_even) + _xlog2x(1.0 - p_even)
     return grid, density, info_hw, info_parity
 
 
-def _integrand_chunks(means, variance, points):
+def _quadrature_points(means, variance, density, modulus=2):
+    """Node count of each model's gain grid, (n,), from its own means (n, 4)
+    and variance (n,) alone: ``density`` nodes per sigma over means +/-
+    QUADRATURE_PADDING sigma, rounded up to 1 mod ``modulus`` (odd, for
+    Simpson) and capped at DEFAULT_QUADRATURE_POINTS.
+
+    The integrand decays smoothly at both ends of the span, so a fixed
+    density per sigma converges like the trapezoid rule on a smooth rapidly
+    decaying function (Trefethen and Weideman, SIAM Rev. 56, 385, 2014).
+    Means about 234 sigma apart reach the cap; past it the grid stays at
+    4001 nodes, where the normalization guard catches means it cannot resolve.
+    """
+    spread = np.ptp(means, axis=-1) / np.sqrt(variance)
+    nodes = np.ceil(density * (spread + 2.0 * QUADRATURE_PADDING))
+    nodes = np.ceil((nodes - 1.0) / modulus) * modulus + 1.0
+    # fmin: a NaN spread (from non-finite means) reads as the cap, so the
+    # kernel runs and the guards see the NaN
+    return np.fmin(nodes, DEFAULT_QUADRATURE_POINTS).astype(int)
+
+
+def _node_counts(means, variance, points):
+    """``points`` for each of the n models: a number for all, (n,), or None
+    for each model's own ``_quadrature_points``."""
+    if points is None:
+        return _quadrature_points(means, variance, QUADRATURE_DENSITY)
+    return np.broadcast_to(points, len(means))
+
+
+def _integrand_chunks(means, variance, points, hamming=True):
     """Yield ``(rows, grid, density, hamming integrand, parity integrand)``
-    over a stack of models, at most GAIN_CHUNK grid samples per pass so the
-    (rows, 4, points) scratch arrays stay small."""
-    step = max(1, GAIN_CHUNK // points)
-    for start in range(0, len(means), step):
-        rows = slice(start, start + step)
-        grid, density, info_hw, info_parity = _gain_integrands(
-            _ModelStack(means[rows], variance[rows]), points)
-        yield rows, grid, density, density * info_hw, density * info_parity
+    over a stack of models, ``points`` (n,) nodes per model: the models of
+    one node count share passes of at most GAIN_CHUNK grid samples, so the
+    (rows, 4, points) scratch arrays stay small.  ``rows`` indexes the stack;
+    ``hamming=False`` leaves the Hamming-weight integrand None."""
+    # a set, not np.unique, which loads numpy.ma (20 ms) on first use
+    for count in sorted(set(points.tolist())):
+        group = np.flatnonzero(points == count)
+        step = max(1, GAIN_CHUNK // count)
+        for start in range(0, group.size, step):
+            rows = group[start:start + step]
+            grid, density, info_hw, info_parity = _gain_integrands(
+                _ModelStack(means[rows], variance[rows]), count, hamming)
+            yield (rows, grid, density, None if info_hw is None else density * info_hw,
+                   density * info_parity)
 
 
-def _gains_and_masses(means, variance, points):
+def _gains_and_masses(means, variance, points=None):
     """Average (Hamming-weight, parity) gains in bits of n models, (n, 2),
-    by composite Simpson on ``points`` samples, and each model's mixture
-    density integrated on the same grid, (n,)."""
+    by composite Simpson on ``points`` samples (a number, one per model, or
+    None for each model's own ``_quadrature_points``), and each model's
+    mixture density integrated on the same grid, (n,)."""
     gains, masses = np.empty((len(means), 2)), np.empty(len(means))
+    points = _node_counts(means, variance, points)
     for rows, grid, density, hamming, parity in _integrand_chunks(means, variance, points):
-        masses[rows] = _simpson(density, grid)
-        gains[rows, 0] = _simpson(hamming, grid)
-        gains[rows, 1] = _simpson(parity, grid)
+        # one pass for the three integrands, which share the grid's weights
+        masses[rows], gains[rows, 0], gains[rows, 1] = _simpson(
+            np.stack([density, hamming, parity]), grid)
     return gains, masses
 
 
-def _stack_gains(means, variance, points):
+def _stack_gains(means, variance, points=None):
     """The gains of ``_gains_and_masses``, where they only rank or cross-check."""
     return _gains_and_masses(means, variance, points)[0]
 
 
-def _guarded_gains(means, variance, points):
+def _guarded_gains(means, variance, points=None):
     """The gains of ``_gains_and_masses``, for publishing.
 
     Every model's density must integrate to 1 within NORMALIZATION_TOL
-    (QuadratureNonconvergent otherwise).  Once the means spread over a few
-    thousand sigma the fixed grid's nodes fall too far apart for the
-    Gaussians; past about 1e4 sigma they step over them, and the density and
-    the gains read about 0 at any resolution the doubling check tries.
+    (QuadratureNonconvergent, naming the first model that fails).  Once the
+    means spread over a few thousand sigma the capped grid's nodes fall too
+    far apart for the Gaussians; past about 1e4 sigma they step over them,
+    and the density and the gains read about 0 at any resolution the
+    doubling check tries.
     """
+    points = _node_counts(means, variance, points)
     gains, masses = _gains_and_masses(means, variance, points)
-    error = np.abs(masses - 1.0)
-    worst = int(np.argmax(error))
-    if not error[worst] <= NORMALIZATION_TOL:       # a NaN fails too
-        spread = np.ptp(means[worst]) / math.sqrt(variance[worst])
+    failing = np.flatnonzero(~(np.abs(masses - 1.0) <= NORMALIZATION_TOL))  # a NaN fails too
+    if failing.size:
+        first = failing[0]
+        spread = np.ptp(means[first]) / math.sqrt(variance[first])
         raise QuadratureNonconvergent(
-            f"the signal density integrates to {masses[worst]:.12g}, not 1, on the "
-            f"{points}-point gain grid: means {spread:.3g} sigma apart are not resolved")
+            f"the signal density integrates to {masses[first]:.12g}, not 1, on the "
+            f"{points[first]}-point gain grid: means {spread:.3g} sigma apart are not resolved")
     return gains
 
 
-def info_gains(model, points=DEFAULT_QUADRATURE_POINTS, check=True):
+def info_gains(model, points=None, check=True):
     """Average information gains (bits) about Hamming weight and parity.
 
-    Composite Simpson over the signal mixture on means +/- 8 sigma, on which
-    the mixture density must integrate to 1 within 1e-8; with ``check=True``
-    the quadrature is repeated at doubled resolution and must agree within
-    1e-6 bits (QuadratureNonconvergent otherwise).
+    Composite Simpson over the signal mixture on means +/- 8 sigma, at 16
+    nodes per sigma up to 4001 nodes (``_quadrature_points``) unless
+    ``points`` fixes the count; the mixture density must integrate to 1
+    within 1e-8.  With ``check=True`` the quadrature is repeated at doubled
+    resolution and must agree within 1e-6 bits (QuadratureNonconvergent
+    otherwise).
+
+    ``model.means`` is four numbers, or a stack (n, 4) with ``model.variance``
+    a number or (n,): then the two gains are (n,) arrays, each row what a
+    call on that model alone returns, bit for bit.
     """
-    means = np.reshape(np.asarray(model.means, dtype=float), (1, 4))
-    variance = np.array([model.variance], dtype=float)
-    gains = _guarded_gains(means, variance, points)[0]
+    single = np.ndim(model.means) == 1
+    means = np.reshape(np.asarray(model.means, dtype=float), (-1, 4))
+    variance = np.broadcast_to(np.asarray(model.variance, dtype=float), means.shape[:1])
+    points = _node_counts(means, variance, points)
+    gains = _guarded_gains(means, variance, points)
     if check:
-        moved = np.abs(_stack_gains(means, variance, 2 * (points - 1) + 1)[0] - gains)
-        if not np.all(moved <= QUADRATURE_RTOL):       # a NaN fails too
+        moved = np.abs(_stack_gains(means, variance, 2 * (points - 1) + 1) - gains)
+        failing = np.flatnonzero(~np.all(moved <= QUADRATURE_RTOL, axis=1))  # a NaN fails too
+        if failing.size:
+            hamming, parity = moved[failing[0]]
             raise QuadratureNonconvergent(
-                f"doubling the grid moved the gains by ({moved[0]:.2e}, {moved[1]:.2e}) bits")
-    return float(gains[0]), float(gains[1])
+                f"doubling the grid moved the gains by ({hamming:.2e}, {parity:.2e}) bits")
+    if single:
+        return float(gains[0, 0]), float(gains[0, 1])
+    return gains[:, 0], gains[:, 1]
 
 
 def _phase_bracket(integrals, phis, tau):
     """Index of the coarse phase around which the parity gain peaks.
 
-    Every phase is scored in one stacked pass at PHASE_SCAN_POINTS, and the
-    scan measures its own error against its every-other-point sub-grid.  The
-    cheap quadrature only has to rank the phases: all phases within that
-    error (plus a rounding floor) of the best are re-scored at the full
-    quadrature before one is chosen.
+    ``integrals`` holds four complex output integrals, or a stack (n, 4) of
+    them, and then an (n,) array of indices comes back.  Every phase of
+    every stacked model is scored in one pass at PHASE_SCAN_DENSITY nodes
+    per sigma (a count that is 1 mod 4), and the scan measures its own error
+    against its every-other-point sub-grid.  The cheap quadrature only has
+    to rank the phases: all phases within that error (plus a rounding floor)
+    of the best are re-scored at their own gain quadrature before one is
+    chosen.
     """
-    means = _project(np.asarray(integrals), phis[:, None])
-    variance = np.full(phis.size, tau)
-    values, errors = np.empty(phis.size), np.empty(phis.size)
-    for rows, grid, _, _, parity in _integrand_chunks(means, variance, PHASE_SCAN_POINTS):
+    stack = np.reshape(np.asarray(integrals), (-1, 1, 4))
+    means = _project(stack, phis[:, None]).reshape(-1, 4)
+    variance = np.full(len(means), float(tau))
+    points = _quadrature_points(means, variance, PHASE_SCAN_DENSITY, 4)
+    values, errors = np.empty(len(means)), np.empty(len(means))
+    for rows, grid, _, _, parity in _integrand_chunks(means, variance, points, hamming=False):
         values[rows] = _simpson(parity, grid)
         errors[rows] = np.abs(values[rows] - _simpson(parity[:, ::2], grid[:, ::2]))
-    best = int(np.argmax(values))
-    rivals = np.flatnonzero(values[best] - values <= errors[best] + errors + PHASE_SCAN_FLOOR)
-    if rivals.size > 1:
-        rescored = _stack_gains(means[rivals], variance[rivals], DEFAULT_QUADRATURE_POINTS)
-        best = int(rivals[np.argmax(rescored[:, 1])])
-    return best
+    values, errors = values.reshape(-1, phis.size), errors.reshape(-1, phis.size)
+    best = np.argmax(values, axis=1)
+    top = np.arange(len(best)), best
+    near = values[top][:, None] - values <= errors[top][:, None] + errors + PHASE_SCAN_FLOOR
+    near[np.sum(near, axis=1) == 1] = False     # a lone best needs no re-scoring
+    rivals = np.flatnonzero(near)
+    if rivals.size:
+        rescored = np.full(values.shape, -np.inf)
+        rescored.flat[rivals] = _stack_gains(means[rivals], variance[rivals])[:, 1]
+        contested = np.any(near, axis=1)
+        best[contested] = np.argmax(rescored[contested], axis=1)
+    return int(best[0]) if np.ndim(integrals) == 1 else best
 
 
 def optimal_phase(integrals, tau):
     """Local-oscillator phase maximizing the parity information gain.
 
     Coarse scan over [0, pi) on a cheap quadrature (it only picks the
-    bracket) followed by golden-section refinement at the full quadrature
+    bracket) followed by golden-section refinement at the gain quadrature
     to PHASE_TOLERANCE; the objective is pi-periodic.  Returns
     ``(phase, info_parity)``.
+
+    ``integrals`` holds the four complex output integrals, or a stack (n, 4)
+    of them: then each point's search runs in lockstep with the others, the
+    two results are (n,) arrays, and each row is what a search on that point
+    alone returns, bit for bit.  Every bracket is 2 pi / PHASE_COARSE_POINTS
+    wide, so every point takes the same steps and each step is one stacked
+    ``info_gains`` call.
     """
-    def objective(phi):
-        model = SignalModel(tau, phi, means_from_integrals(integrals, phi))
+    stack = np.reshape(np.asarray(integrals), (-1, 4))
+
+    def objective(phi, rows):
+        model = _ModelStack(_project(stack[rows], phi[:, None]), np.full(rows.size, float(tau)))
         return info_gains(model, check=False)[1]
 
     phis = np.linspace(0.0, math.pi, PHASE_COARSE_POINTS, endpoint=False)
-    best = _phase_bracket(integrals, phis, tau)
+    best = _phase_bracket(stack, phis, tau)
     span = math.pi / PHASE_COARSE_POINTS
     lo, hi = phis[best] - span, phis[best] + span
 
     ratio = (math.sqrt(5.0) - 1.0) / 2.0
+    everyone = np.arange(len(stack))
     c, d = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
-    fc, fd = objective(c), objective(d)
-    while hi - lo > PHASE_TOLERANCE:
-        if fc > fd:
-            hi, d, fd = d, c, fc
-            c = hi - ratio * (hi - lo)
-            fc = objective(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + ratio * (hi - lo)
-            fd = objective(d)
+    fc, fd = objective(c, everyone), objective(d, everyone)
+    live = np.flatnonzero(hi - lo > PHASE_TOLERANCE)
+    while live.size:
+        left = fc[live] > fd[live]          # the peak lies left of d
+        shrink, grow = live[left], live[~left]
+        hi[shrink], d[shrink], fd[shrink] = d[shrink], c[shrink], fc[shrink]
+        c[shrink] = hi[shrink] - ratio * (hi[shrink] - lo[shrink])
+        lo[grow], c[grow], fc[grow] = c[grow], d[grow], fd[grow]
+        d[grow] = lo[grow] + ratio * (hi[grow] - lo[grow])
+        value = objective(np.where(left, c[live], d[live]), live)
+        fc[shrink], fd[grow] = value[left], value[~left]
+        live = live[hi[live] - lo[live] > PHASE_TOLERANCE]
     phi_star = ((lo + hi) / 2.0) % math.pi
-    return phi_star, objective(phi_star)
+    gain = objective(phi_star, everyone)
+    if np.ndim(integrals) == 1:
+        return float(phi_star[0]), float(gain[0])
+    return phi_star, gain
 
 
 def measurement_rates(taus, gains):
@@ -462,7 +542,7 @@ def analyze_trajectories(trajectories, tau, phase="optimal", tau_points=57,
 
     rate_hw = rate_parity = series_hw = series_parity = None
     if with_rates:
-        series = _guarded_gains(means, taus, DEFAULT_QUADRATURE_POINTS)
+        series = _guarded_gains(means, taus)
         series_hw = np.concatenate(([0.0], series[:, 0]))
         series_parity = np.concatenate(([0.0], series[:, 1]))
         rate_hw = measurement_rates(tau_grid, series_hw)
@@ -504,20 +584,37 @@ class SweepPoint:
         return self.info_hamming - self.info_parity
 
 
-def _sweep_point(chi1, chi2, kappa, pulse, tau):
-    model = DispersiveModel(0.0, 0.0, 0.0, chi1 * kappa, chi2 * kappa, 0.0, 0.0)
-    det = parity_detunings(model, kappa, kappa).plus_branch
-    setup = MeasurementSetup(kappa, kappa, det[0], det[1], model, pulse)
-    report = analyze_trajectories(evolve_weights(setup, range(4), tau), tau, with_rates=False)
-    return SweepPoint(chi1, chi2, report.info_parity, report.info_hamming, report.optimal_phase)
-
-
 def chi_sweep(chi_pairs, kappa, pulse, tau, workers=None):
     """Information gains over a set of (chi1/kappa, chi2/kappa) pairs.
 
-    Each point applies its own parity detunings (plus branch), evolves the
-    four Hamming-weight trajectories in one stacked pass, optimizes the
-    measured quadrature and integrates the gains.  Points run in input order
-    in the calling process; ``workers`` is accepted and has no effect.
+    Each point applies its own parity detunings (plus branch).  Up to
+    SWEEP_CHUNK points at a time are scored in lockstep: their Hamming-weight
+    trajectories are evolved in one stacked pass (``evolve_setups``: the
+    step bound and the half-step probe stay per point, and a failure names
+    the first failing point in input order), and their output integrals go
+    into one stacked ``optimal_phase`` search.  Each point's gains then come
+    from ``analyze_trajectories`` at that phase, so a row is what scoring the
+    point alone gives, bit for bit.  ``workers`` is accepted and has no
+    effect.
     """
-    return [_sweep_point(float(c1), float(c2), kappa, pulse, tau) for c1, c2 in chi_pairs]
+    pairs = [(float(chi1), float(chi2)) for chi1, chi2 in chi_pairs]
+    return [point for start in range(0, len(pairs), SWEEP_CHUNK)
+            for point in _lockstep_sweep(pairs[start:start + SWEEP_CHUNK], kappa, pulse, tau)]
+
+
+def _lockstep_sweep(pairs, kappa, pulse, tau):
+    setups = []
+    for chi1, chi2 in pairs:
+        model = DispersiveModel(0.0, 0.0, 0.0, chi1 * kappa, chi2 * kappa, 0.0, 0.0)
+        det = parity_detunings(model, kappa, kappa).plus_branch
+        setups.append(MeasurementSetup(kappa, kappa, det[0], det[1], model, pulse))
+    labels = [f"chi1/kappa = {chi1!r}, chi2/kappa = {chi2!r}" for chi1, chi2 in pairs]
+    evolved = evolve_setups(setups, range(4), tau, labels=labels)
+    integrals = [[output_integral(tr, tau) for tr in point] for point in evolved]
+    phases, _ = optimal_phase(integrals, tau)
+    points = []
+    for (chi1, chi2), trajectories, phase in zip(pairs, evolved, phases):
+        report = analyze_trajectories(trajectories, tau, phase=phase, with_rates=False)
+        points.append(SweepPoint(chi1, chi2, report.info_parity, report.info_hamming,
+                                 report.optimal_phase))
+    return points

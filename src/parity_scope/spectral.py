@@ -162,9 +162,12 @@ def _charge_scale(cfg, cutoff):
     return onsite + abs(cfg.josephson_plus) + abs(cfg.josephson_minus)
 
 
-def _count_below(cfg, cutoff, shifts):
+def _count_below(cfg, cutoff, shifts, bounds=None):
     """Number of eigenvalues of tcq_charge_hamiltonian(cfg, cutoff) below
-    each shift, or None when a count is in doubt.
+    each shift, or None when a count is in doubt.  With ``bounds = (low,
+    high)``, the counts each shift allows, counting stops at the first shift
+    whose count falls outside them: the counts so far come back, that one
+    last.
 
     H - s I is block tridiagonal over n+: diagonal blocks A_i - s I, each the
     minus island's tridiagonal Hamiltonian at one n+, coupled by -E_J+/2
@@ -218,7 +221,7 @@ def _count_below(cfg, cutoff, shifts):
         return matrix
 
     counts = []
-    for shift in shifts:
+    for j, shift in enumerate(shifts):
         diagonals = onsite - shift
         below, updates = 0, []
         for chain in (range(first), range(dim - 1, last, -1)):
@@ -252,7 +255,18 @@ def _count_below(cfg, cutoff, shifts):
         if info != 0:
             return None
         counts.append(below + _negative_pivots(factor, pivots))
+        if bounds is not None and not bounds[0][j] <= counts[-1] <= bounds[1][j]:
+            break
     return np.array(counts)
+
+
+def _certified(cfg, cutoff, shifts, low, high):
+    """Whether inertia counts put the number of levels of
+    tcq_charge_hamiltonian(cfg, cutoff) below each shift within [low, high],
+    counted shift by shift up to the first that fails; a doubt fails."""
+    counts = _count_below(cfg, cutoff, shifts, (low, high))
+    return (counts is not None and len(counts) == len(shifts)
+            and bool(np.all((low <= counts) & (counts <= high))))
 
 
 def _negative_pivots(factor, pivots):
@@ -285,8 +299,7 @@ def _converge_cutoff(cfg, levels):
     tol = CONVERGENCE_RTOL * cfg.charging_scale
     # no basis above the ceiling is ever built, the probe's included
     while cutoff + 4 <= cfg.cutoff_ceiling:
-        counts = _count_below(cfg, cutoff + 4, values - tol)
-        if counts is None or np.any(counts > np.arange(levels)):
+        if not _certified(cfg, cutoff + 4, values - tol, np.zeros(levels), np.arange(levels)):
             probe = _probe_levels(cfg, cutoff + 4, levels)
             if not np.max(np.abs(probe - values)) <= tol:
                 cutoff += 4
@@ -360,10 +373,10 @@ def _inside(cfg, cutoff, lows, highs):
     margin = DISPERSION_MARGIN * np.finfo(float).eps * _charge_scale(cfg, cutoff)
     if not np.all(lows + margin < highs - margin):
         return False
-    counts = _count_below(cfg, cutoff, np.concatenate([lows + margin, highs - margin]))
     below = np.arange(len(lows))
-    return (counts is not None and bool(np.all(counts[:len(lows)] <= below))
-            and bool(np.all(counts[len(lows):] > below)))
+    return _certified(cfg, cutoff, np.concatenate([lows + margin, highs - margin]),
+                      np.concatenate([np.zeros(len(lows)), below + 1]),
+                      np.concatenate([below, np.full(len(lows), np.inf)]))
 
 
 # ---------------------------------------------------------------------------

@@ -376,6 +376,38 @@ def test_cli_sweep_splits_cuts_in_order(tmp_path):
     assert [row[:2] for row in asymmetric] == [[0.4, 0.3], [0.6, 0.3]]
 
 
+def test_cli_sweep_work_counts(tmp_path, monkeypatch):
+    # both cuts of a 2-point-per-cut sweep are scored in lockstep: one
+    # _integrate call and its half-step probe in all, and 15 stacked
+    # golden-section objective passes (2 + 12 steps over a 2 pi / 256
+    # bracket + 1 at the optimum); no gain grid exceeds the 4001-node cap
+    from parity_scope import dynamics, inference
+    calls = {"integrate": 0, "objective": 0, "nodes": 0}
+    integrate, info_gains = dynamics._integrate, inference.info_gains
+    gain_integrands = inference._gain_integrands
+
+    def count_integrate(*args):
+        calls["integrate"] += 1
+        return integrate(*args)
+
+    def count_gains(model, points=None, check=True):
+        calls["objective"] += not check
+        return info_gains(model, points, check)
+
+    def count_nodes(model, points, *hamming):
+        calls["nodes"] = max(calls["nodes"], points)
+        return gain_integrands(model, points, *hamming)
+    monkeypatch.setattr(dynamics, "_integrate", count_integrate)
+    monkeypatch.setattr(inference, "info_gains", count_gains)
+    monkeypatch.setattr(inference, "_gain_integrands", count_nodes)
+    path = _write_variant(tmp_path, "two", lambda tree: tree["analysis"].__setitem__(
+        "sweep", {"minimum": 0.4, "maximum": 0.6, "points": 2, "asymmetric_chi2": 0.3}))
+    assert run(["sweep", "--config", str(path), "--out", str(tmp_path), "--quiet"]) == 0
+    assert calls["integrate"] == 2
+    assert calls["objective"] == 15
+    assert 0 < calls["nodes"] <= 4001
+
+
 ONE_POINT_SWEEP = {"minimum": 0.5, "maximum": 0.5, "points": 1, "asymmetric_chi2": 0.3}
 
 

@@ -503,9 +503,10 @@ def test_optimal_phase_matches_per_call_scan():
 
 
 def test_phase_scan_rescores_near_ties(monkeypatch):
-    # on a 9-point quadrature the cheap scan ranks a far peak first; its
-    # measured error puts the true peak within reach, so the candidates are
-    # re-scored at the full quadrature and the per-call bracket is kept
+    # on a 9- to 13-point quadrature the cheap scan ranks a far peak first;
+    # its measured error puts the true peak within reach, so the candidates
+    # are re-scored at their own gain quadrature and the per-call bracket is
+    # kept
     from parity_scope import inference
     integrals = [complex(0.002, -0.682), complex(0.448, -1.487),
                  complex(-0.411, 0.09), complex(-1.336, 2.01)]
@@ -517,12 +518,12 @@ def test_phase_scan_rescores_near_ties(monkeypatch):
     best, phi_ref, gain_ref = reference_optimal_phase(integrals, tau)
     assert int(np.argmax(cheap)) != best
 
-    monkeypatch.setattr(inference, "PHASE_SCAN_POINTS", 9)
+    monkeypatch.setattr(inference, "PHASE_SCAN_DENSITY", 0.4)
     rescored = []
     stack_gains = inference._stack_gains
 
-    def spy(means, variance, points):
-        if points == inference.DEFAULT_QUADRATURE_POINTS:
+    def spy(means, variance, points=None):
+        if points is None:      # the re-scoring call: each rival at its own count
             rescored.append(len(means))
         return stack_gains(means, variance, points)
 
@@ -530,6 +531,147 @@ def test_phase_scan_rescores_near_ties(monkeypatch):
     assert inference._phase_bracket(integrals, phis, tau) == best
     assert rescored and rescored[0] > 1
     assert optimal_phase(integrals, tau) == (phi_ref, gain_ref)
+
+
+# ---------------------------------------------------------------------------
+# sigma-scaled gain quadrature and the lockstep sweep
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("variance", [1.0, 28.0])
+def test_sigma_scaled_gains_match_the_fixed_grid(variance):
+    # 16 nodes per sigma give the 4001-node grid's gains over a ladder of
+    # spreads up to the cap; past it the grid is the 4001-node grid itself
+    from parity_scope.inference import _quadrature_points, QUADRATURE_DENSITY
+    sigma = math.sqrt(variance)
+    for spread in np.linspace(0.0, 230.0, 24):
+        for shape in ((0.0, 0.3, 0.55, 1.0), (0.0, 1.0, 0.2, 0.7), (1.0, 0.0, 0.0, 1.0)):
+            model = SignalModel(variance, 0.0, tuple(1.3 + spread * sigma * np.array(shape)))
+            scaled = info_gains(model, check=False)
+            fixed = info_gains(model, points=4001, check=False)
+            assert np.max(np.abs(np.subtract(scaled, fixed))) <= 1e-13
+    for spread in (235.0, 300.0, 1e3):
+        model = SignalModel(variance, 0.0, (0.0, 0.4 * spread * sigma, spread * sigma, 0.5))
+        points = _quadrature_points(np.array([model.means]), np.array([variance]),
+                                    QUADRATURE_DENSITY)
+        assert points.tolist() == [4001]
+        assert info_gains(model, check=False) == info_gains(model, points=4001, check=False)
+
+
+def test_quadrature_points_scale_with_sigma():
+    from parity_scope.inference import _quadrature_points
+    means = np.array([[0.0, 1.0, 2.0, 3.0], [0.0, 0.0, 0.0, 0.0], [0.0, 3e300, -3e300, 0.0]])
+    variance = np.array([1.0, 5.0, 1.0])
+    with np.errstate(over="ignore"):
+        assert _quadrature_points(means, variance, 16).tolist() == [305, 257, 4001]
+        assert _quadrature_points(means, variance, 8, 4).tolist() == [153, 129, 4001]
+    # the same models at 4 and 36 times the variance, with means twice and
+    # six times as far apart: one count
+    assert np.array_equal(_quadrature_points(means[:2] * 2.0, variance[:2] * 4.0, 16),
+                          _quadrature_points(means[:2] * 6.0, variance[:2] * 36.0, 16))
+
+
+def test_doubling_check_runs_at_twice_the_density(monkeypatch):
+    # at 2 nodes per sigma the parity integrand is under-resolved while the
+    # density still integrates to 1: only the doubling check catches it
+    from parity_scope import inference
+    monkeypatch.setattr(inference, "QUADRATURE_DENSITY", 2)
+    grids = []
+    gain_integrands = inference._gain_integrands
+
+    def spy(model, points, *hamming):
+        grids.append(points)
+        return gain_integrands(model, points, *hamming)
+    monkeypatch.setattr(inference, "_gain_integrands", spy)
+    model = SignalModel(1.0, 0.0, (0.0, 2.0, 4.0, 6.0))
+    info_gains(model, check=False)
+    with pytest.raises(QuadratureNonconvergent, match="doubling the grid moved"):
+        info_gains(model)
+    assert grids == [45, 45, 89]
+
+
+def test_stacked_info_gains_equal_single_calls_bitwise():
+    # rows of several node counts, the doubling check included
+    from parity_scope.inference import _ModelStack, _node_counts
+    rng = np.random.default_rng(7)
+    means = rng.uniform(-8.0, 8.0, size=(12, 4)) * rng.uniform(0.1, 3.0, size=(12, 1))
+    taus = rng.uniform(0.5, 6.0, size=12)
+    assert np.unique(_node_counts(means, taus, None)).size > 6
+    for check in (False, True):
+        hamming, parity = info_gains(_ModelStack(means, taus), check=check)
+        for row, tau in enumerate(taus):
+            single = info_gains(SignalModel(tau, 0.0, tuple(means[row])), check=check)
+            assert (hamming[row], parity[row]) == single
+
+
+def test_stacked_optimal_phase_equals_single_searches_bitwise():
+    rng = np.random.default_rng(11)
+    integrals = rng.normal(size=(5, 4)) + 1j * rng.normal(size=(5, 4))
+    phases, gains = optimal_phase(integrals, 2.0)
+    for row in range(5):
+        assert (phases[row], gains[row]) == optimal_phase(list(integrals[row]), 2.0)
+
+
+def published_points(pairs):
+    """The gain-grid node count of each sweep point's published model."""
+    from parity_scope.dynamics import evolve_weights
+    from parity_scope.inference import _node_counts, chi_sweep
+    counts = []
+    for pair, point in zip(pairs, chi_sweep(pairs, 1.0, reference_pulse(), 28.0)):
+        trajectories = evolve_weights(reference_setup(*pair), range(4), 28.0)
+        means = [integrated_signal(tr, point.phase, 28.0) for tr in trajectories]
+        counts.append(int(_node_counts(np.array([means]), np.array([28.0]), None)[0]))
+    return counts
+
+
+def test_sweep_point_does_not_depend_on_its_neighbours():
+    from parity_scope.inference import chi_sweep
+    p, q, r = (0.5, 0.5), (0.1, 0.1), (0.8, 0.8)
+    assert len(set(published_points([p, q, r]))) == 3
+    [alone] = chi_sweep([p], 1.0, reference_pulse(), 28.0)
+    assert chi_sweep([q, p, r], 1.0, reference_pulse(), 28.0)[1] == alone
+
+
+def test_sweep_step_bound_names_the_first_failing_point():
+    # dt = 1e-3 passes the bound below |detuning| + 3 chi = 10 kappa only
+    from parity_scope.errors import StepTooLarge
+    from parity_scope.inference import chi_sweep
+    pairs = [(0.5, 0.5), (4.0, 0.5), (5.0, 5.0), (0.6, 0.6)]
+    with pytest.raises(StepTooLarge, match=r"^chi1/kappa = 4\.0, chi2/kappa = 0\.5: dt ="):
+        chi_sweep(pairs, 1.0, reference_pulse(), 28.0)
+
+
+def test_sweep_probe_names_the_first_failing_point(monkeypatch):
+    # the half-step runs of the second point disagree and of the third read
+    # NaN, the larger failure: the error is the second point's, as scoring
+    # the points one by one would raise it; a probe failure before the first
+    # point dt fails comes first too
+    from parity_scope import dynamics
+    from parity_scope.errors import StepTooLarge
+    from parity_scope.inference import chi_sweep
+    integrate = dynamics._integrate
+
+    def poisoned(m, u, pulse, dt, n_steps, stride):
+        rec1, rec2 = integrate(m, u, pulse, dt, n_steps, stride)
+        if dt < 1e-3:
+            rec1[5, -1] += 1.0
+            rec1[8:12, -1] = math.nan
+        return rec1, rec2
+    monkeypatch.setattr(dynamics, "_integrate", poisoned)
+    pairs = [(0.5, 0.5), (0.6, 0.6), (0.7, 0.3), (0.8, 0.8)]
+    with pytest.raises(StepTooLarge,
+                       match=r"^chi1/kappa = 0\.6, chi2/kappa = 0\.6: h_w=1: .* [0-9.e+-]+ > "):
+        chi_sweep(pairs, 1.0, reference_pulse(), 28.0)
+    with pytest.raises(StepTooLarge, match=r"^chi1/kappa = 0\.6, chi2/kappa = 0\.6: h_w=1: "):
+        chi_sweep(pairs[:2] + [(5.0, 5.0)], 1.0, reference_pulse(), 28.0)
+
+
+def test_sweep_in_chunks_equals_one_pass(monkeypatch):
+    # long sweeps are scored SWEEP_CHUNK points at a time, bit for bit alike
+    from parity_scope import inference
+    pairs = [(0.3, 0.3), (0.5, 0.5), (0.7, 0.3), (1.0, 0.6), (0.2, 0.9)]
+    whole = inference.chi_sweep(pairs, 1.0, reference_pulse(), 28.0)
+    monkeypatch.setattr(inference, "SWEEP_CHUNK", 2)
+    assert inference.chi_sweep(pairs, 1.0, reference_pulse(), 28.0) == whole
 
 
 def test_analyze_runs_richardson_guard(monkeypatch):

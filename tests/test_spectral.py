@@ -137,7 +137,8 @@ def test_charge_spectrum_convergence_failure():
 
 def spy_charge_builders(monkeypatch):
     """Record ``(name, cfg, cutoff)`` for each dense build, banded build and
-    inertia count; a count also records its shifts and result."""
+    inertia count; a count also records its shifts, its bounds if any and
+    its result, last."""
     built = []
     for name in ("tcq_charge_hamiltonian", "_charge_band", "_count_below"):
         def spy(cfg, cutoff, *shifts, name=name, build=getattr(spectral, name)):
@@ -169,7 +170,8 @@ def test_charge_cutoff_probe_never_exceeds_ceiling(monkeypatch):
 
 def test_charge_cutoff_loop_solves_dense_only_where_it_starts_and_returns(monkeypatch):
     # the (0.5, 0.5) point of this config converges at 12: its certificate
-    # fails at 12 and the banded probe confirms it, then 16 is certified
+    # fails at 12 (the count stops at the first level that fails it) and the
+    # banded probe confirms it, then 16 is certified
     cfg = charge_config(ej_over_ec=40.0, ec=1.0, charge_cutoff=8,
                         offset_plus=0.5, offset_minus=0.5)
     built = spy_charge_builders(monkeypatch)
@@ -177,9 +179,9 @@ def test_charge_cutoff_loop_solves_dense_only_where_it_starts_and_returns(monkey
     assert cutoff == 12
     assert dense_cutoffs(built) == [8, 12]
     assert cutoffs_of(built, "_charge_band") == [12]
-    counts = {record[2]: record[4] for record in built if record[0] == "_count_below"}
+    counts = {record[2]: record[-1] for record in built if record[0] == "_count_below"}
     assert sorted(counts) == [12, 16]
-    assert np.any(counts[12] > np.arange(6))
+    assert np.any(counts[12] > np.arange(len(counts[12])))
     assert np.all(counts[16] <= np.arange(6))
     published = sla.eigh(tcq_charge_hamiltonian(cfg, 12), eigvals_only=True,
                          subset_by_index=(0, 5))
