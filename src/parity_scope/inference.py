@@ -317,11 +317,6 @@ def _gains_and_masses(means, variance, points=None):
     return gains, masses
 
 
-def _stack_gains(means, variance, points=None):
-    """The gains of ``_gains_and_masses``, where they only rank or cross-check."""
-    return _gains_and_masses(means, variance, points)[0]
-
-
 def _guarded_gains(means, variance, points=None):
     """The gains of ``_gains_and_masses``, for publishing.
 
@@ -364,7 +359,7 @@ def info_gains(model, points=None, check=True):
     points = _node_counts(means, variance, points)
     gains = _guarded_gains(means, variance, points)
     if check:
-        moved = np.abs(_stack_gains(means, variance, 2 * (points - 1) + 1) - gains)
+        moved = np.abs(_gains_and_masses(means, variance, 2 * (points - 1) + 1)[0] - gains)
         failing = np.flatnonzero(~np.all(moved <= QUADRATURE_RTOL, axis=1))  # a NaN fails too
         if failing.size:
             hamming, parity = moved[failing[0]]
@@ -403,7 +398,7 @@ def _phase_bracket(integrals, phis, tau):
     rivals = np.flatnonzero(near)
     if rivals.size:
         rescored = np.full(values.shape, -np.inf)
-        rescored.flat[rivals] = _stack_gains(means[rivals], variance[rivals])[:, 1]
+        rescored.flat[rivals] = _gains_and_masses(means[rivals], variance[rivals])[0][:, 1]
         contested = np.any(near, axis=1)
         best[contested] = np.argmax(rescored[contested], axis=1)
     return int(best[0]) if np.ndim(integrals) == 1 else best

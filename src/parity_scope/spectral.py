@@ -17,9 +17,9 @@ question are replaced by Sylvester inertia counts of H - s I from a block
 LDL^T (Parlett, *The Symmetric Eigenvalue Problem*, SIAM 1998): a cutoff
 probe passes when the counts certify that no level moved by more than the
 tolerance, and a grid point of the charge dispersion is skipped when they
-certify that none of its levels can set a max or a min.  A probe the
-counts cannot certify is solved on the band (LAPACK upper band storage,
-bandwidth 2 cutoff + 1), and a grid point is solved dense.
+certify that none of its levels can set a max or a min.  A probe or a grid
+point the counts cannot certify is solved dense, so every charge-basis
+level comes from the same eigh.
 """
 
 from __future__ import annotations
@@ -125,35 +125,11 @@ def tcq_charge_hamiltonian(cfg, cutoff):
     return h
 
 
-def _charge_band(cfg, cutoff):
-    """tcq_charge_hamiltonian in LAPACK upper band storage.
-
-    The bandwidth is dim = 2 cutoff + 1, the plus-island hop, and
-    ``band[dim + i - j, j] = H[i, j]`` for ``j - dim <= i <= j``: row dim is
-    the diagonal, row dim - 1 the minus-island hop and row 0 the plus-island
-    hop.  Every other row is zero.
-    """
-    dim = 2 * cutoff + 1
-    band = np.zeros((dim + 1, dim * dim))
-    band[dim] = _charge_onsite(cfg, cutoff)
-    band[dim - 1, 1:] = -cfg.josephson_minus / 2.0
-    band[dim - 1, ::dim] = 0.0   # no minus hop across the end of a row of n-
-    band[0, dim:] = -cfg.josephson_plus / 2.0
-    return band
-
-
 def _lowest_levels(cfg, cutoff, levels):
     # the matrix is exactly symmetric, so its transpose holds the same bits in
     # Fortran order, which LAPACK overwrites in place instead of copying
     return sla.eigh(tcq_charge_hamiltonian(cfg, cutoff).T, overwrite_a=True,
                     eigvals_only=True, subset_by_index=(0, levels - 1))
-
-
-def _probe_levels(cfg, cutoff, levels):
-    # a probe only decides convergence, so its levels come from the band
-    return sla.eig_banded(_charge_band(cfg, cutoff), eigvals_only=True,
-                          overwrite_a_band=True, select="i",
-                          select_range=(0, levels - 1))
 
 
 def _charge_scale(cfg, cutoff):
@@ -284,30 +260,28 @@ def _converge_cutoff(cfg, levels):
     """The cutoff loop of tcq_charge_spectrum and charge_dispersion: the
     converged cutoff and its lowest levels.
 
-    The starting cutoff is solved dense.  ``H(cutoff)`` is a principal
-    submatrix of ``H(cutoff + 4)``, so by Cauchy interlacing no level falls
-    below its baseline value by more than rounding; a probe at cutoff + 4
-    passes when an inertia count (_count_below) certifies that level k
-    lies above its baseline minus the tolerance for every k.  Only when
-    that certificate fails or is in doubt is the probe solved on the band
-    and compared level by level, and a failed banded probe's levels are the
-    baseline of the next one.  The levels returned come from a dense solve
-    at the returned cutoff, so no dense matrix above it is ever built.
+    ``H(cutoff)`` is a principal submatrix of ``H(cutoff + 4)``, so by
+    Cauchy interlacing no level falls below its baseline value by more than
+    rounding; a probe at cutoff + 4 passes when an inertia count
+    (_count_below) certifies that level k lies above its baseline minus the
+    tolerance for every k.  Only when that certificate fails or is in doubt
+    is the probe solved dense and compared level by level; a probe whose
+    levels moved is the baseline of the next one.  Every level comes from
+    _lowest_levels, each cutoff is solved at most once, and the levels
+    returned are the dense solve at the returned cutoff.
     """
     cutoff = cfg.charge_cutoff
     values = _lowest_levels(cfg, cutoff, levels)
     tol = CONVERGENCE_RTOL * cfg.charging_scale
     # no basis above the ceiling is ever built, the probe's included
     while cutoff + 4 <= cfg.cutoff_ceiling:
-        if not _certified(cfg, cutoff + 4, values - tol, np.zeros(levels), np.arange(levels)):
-            probe = _probe_levels(cfg, cutoff + 4, levels)
-            if not np.max(np.abs(probe - values)) <= tol:
-                cutoff += 4
-                values = probe
-                continue
-        if cutoff != cfg.charge_cutoff:
-            values = _lowest_levels(cfg, cutoff, levels)
-        return cutoff, values
+        if _certified(cfg, cutoff + 4, values - tol, np.zeros(levels), np.arange(levels)):
+            return cutoff, values
+        probe = _lowest_levels(cfg, cutoff + 4, levels)
+        if np.max(np.abs(probe - values)) <= tol:
+            return cutoff, values
+        cutoff += 4
+        values = probe
     raise ConvergenceFailure(
         f"charge-basis spectrum not converged at cutoff {cfg.cutoff_ceiling}")
 
@@ -667,10 +641,10 @@ def _switch_ladder(cfg):
     return dims, labels, hamiltonian
 
 
-def _photon_pair_gap(cfg, qubit_label, resonator2_frequency, ladder=None):
+def _photon_pair_gap(ladder, qubit_label, resonator2_frequency):
     """Gap of the two photon-like eigenstates; ``ladder`` is
-    ``_switch_ladder(cfg)``, built here when not given."""
-    dims, _, hamiltonian = ladder or _switch_ladder(cfg)
+    ``_switch_ladder(cfg)``."""
+    dims, _, hamiltonian = ladder
     values, vectors = sla.eigh(hamiltonian(resonator2_frequency))
     i10, i01 = (np.ravel_multi_index(qubit_label + photons, dims)
                 for photons in ((1, 0), (0, 1)))
@@ -794,7 +768,7 @@ def switch_splitting(cfg):
     gaps = {}
     for name, label in zip(("ground", "excited"), ladder[1]):
         _, gap, _ = _minimize_bounded(
-            lambda w2: _photon_pair_gap(cfg, label, w2, ladder),
+            lambda w2: _photon_pair_gap(ladder, label, w2),
             omega1 - halfwidth, omega1 + halfwidth, xatol=1e-12 * max(abs(omega1), 1.0))
         gaps[name] = float(gap)
     return gaps

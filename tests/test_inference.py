@@ -468,12 +468,12 @@ def reference_optimal_phase(integrals, tau):
 @pytest.mark.parametrize("convention", ["tau", "tau-squared"])
 @pytest.mark.parametrize("points", [201, 4001])
 def test_stacked_gains_match_single_calls(convention, points):
-    from parity_scope.inference import _stack_gains
+    from parity_scope.inference import _gains_and_masses
     rng = np.random.default_rng(41)
     means = rng.uniform(-5.0, 5.0, size=(45, 4))
     taus = rng.uniform(0.5, 6.0, size=45)
     variances = taus if convention == "tau" else taus ** 2
-    stacked = _stack_gains(means, variances, points)
+    stacked = _gains_and_masses(means, variances, points)[0]
     for row, mu, variance in zip(stacked, means, variances):
         # a signal model's variance is its measurement time
         single = info_gains(SignalModel(variance, 0.0, tuple(mu)),
@@ -514,20 +514,20 @@ def test_phase_scan_rescores_near_ties(monkeypatch):
     phis = np.linspace(0.0, math.pi, inference.PHASE_COARSE_POINTS, endpoint=False)
     means = inference._project(np.asarray(integrals), phis[:, None])
     variance = np.full(phis.size, tau)
-    cheap = inference._stack_gains(means, variance, 9)[:, 1]
+    cheap = inference._gains_and_masses(means, variance, 9)[0][:, 1]
     best, phi_ref, gain_ref = reference_optimal_phase(integrals, tau)
     assert int(np.argmax(cheap)) != best
 
     monkeypatch.setattr(inference, "PHASE_SCAN_DENSITY", 0.4)
     rescored = []
-    stack_gains = inference._stack_gains
+    gains_and_masses = inference._gains_and_masses
 
     def spy(means, variance, points=None):
         if points is None:      # the re-scoring call: each rival at its own count
             rescored.append(len(means))
-        return stack_gains(means, variance, points)
+        return gains_and_masses(means, variance, points)
 
-    monkeypatch.setattr(inference, "_stack_gains", spy)
+    monkeypatch.setattr(inference, "_gains_and_masses", spy)
     assert inference._phase_bracket(integrals, phis, tau) == best
     assert rescored and rescored[0] > 1
     assert optimal_phase(integrals, tau) == (phi_ref, gain_ref)

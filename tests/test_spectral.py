@@ -61,35 +61,6 @@ def test_charge_hamiltonians_symmetric():
             assert np.array_equal(h, h.T)
 
 
-@pytest.mark.parametrize("cutoff", [8, 9, 12])
-@pytest.mark.parametrize("offsets", [(0.0, 0.0), (0.5, 0.5), (0.13, 0.41)])
-@pytest.mark.parametrize("make", [lambda cfg: cfg, unequal_islands])
-def test_charge_band_is_the_dense_band(make, offsets, cutoff):
-    # LAPACK upper band storage: row dim - d holds superdiagonal d, and the
-    # dense matrix has nothing beyond superdiagonal dim
-    cfg = make(charge_config(offset_plus=offsets[0], offset_minus=offsets[1]))
-    dim = 2 * cutoff + 1
-    h = tcq_charge_hamiltonian(cfg, cutoff)
-    expected = np.zeros((dim + 1, dim * dim))
-    for d in range(dim + 1):
-        expected[dim - d, d:] = np.diagonal(h, d)
-    assert np.array_equal(spectral._charge_band(cfg, cutoff), expected)
-    assert not np.any(np.triu(h, dim + 1))
-
-
-@pytest.mark.parametrize("cutoff", [12, 16])
-@pytest.mark.parametrize("ej_over_ec", [50.0, 1.0])   # validate's flat and steep
-def test_banded_probe_levels_match_dense(ej_over_ec, cutoff):
-    # measured at most 15.1 eps ||H||_1 apart; convergence asks for 1e-8 E_C
-    for offsets in ((0.0, 0.0), (0.5, 0.5), (0.13, 0.41)):
-        cfg = charge_config(ej_over_ec, offset_plus=offsets[0], offset_minus=offsets[1])
-        h = tcq_charge_hamiltonian(cfg, cutoff)
-        dense = sla.eigh(h, eigvals_only=True, subset_by_index=(0, 5))
-        banded = spectral._probe_levels(cfg, cutoff, 6)
-        norm = np.max(np.sum(np.abs(h), axis=0))
-        assert np.max(np.abs(banded - dense)) <= 32 * np.finfo(float).eps * norm
-
-
 def kron_charge_hamiltonian(cfg, cutoff):
     """H+ (x) 1 + 1 (x) H- + 4 E_I N+ (x) N- from dense single-island matrices."""
     n = np.arange(-cutoff, cutoff + 1, dtype=float)
@@ -136,11 +107,11 @@ def test_charge_spectrum_convergence_failure():
 
 
 def spy_charge_builders(monkeypatch):
-    """Record ``(name, cfg, cutoff)`` for each dense build, banded build and
-    inertia count; a count also records its shifts, its bounds if any and
-    its result, last."""
+    """Record ``(name, cfg, cutoff)`` for each dense build and inertia
+    count; a count also records its shifts, its bounds if any and its
+    result, last."""
     built = []
-    for name in ("tcq_charge_hamiltonian", "_charge_band", "_count_below"):
+    for name in ("tcq_charge_hamiltonian", "_count_below"):
         def spy(cfg, cutoff, *shifts, name=name, build=getattr(spectral, name)):
             result = build(cfg, cutoff, *shifts)
             built.append((name, cfg, cutoff, *shifts, result) if shifts else (name, cfg, cutoff))
@@ -162,23 +133,22 @@ def test_charge_cutoff_probe_never_exceeds_ceiling(monkeypatch):
     cfg = charge_config(charge_cutoff=8, cutoff_ceiling=16, ej_over_ec=5000.0)
     with pytest.raises(ConvergenceFailure):
         tcq_charge_spectrum(cfg)
-    probes = cutoffs_of(built, "_count_below") + cutoffs_of(built, "_charge_band")
-    assert sorted(set(probes)) == [12, 16]
+    assert sorted(set(cutoffs_of(built, "_count_below"))) == [12, 16]
     assert max(cutoff for _, _, cutoff, *_ in built) == 16
-    assert dense_cutoffs(built) == [8]
+    assert dense_cutoffs(built) == [8, 12, 16]
 
 
 def test_charge_cutoff_loop_solves_dense_only_where_it_starts_and_returns(monkeypatch):
     # the (0.5, 0.5) point of this config converges at 12: its certificate
     # fails at 12 (the count stops at the first level that fails it) and the
-    # banded probe confirms it, then 16 is certified
+    # dense probe confirms it, then 16 is certified; the probe's levels are
+    # the published ones, so no cutoff is solved twice
     cfg = charge_config(ej_over_ec=40.0, ec=1.0, charge_cutoff=8,
                         offset_plus=0.5, offset_minus=0.5)
     built = spy_charge_builders(monkeypatch)
     cutoff, values = spectral._converge_cutoff(cfg, 6)
     assert cutoff == 12
     assert dense_cutoffs(built) == [8, 12]
-    assert cutoffs_of(built, "_charge_band") == [12]
     counts = {record[2]: record[-1] for record in built if record[0] == "_count_below"}
     assert sorted(counts) == [12, 16]
     assert np.any(counts[12] > np.arange(len(counts[12])))
@@ -186,6 +156,31 @@ def test_charge_cutoff_loop_solves_dense_only_where_it_starts_and_returns(monkey
     published = sla.eigh(tcq_charge_hamiltonian(cfg, 12), eigvals_only=True,
                          subset_by_index=(0, 5))
     assert np.array_equal(values, published)
+
+
+def test_charge_cutoff_loop_in_doubt_solves_each_probe_dense_once(monkeypatch):
+    # with every certificate in doubt, each probe is a dense solve: one that
+    # agrees returns the lower cutoff and its baseline levels, and one whose
+    # levels moved is the next baseline and, once it converges, the
+    # published levels
+    settled = charge_config(ej_over_ec=50.0, charge_cutoff=12)
+    climbing = charge_config(ej_over_ec=300.0, charge_cutoff=8)
+    baseline = spectral._lowest_levels(settled, 12, 6)
+    certified = spectral._converge_cutoff(climbing, 6)
+    built = spy_charge_builders(monkeypatch)
+    monkeypatch.setattr(spectral, "_count_below", lambda *args: None)
+    cutoff, values = spectral._converge_cutoff(settled, 6)
+    assert cutoff == 12
+    assert np.array_equal(values, baseline)
+    assert dense_cutoffs(built) == [12, 16]
+    built.clear()
+    cutoff, values = spectral._converge_cutoff(climbing, 6)
+    assert cutoff == 16
+    assert dense_cutoffs(built) == [8, 12, 16, 20]
+    published = sla.eigh(tcq_charge_hamiltonian(climbing, 16), eigvals_only=True,
+                         subset_by_index=(0, 5))
+    assert np.array_equal(values, published)
+    assert certified[0] == 16 and np.array_equal(certified[1], published)
 
 
 COUNT_CASES = [   # E_J/E_C, E_I/E_C, offsets
@@ -236,7 +231,7 @@ def random_charge_config(rng, **kwargs):
     return cfg
 
 
-def test_probe_certificate_agrees_with_the_banded_comparison():
+def test_probe_certificate_agrees_with_the_dense_comparison():
     rng = np.random.default_rng(18)
     outcomes = []
     for _ in range(120):
@@ -244,8 +239,8 @@ def test_probe_certificate_agrees_with_the_banded_comparison():
         values = spectral._lowest_levels(cfg, 8, 6)
         tol = spectral.CONVERGENCE_RTOL * cfg.charging_scale
         counts = spectral._count_below(cfg, 12, values - tol)
-        banded = spectral._probe_levels(cfg, 12, 6)
-        passes = bool(np.max(np.abs(banded - values)) <= tol)
+        dense = spectral._lowest_levels(cfg, 12, 6)
+        passes = bool(np.max(np.abs(dense - values)) <= tol)
         if counts is not None:
             assert bool(np.all(counts <= np.arange(6))) == passes
             outcomes.append(passes)
@@ -395,7 +390,6 @@ def test_charge_dispersion_solves_orbits_once(monkeypatch, make, builds):
     decided = {visit[1:] for visit in visits}
     assert len(decided) == builds
     assert set(dense_cutoffs(spied)) == {8}
-    assert not cutoffs_of(spied, "_charge_band")
     built = [point[:2] for point in decided]
     if make is unequal_islands:
         assert (0.75, 0.25) in built
@@ -630,7 +624,8 @@ def zero_switch_ladder():
     (lambda x: abs(math.sin(3.0 * x)) + 0.1 * x, (0.5, 2.5), 1e-10),
     (lambda x: math.cosh(x - 1.7) - 1.0, (1.7, 4.0), 1e-12),   # minimum on the bound
     (lambda x: 1.0, (0.0, 1.0), 1e-8),                       # flat
-    (lambda w2: _photon_pair_gap(zero_switch_ladder(), (0, 1), w2), (7.35, 7.65), 7.5e-12),
+    (lambda w2: _photon_pair_gap(spectral._switch_ladder(zero_switch_ladder()), (0, 1), w2),
+     (7.35, 7.65), 7.5e-12),
 ])
 def test_bounded_minimizer_is_scipys_bitwise(func, bounds, xatol):
     from scipy.optimize import minimize_scalar
