@@ -9,12 +9,15 @@ run in input order, so repeated runs produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import gc
 import json
 import math
 import numbers
 import os
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 # numpy, dynamics, inference and spectral are imported by the commands that
@@ -278,15 +281,111 @@ def cmd_sweep(args):
 # validate
 # ---------------------------------------------------------------------------
 
-def _validation_checks(cfg):
+def _row(name, value, threshold, lower=False):
+    # the rule reads the printed value, so a NaN fails either way
+    ok = value >= threshold if lower else value <= threshold
+    return (name, value, threshold, ok, "lower bound" if lower else "")
+
+
+@contextlib.contextmanager
+def _on_second_core(task, fork):
+    """Yield a function that returns ``task()`` or raises its exception.
+
+    With ``fork`` a forked worker computes it meanwhile on another core and
+    hands the outcome back through a pipe; a worker that ends without one
+    (killed, crashed, or an outcome that does not pickle) is replaced by an
+    inline call.  On the way out a worker still running is killed, and the
+    worker is always reaped.  Without ``fork`` the call runs inline.
+    """
+    if not fork:
+        yield task
+        return
+    import pickle
+    import signal
+
+    # objects that outlive the fork stay out of the collector's reach, so
+    # the worker copies no page to update their collection bookkeeping
+    gc.freeze()
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        # the worker only computes: it writes its outcome to the pipe and
+        # nothing else, and leaves without the parent's exit handlers or
+        # buffered output
+        code = 1
+        try:
+            try:
+                outcome = ("ok", task())
+            except BaseException as exc:  # noqa: BLE001 -- the parent raises it
+                outcome = ("error", exc)
+            with open(write_end, "wb") as pipe:
+                pipe.write(pickle.dumps(outcome))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_end)
+    status = None
+
+    def result():
+        nonlocal status
+        data = pipe.read()
+        status = os.waitpid(pid, 0)[1]
+        if status:
+            return task()
+        kind, value = pickle.loads(data)
+        if kind == "error":
+            raise value
+        return value
+
+    with open(read_end, "rb") as pipe:
+        try:
+            yield result
+        finally:
+            if status is None:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _validation_checks(cfg, fork=False):
+    """Rows and notes of the validation suite, in a fixed order.
+
+    The contrast dispersion depends on no other check.  With ``fork`` it is
+    computed by a forked worker on a second core while this process runs
+    the rest (scipy's ``eigh`` holds the GIL, so threads cannot overlap
+    them); either way the rows are the same, and so is the error raised:
+    the first failing check's in row order.
+    """
     # the exact-diagonalization oracles are the only users of scipy, so no
-    # other command pays for importing it
+    # other command pays for importing it; the worker forks after the imports
+    import numpy as np
+
+    from .spectral import ChargeBasisConfig, charge_dispersion
+
+    ec = 0.3 * MHZ * 1e3
+    flat = ChargeBasisConfig(ec, ec, 50 * ec, 50 * ec, -0.5 * ec,
+                             charge_cutoff=cfg.validation.charge_cutoff)
+    steep = replace(flat, josephson_plus=ec, josephson_minus=ec)
+    dispersion = partial(charge_dispersion, levels=6,
+                         grid_points=cfg.validation.dispersion_grid)
+    with _on_second_core(partial(dispersion, steep), fork) as contrast:
+        flat_row = _row("charge_dispersion_flat", float(np.max(dispersion(flat)) / ec), 1e-3)
+        try:
+            rows, notes = _oracle_checks(cfg, flat, ec)
+        except Exception:
+            contrast()  # the contrast row comes first, and so does its error
+            raise
+        contrast_row = _row("charge_dispersion_contrast", float(contrast()[1] / ec), 0.05,
+                            lower=True)
+    return [flat_row, contrast_row, *rows], notes
+
+
+def _oracle_checks(cfg, flat, ec):
+    """The rows after the two charge dispersions, and the notes."""
     import numpy as np
 
     from .spectral import (
-        ChargeBasisConfig,
         LadderConfig,
-        charge_dispersion,
         chi_oracle,
         dressed_tcq_check,
         switch_splitting,
@@ -295,24 +394,6 @@ def _validation_checks(cfg):
     )
 
     ratio = cfg.validation.coupling_ratio
-    checks = []
-
-    def check(name, value, threshold, lower=False):
-        # the rule reads the printed value, so a NaN fails either way
-        ok = value >= threshold if lower else value <= threshold
-        checks.append((name, value, threshold, ok, "lower bound" if lower else ""))
-
-    ec = 0.3 * MHZ * 1e3
-    flat = ChargeBasisConfig(ec, ec, 50 * ec, 50 * ec, -0.5 * ec,
-                             charge_cutoff=cfg.validation.charge_cutoff)
-    steep = replace(flat, josephson_plus=ec, josephson_minus=ec)
-    for name, basis, pick, threshold, lower in (
-            ("charge_dispersion_flat", flat, np.max, 1e-3, False),
-            ("charge_dispersion_contrast", steep, lambda levels: levels[1], 0.05, True)):
-        dispersion = charge_dispersion(basis, levels=6,
-                                       grid_points=cfg.validation.dispersion_grid)
-        check(name, float(pick(dispersion) / ec), threshold, lower)
-
     factor = replace(flat, interaction=0.0, offset_plus=0.13, offset_minus=0.41)
     coupled = tcq_charge_spectrum(factor, levels=6)
     single_p = transmon_charge_spectrum(factor.josephson_plus, factor.charging_plus,
@@ -320,18 +401,18 @@ def _validation_checks(cfg):
     single_m = transmon_charge_spectrum(factor.josephson_minus, factor.charging_minus,
                                         0.41, cutoff=16, levels=4)
     sums = np.sort((single_p[:, None] + single_m[None, :]).ravel())[:6]
-    check("interaction_free_factorization",
-          float(np.max(np.abs(coupled - sums)) / max(abs(sums[-1]), ec)), 1e-10)
+    rows = [_row("interaction_free_factorization",
+                 float(np.max(np.abs(coupled - sums)) / max(abs(sums[-1]), ec)), 1e-10)]
 
     j = -1.0
     report = dressed_tcq_check(TcqSpec(5.0, 5.0, 0.1 * j, 0.1 * j, j), levels=10)
-    check("dressed_normal_form", float(report.worst_error), 5.0 * (0.1 / 2.0) ** 2)
+    rows.append(_row("dressed_normal_form", float(report.worst_error), 5.0 * (0.1 / 2.0) ** 2))
 
     if ratio >= 0.3:
         reason = f"coupling ratio {ratio} >= 0.3: outside the dispersive regime"
         for name in ("transmon_chi_accuracy", "tcq_chi_accuracy", "zero_switch_splitting"):
-            checks.append((name, float("nan"), float("nan"), True, "skipped: " + reason))
-        return checks, [reason]
+            rows.append((name, float("nan"), float("nan"), True, "skipped: " + reason))
+        return rows, [reason]
 
     frequency, w1, w2 = 5.0, 7.0, 8.4
     transmon = LadderConfig(kind="transmon", qubit_frequency=frequency, anharmonicity=-3.2,
@@ -348,7 +429,7 @@ def _validation_checks(cfg):
                                   0.2 * ratio * abs(dressed.omega_plus - w2), 0.0),
                        qubit_levels=3, photon_levels=3)
     for name, ladder in (("transmon_chi_accuracy", transmon), ("tcq_chi_accuracy", tcq)):
-        check(name, float(chi_oracle(ladder).relative_errors[0]), 3.0 * ratio ** 2)
+        rows.append(_row(name, float(chi_oracle(ladder).relative_errors[0]), 3.0 * ratio ** 2))
 
     dressed_zs = replace(tcq_mixing(TcqSpec(6.4, 6.4, -0.3, -0.3, -0.4)),
                          delta_plus=-0.15, delta_minus=-0.15, delta_cross=-0.3)
@@ -361,13 +442,13 @@ def _validation_checks(cfg):
     gaps = switch_splitting(ladder)
     chi1 = tcq_dispersive(dressed_zs, (w1, w1 + 0.01), ladder.couplings).chi1
     state_dep = abs(gaps["excited"] - gaps["ground"]) / 2.0
-    check("zero_switch_splitting", state_dep / abs(chi1) if chi1 else math.nan, 1e-2)
-    return checks, []
+    rows.append(_row("zero_switch_splitting", state_dep / abs(chi1) if chi1 else math.nan, 1e-2))
+    return rows, []
 
 
 def cmd_validate(args):
     cfg = _load(args)
-    checks, notes = _validation_checks(cfg)
+    checks, notes = _validation_checks(cfg, fork=args.fork)
     path = Path(cfg.output_dir) / "validation.csv"
     write_csv(path, ["check", "value", "threshold", "status", "note"],
               [[name, value, threshold, "pass" if ok else "fail", note]
@@ -428,6 +509,12 @@ def build_parser():
     return parser
 
 
+def _second_core():
+    """Whether this process can fork a worker that runs on another CPU."""
+    return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2)
+
+
 def main(argv=None):
     """Run one command and return its exit code.
 
@@ -439,14 +526,19 @@ def main(argv=None):
     charge-basis solves as fast on one thread as on two, since inertia
     counts decide its cutoff probes and most of its offset grid; a second
     thread only spins, and it would make ``validate``'s rounding depend on
-    the thread count.  ``scenario-list`` and ``dispersive`` never load
-    numpy.  A call with ``argv`` runs in a process that may hold other work,
-    so it leaves the environment as it is.
+    the thread count.  The second core goes to a process instead: where
+    this one may run on two CPUs and can fork, ``validate`` forks one
+    worker that computes its contrast charge dispersion meanwhile, with the
+    same rows and the same error as in one process.  ``scenario-list`` and
+    ``dispersive`` never load numpy.  A call with ``argv`` runs in a
+    process that may hold other work, so it leaves the environment as it is
+    and forks nothing.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
     if argv is None and not any(name in os.environ for name in BLAS_THREAD_VARIABLES):
         os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    args.fork = argv is None and _second_core()
     try:
         return args.func(args)
     except ParityScopeError as exc:

@@ -114,12 +114,33 @@ def _cumulative_simpson(t, y):
     out[2::2] = np.cumsum(_simpson_panels(y, h))
     out[1] = 0.5 * h[0] * (y[0] + y[1])
     k = np.arange(3, y.size, 2)
+    out[k] = _close_odd(out[k - 1], h, y, k)
+    return out
+
+
+def _close_odd(even, h, y, k):
+    """Integrals up to the odd samples ``k`` (all >= 3) from those up to
+    ``k - 1``: the last-interval (Cartwright) correction."""
     h0, h1 = h[k - 2], h[k - 1]
     alpha = (2.0 * h1 ** 2 + 3.0 * h0 * h1) / (6.0 * (h1 + h0))
     beta = (h1 ** 2 + 3.0 * h0 * h1) / (6.0 * h0)
     eta = h1 ** 3 / (6.0 * h0 * (h0 + h1))
-    out[k] = out[k - 1] + alpha * y[k] + beta * y[k - 1] - eta * y[k - 2]
-    return out
+    return even + alpha * y[k] + beta * y[k - 1] - eta * y[k - 2]
+
+
+def _simpson_at(t, y, idx):
+    """``_cumulative_simpson(t, y)[idx]`` for an index array: one cumulative
+    pass for several samples, and for one sample only the panels up to it
+    (the same sequential sums, so the same bits)."""
+    if idx.size != 1:
+        return _cumulative_simpson(t, y)[idx]
+    k = int(idx[0])
+    if k < 2:
+        return _cumulative_simpson(t[:2], y[:2])[idx]
+    even = k - k % 2
+    h = np.diff(t[: k + 1])
+    out = np.cumsum(_simpson_panels(y[: even + 1], h[:even]))[-1:]
+    return _close_odd(out, h, y, idx) if k % 2 else out
 
 
 def _project(integrals, phase):
@@ -130,26 +151,26 @@ def _project(integrals, phase):
 
 def output_integral(trajectory, tau):
     """Complex integral of beta_out over [0, tau] on the trajectory grid."""
-    idx = _tau_index(trajectory, tau)
-    t, y = trajectory.times[: idx + 1], trajectory.output[: idx + 1]
-    return complex(_cumulative_simpson(t, y)[-1])
+    idx = np.atleast_1d(_tau_index(trajectory, tau))
+    return complex(_simpson_at(trajectory.times, trajectory.output, idx)[0])
 
 
 def integrated_signal(trajectory, phase, tau):
     """Mean integrated homodyne signal, composite Simpson on the stored grid.
 
     ``tau`` is one measurement time or an array of them, all served by one
-    cumulative pass.  A Richardson check against the half-resolution grid
-    guards every tau with at least five samples (GridTooCoarse beyond 1e-6
-    relative); the half grid closes an odd sample count with a trapezoid.
+    cumulative pass (one tau sums only the panels up to it).  A Richardson
+    check against the half-resolution grid guards every tau with at least
+    five samples (GridTooCoarse beyond 1e-6 relative); the half grid closes
+    an odd sample count with a trapezoid.
     """
     idx = np.atleast_1d(_tau_index(trajectory, tau))
     t, y = trajectory.times[: idx.max() + 1], trajectory.output[: idx.max() + 1]
-    means = _project(_cumulative_simpson(t, y)[idx], phase)
+    means = _project(_simpson_at(t, y, idx), phase)
     checked = idx >= 4
     guarded = idx[checked]
     half = guarded - guarded % 2
-    coarse = _cumulative_simpson(t[::2], y[::2])[half // 2]
+    coarse = _simpson_at(t[::2], y[::2], half // 2)
     coarse += (t[guarded] - t[half]) * (y[half] + y[guarded]) / 2.0
     fine = means[checked]
     moved = np.abs(fine - _project(coarse, phase))

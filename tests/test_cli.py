@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import parity_scope
-from parity_scope.cli import BLAS_THREAD_VARIABLES, main, read_csv
+from parity_scope.cli import BLAS_THREAD_VARIABLES, _second_core, main, read_csv
 from parity_scope.config import (
     MHZ,
     derive_scenario,
@@ -820,11 +820,11 @@ def _leaves(node, path=()):
         yield path
 
 
-def _contract_walk(tmp_path, base, sections, command):
+def _contract_walk(tmp_path, base, sections, command, skip=lambda path, value: False):
     """Every leaf under the paths ``sections`` of the config tree ``base``,
-    one at a time, set to each of CONTRACT_VALUES and run in-process as
-    ``command`` (the command and its options): the runs that end in neither
-    exit 0, 2, 3 nor 4."""
+    one at a time, set to each of CONTRACT_VALUES but those ``skip`` names
+    and run in-process as ``command`` (the command and its options): the
+    runs that end in neither exit 0, 2, 3 nor 4."""
     config = tmp_path / "walk.json"
     failures = []
     for section in sections:
@@ -833,6 +833,8 @@ def _contract_walk(tmp_path, base, sections, command):
             node = node.get(key, {})
         for path in _leaves(node, section):
             for value in CONTRACT_VALUES:
+                if skip(path, value):
+                    continue
                 tree = json.loads(json.dumps(base))
                 node = tree
                 for key in path[:-1]:
@@ -874,6 +876,22 @@ def test_cli_simulate_contract_walk(tmp_path, capsys):
     assert not failures
 
 
+def test_cli_sweep_contract_walk(tmp_path, capsys):
+    # the sweep leaves at 2 points per cut; the point counts the parser
+    # accepts are left out, as valid but long runs (7200 points take minutes)
+    from parity_scope.config import PRESETS, SWEEP_POINTS_MAX
+    base = json.loads(json.dumps(PRESETS["paper-sec5-symmetric"]))
+    base["analysis"]["sweep"]["points"] = 2
+
+    def accepted_count(path, value):
+        return path[-1] == "points" and type(value) is int and 1 <= value <= SWEEP_POINTS_MAX
+
+    failures = _contract_walk(tmp_path, base, [("analysis", "sweep")], ["sweep"],
+                              skip=accepted_count)
+    capsys.readouterr()
+    assert not failures
+
+
 def test_cli_validate_contract_walk(tmp_path, capsys):
     # the validation leaves on a sized-down tree (the presets have no
     # validation block); most values exit 2 at parse time
@@ -886,7 +904,8 @@ def test_cli_validate_contract_walk(tmp_path, capsys):
 
 # ---------------------------------------------------------------------------
 # start-up: scenario-list and dispersive load no numpy, scipy is loaded by
-# validate only, and no command starts a process pool
+# validate only, and no command starts a process pool (validate forks one
+# worker, from the process entry point only: see the end of this file)
 # ---------------------------------------------------------------------------
 
 def _fresh_interpreter(code, tmp_path, env=None):
@@ -1063,3 +1082,120 @@ def test_validate_agrees_across_blas_thread_counts(tmp_path):
         one, two, threshold = float(one), float(two), float(threshold)
         tolerance = 1e-10 * max(abs(one), abs(threshold)) + 1e-13
         assert abs(one - two) <= tolerance, (name, one, two)
+
+
+# ---------------------------------------------------------------------------
+# validate at the process entry point: one forked worker computes the
+# contrast dispersion, with the rows, the error and the exit of one process
+# ---------------------------------------------------------------------------
+
+# counts the forks of this process, and reports whether a child is left
+FORK_SPY = """
+import io, json, os, sys
+forks = []
+fork = os.fork
+def spy():
+    pid = fork()
+    if pid:
+        forks.append(pid)
+    return pid
+os.fork = spy
+"""
+
+
+def _validate_fresh(tmp_path, config, out, entry=True, patch=""):
+    """Exit code, stderr, forks made and whether a child is left, of
+    ``validate`` in a fresh interpreter that first runs ``patch``: through
+    the process entry point, or as ``main(argv)``.  Either loads numpy with
+    one BLAS thread, the entry point's own count, as a patch that loads it
+    first must too."""
+    argv = ["validate", "--config", str(config), "--out", out, "--quiet"]
+    call = f"sys.argv = ['parity-scope', *{argv!r}]\ncode = main()" if entry else (
+        f"code = main({argv!r})")
+    code = (FORK_SPY + patch + "\nfrom parity_scope.cli import main\n"
+            "sys.stderr, stderr = io.StringIO(), sys.stderr\n" + call + "\n"
+            "sys.stderr, err = stderr, sys.stderr.getvalue()\n"
+            "try:\n    os.waitpid(-1, os.WNOHANG)\n    left = True\n"
+            "except ChildProcessError:\n    left = False\n"
+            "print(json.dumps([code, err, len(forks), left]))")
+    env = dict.fromkeys(BLAS_THREAD_VARIABLES)
+    if patch or not entry:
+        env["OPENBLAS_NUM_THREADS"] = "1"
+    return json.loads(_fresh_interpreter(code, tmp_path, env))
+
+
+needs_second_core = pytest.mark.skipif(not _second_core(),
+                                       reason="needs os.fork and two CPUs")
+
+
+@needs_second_core
+@pytest.mark.parametrize("ratio", [0.05, 0.3])
+def test_validate_forked_worker_writes_the_in_process_csv(tmp_path, ratio):
+    # at ratio 0.3 the ladder rows are skipped; the worker is the only fork,
+    # and it is reaped
+    config = _write_variant(tmp_path, "small", lambda tree: tree.__setitem__(
+        "validation", dict(SMALL_VALIDATION, coupling_ratio=ratio)))
+    assert _validate_fresh(tmp_path, config, "entry") == [0, "", 1, False]
+    assert _validate_fresh(tmp_path, config, "inline", entry=False) == [0, "", 0, False]
+    entry = (tmp_path / "entry" / "validation.csv").read_bytes()
+    assert entry == (tmp_path / "inline" / "validation.csv").read_bytes()
+    assert (b"skipped" in entry) == (ratio == 0.3)
+
+
+def test_in_process_validate_never_forks(tmp_path, monkeypatch):
+    config = _write_variant(tmp_path, "small", lambda tree: tree.__setitem__(
+        "validation", SMALL_VALIDATION))
+
+    def no_fork():
+        raise AssertionError("main(argv) forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert run(["validate", "--config", str(config), "--out", str(tmp_path), "--quiet"]) == 0
+
+
+# charge_dispersion fails for the flat configuration (E_J = 50 E_C), for the
+# steep one (E_J = E_C), or ends the process it runs in when that is a worker
+DISPERSION_PATCH = """
+from parity_scope import errors, spectral
+parent, dispersion = os.getpid(), spectral.charge_dispersion
+def patched(cfg, **kwargs):
+    steep = cfg.josephson_plus == cfg.charging_plus
+    if {fail!r} == ("steep" if steep else "flat"):
+        raise errors.ConvergenceFailure(("steep" if steep else "flat") + " failed")
+    if {fail!r} == "worker" and steep and os.getpid() != parent:
+        os._exit(1)
+    return dispersion(cfg, **kwargs)
+spectral.charge_dispersion = patched
+"""
+SWITCH_PATCH = """
+def switch_fails(ladder):
+    raise errors.DegenerateDenominator("switch failed")
+spectral.switch_splitting = switch_fails
+"""
+
+
+@needs_second_core
+@pytest.mark.parametrize("fail, switch, expected", [
+    ("flat", False, [4, "numerical convergence failure: flat failed\n"]),
+    ("steep", True, [4, "numerical convergence failure: steep failed\n"]),
+])
+def test_validate_forked_worker_reports_the_serial_error(tmp_path, fail, switch, expected):
+    # the first failing check in row order names the error: flat before the
+    # contrast row, the contrast row before the zero-switch row
+    config = _write_variant(tmp_path, "small", lambda tree: tree.__setitem__(
+        "validation", SMALL_VALIDATION))
+    patch = DISPERSION_PATCH.format(fail=fail) + (SWITCH_PATCH if switch else "")
+    assert _validate_fresh(tmp_path, config, "entry", patch=patch) == [*expected, 1, False]
+    assert _validate_fresh(tmp_path, config, "inline", entry=False,
+                           patch=patch) == [*expected, 0, False]
+
+
+@needs_second_core
+def test_validate_recomputes_what_a_dead_worker_left(tmp_path):
+    config = _write_variant(tmp_path, "small", lambda tree: tree.__setitem__(
+        "validation", SMALL_VALIDATION))
+    patch = DISPERSION_PATCH.format(fail="worker")
+    assert _validate_fresh(tmp_path, config, "entry", patch=patch) == [0, "", 1, False]
+    assert _validate_fresh(tmp_path, config, "inline", entry=False) == [0, "", 0, False]
+    assert ((tmp_path / "entry" / "validation.csv").read_bytes()
+            == (tmp_path / "inline" / "validation.csv").read_bytes())

@@ -715,6 +715,27 @@ def test_cumulative_simpson_matches_scipy_prefixes():
         assert abs(cumulative[k] - direct) <= 1e-13 * max(1.0, abs(direct))
 
 
+def test_one_tau_integral_is_the_cumulative_entry_bitwise(reference_trajectories):
+    # one tau sums only the panels up to it: the cumulative pass's bits at
+    # every even and odd index, on the fine grid and on the half grid that
+    # the Richardson check reads
+    from parity_scope.inference import _cumulative_simpson, _simpson_at
+    rng = np.random.default_rng(8)
+    t = np.cumsum(rng.uniform(0.5, 1.5, 41))
+    y = rng.normal(size=41) + 1j * rng.normal(size=41)
+    traj = reference_trajectories[2]
+    for t, y in ((t, y), (t[::2], y[::2]), (traj.times, traj.output),
+                 (traj.times[::2], traj.output[::2])):
+        cumulative = _cumulative_simpson(t, y)
+        for k in [*range(min(t.size, 41)), t.size - 2, t.size - 1]:
+            assert np.array_equal(_simpson_at(t, y, np.array([k])), cumulative[[k]])
+    for k in (traj.times.size - 1, traj.times.size - 2, 1001, 1000):
+        tau = traj.times[k]
+        assert output_integral(traj, tau) == _cumulative_simpson(traj.times, traj.output)[k]
+        assert integrated_signal(traj, 0.7, tau) == integrated_signal(
+            traj, 0.7, np.array([tau, traj.times[3]]))[0]
+
+
 @pytest.mark.parametrize("points", [101, 201, 4001, 8001])
 def test_simpson_bitwise_equals_scipy(points):
     # the gain kernel's own grids and integrands, a stack of models at once
