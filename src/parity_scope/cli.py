@@ -85,7 +85,11 @@ def _load(args):
         raise ConfigError("one of --preset or --config is required")
     if args.out is not None:
         cfg = replace(cfg, output_dir=args.out)
-    Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
+    try:
+        Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise ConfigError(
+            f"cannot create output directory {cfg.output_dir}: {exc.strerror}") from exc
     return cfg
 
 

@@ -344,12 +344,16 @@ def parse_config(tree, name="config"):
 
 def load_config(path):
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             tree = json.load(handle)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"{path}: JSON nested too deeply to parse") from exc
     return parse_config(tree, name=str(path))
 
 

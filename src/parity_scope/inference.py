@@ -543,38 +543,41 @@ def analyze_trajectories(trajectories, tau, phase="optimal", tau_points=57,
     must be commensurate with the trajectory sampling), scored in one
     stacked pass and differentiated into measurement rates.
     """
+    return _analyze([trajectories], tau, phase, tau_points, with_rates)[0]
+
+
+def _analyze(points, tau, phase, tau_points, with_rates):
+    """``analyze_trajectories`` of several points, each given as its four
+    trajectories: one stacked ``optimal_phase`` search picks every point's
+    phase, then each point is guarded and scored on its own, so a report is
+    what the point alone gives, bit for bit, and the first failing point in
+    input order raises."""
     if with_rates and tau_points < 3:
         raise ValueError("need at least 3 grid points")
-    ordered = _ordered(trajectories)
+    points = [_ordered(trajectories) for trajectories in points]
     if phase == "optimal":
-        phase, _ = optimal_phase([output_integral(tr, tau) for tr in ordered], tau)
+        integrals = [[output_integral(tr, tau) for tr in ordered] for ordered in points]
+        phases = optimal_phase(integrals, tau)[0].tolist()
     else:
-        phase = float(phase)
+        phases = [float(phase)] * len(points)
     tau_grid = np.linspace(0.0, tau, tau_points) if with_rates else None
     # the gains vanish at tau = 0
     taus = np.array([tau], dtype=float) if tau_grid is None else tau_grid[1:]
-    means = np.stack([integrated_signal(tr, phase, taus) for tr in ordered], axis=1)
-    gain_hw, gain_parity = info_gains(SignalModel(tau, phase, tuple(means[-1])))
-
-    rate_hw = rate_parity = series_hw = series_parity = None
-    if with_rates:
-        series = _guarded_gains(means, taus)
-        series_hw = np.concatenate(([0.0], series[:, 0]))
-        series_parity = np.concatenate(([0.0], series[:, 1]))
-        rate_hw = measurement_rates(tau_grid, series_hw)
-        rate_parity = measurement_rates(tau_grid, series_parity)
-
-    return InfoGainReport(
-        measurement_time=tau,
-        optimal_phase=phase,
-        info_hamming=gain_hw,
-        info_parity=gain_parity,
-        tau_grid=tau_grid,
-        info_hamming_series=series_hw,
-        info_parity_series=series_parity,
-        rate_hamming=rate_hw,
-        rate_parity=rate_parity,
-    )
+    reports = []
+    for ordered, phi in zip(points, phases):
+        means = np.stack([integrated_signal(tr, phi, taus) for tr in ordered], axis=1)
+        gain_hw, gain_parity = info_gains(SignalModel(tau, phi, tuple(means[-1])))
+        series = rates = (None, None)     # (Hamming weight, parity)
+        if with_rates:
+            gains = _guarded_gains(means, taus)
+            series = [np.concatenate(([0.0], gains[:, k])) for k in (0, 1)]
+            rates = [measurement_rates(tau_grid, gain) for gain in series]
+        reports.append(InfoGainReport(
+            measurement_time=tau, optimal_phase=phi, info_hamming=gain_hw,
+            info_parity=gain_parity, tau_grid=tau_grid,
+            info_hamming_series=series[0], info_parity_series=series[1],
+            rate_hamming=rates[0], rate_parity=rates[1]))
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -607,30 +610,23 @@ def chi_sweep(chi_pairs, kappa, pulse, tau, workers=None):
     SWEEP_CHUNK points at a time are scored in lockstep: their Hamming-weight
     trajectories are evolved in one stacked pass (``evolve_setups``: the
     step bound and the half-step probe stay per point, and a failure names
-    the first failing point in input order), and their output integrals go
-    into one stacked ``optimal_phase`` search.  Each point's gains then come
-    from ``analyze_trajectories`` at that phase, so a row is what scoring the
-    point alone gives, bit for bit.  ``workers`` is accepted and has no
-    effect.
+    the first failing point in input order), and scored by the stacked path
+    under ``analyze_trajectories``, so a row is what scoring the point alone
+    gives, bit for bit.  ``workers`` is accepted and has no effect.
     """
     pairs = [(float(chi1), float(chi2)) for chi1, chi2 in chi_pairs]
-    return [point for start in range(0, len(pairs), SWEEP_CHUNK)
-            for point in _lockstep_sweep(pairs[start:start + SWEEP_CHUNK], kappa, pulse, tau)]
-
-
-def _lockstep_sweep(pairs, kappa, pulse, tau):
-    setups = []
-    for chi1, chi2 in pairs:
-        model = DispersiveModel(0.0, 0.0, 0.0, chi1 * kappa, chi2 * kappa, 0.0, 0.0)
-        det = parity_detunings(model, kappa, kappa).plus_branch
-        setups.append(MeasurementSetup(kappa, kappa, det[0], det[1], model, pulse))
-    labels = [f"chi1/kappa = {chi1!r}, chi2/kappa = {chi2!r}" for chi1, chi2 in pairs]
-    evolved = evolve_setups(setups, range(4), tau, labels=labels)
-    integrals = [[output_integral(tr, tau) for tr in point] for point in evolved]
-    phases, _ = optimal_phase(integrals, tau)
     points = []
-    for (chi1, chi2), trajectories, phase in zip(pairs, evolved, phases):
-        report = analyze_trajectories(trajectories, tau, phase=phase, with_rates=False)
-        points.append(SweepPoint(chi1, chi2, report.info_parity, report.info_hamming,
-                                 report.optimal_phase))
+    for start in range(0, len(pairs), SWEEP_CHUNK):
+        chunk = pairs[start:start + SWEEP_CHUNK]
+        setups = []
+        for chi1, chi2 in chunk:
+            model = DispersiveModel(0.0, 0.0, 0.0, chi1 * kappa, chi2 * kappa, 0.0, 0.0)
+            det = parity_detunings(model, kappa, kappa).plus_branch
+            setups.append(MeasurementSetup(kappa, kappa, det[0], det[1], model, pulse))
+        labels = [f"chi1/kappa = {chi1!r}, chi2/kappa = {chi2!r}" for chi1, chi2 in chunk]
+        evolved = evolve_setups(setups, range(4), tau, labels=labels)
+        reports = _analyze(evolved, tau, "optimal", None, with_rates=False)
+        points += [SweepPoint(chi1, chi2, report.info_parity, report.info_hamming,
+                              report.optimal_phase)
+                   for (chi1, chi2), report in zip(chunk, reports)]
     return points

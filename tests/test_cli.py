@@ -76,6 +76,39 @@ def test_load_config_reports_json_position(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("content, message", [
+    (b'{"name": "caf\xe9"}', "not UTF-8 text"),
+    (b"[" * 100_000 + b"]" * 100_000, "nested too deeply"),
+])
+def test_cli_rejects_undecodable_config(tmp_path, capsys, content, message):
+    path = tmp_path / "undecodable.json"
+    path.write_bytes(content)
+    with pytest.raises(ConfigError, match=message):
+        load_config(path)
+    assert run(["dispersive", "--config", str(path), "--out", str(tmp_path), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and message in err
+
+
+@pytest.mark.parametrize("out", ["taken", "taken/sub"])
+@pytest.mark.parametrize("option", ["--out", "output_dir"])
+def test_cli_rejects_an_output_directory_blocked_by_a_file(tmp_path, capsys, out, option):
+    # an existing file at the output path, or one of its parents: exit 2
+    from parity_scope.config import PRESETS
+    (tmp_path / "taken").write_text("")
+    target = str(tmp_path / out)
+    argv = ["dispersive", "--quiet"]
+    if option == "--out":
+        argv += ["--preset", "paper-sec5-symmetric", "--out", target]
+    else:
+        config = tmp_path / "scenario.json"
+        config.write_text(json.dumps(dict(PRESETS["paper-sec5-symmetric"], output_dir=target)))
+        argv += ["--config", str(config)]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert f"configuration error: cannot create output directory {target}" in err
+
+
 # ---------------------------------------------------------------------------
 # scenario derivation
 # ---------------------------------------------------------------------------
@@ -406,6 +439,21 @@ def test_cli_sweep_work_counts(tmp_path, monkeypatch):
     assert calls["integrate"] == 2
     assert calls["objective"] == 15
     assert 0 < calls["nodes"] <= 4001
+
+
+def test_cli_simulate_runs_one_phase_search(tmp_path, monkeypatch):
+    # simulate --hw all scores its one point through the sweep's pipeline
+    from parity_scope import inference
+    searches = []
+    search = inference.optimal_phase
+
+    def spy_search(integrals, tau):
+        searches.append(len(integrals))
+        return search(integrals, tau)
+    monkeypatch.setattr(inference, "optimal_phase", spy_search)
+    assert run(["simulate", "--preset", "paper-sec5-symmetric", "--hw", "all",
+                "--out", str(tmp_path), "--quiet"]) == 0
+    assert searches == [1]
 
 
 ONE_POINT_SWEEP = {"minimum": 0.5, "maximum": 0.5, "points": 1, "asymmetric_chi2": 0.3}
@@ -888,6 +936,19 @@ def test_cli_sweep_contract_walk(tmp_path, capsys):
 
     failures = _contract_walk(tmp_path, base, [("analysis", "sweep")], ["sweep"],
                               skip=accepted_count)
+    capsys.readouterr()
+    assert not failures
+
+
+def test_cli_sweep_contract_walk_of_the_scored_leaves(tmp_path, capsys):
+    # the pulse, horizon and kappa leaves reach the sweep's evolve and its
+    # scoring pipeline, at 1 point per cut (unequal kappas exit 2)
+    from parity_scope.config import PRESETS
+    base = json.loads(json.dumps(PRESETS["paper-sec5-symmetric"]))
+    base["analysis"]["sweep"]["points"] = 1
+    sections = [("pulse",), ("analysis", "measurement_time"), ("analysis", "time_unit"),
+                ("bus", "kappa1_mhz"), ("bus", "kappa2_mhz")]
+    failures = _contract_walk(tmp_path, base, sections, ["sweep"])
     capsys.readouterr()
     assert not failures
 

@@ -674,6 +674,64 @@ def test_sweep_in_chunks_equals_one_pass(monkeypatch):
     assert inference.chi_sweep(pairs, 1.0, reference_pulse(), 28.0) == whole
 
 
+@pytest.fixture(scope="module")
+def three_points():
+    """The four trajectories of three distinct points, evolved in one
+    stacked pass; the second point's are handed over in reverse order."""
+    from parity_scope.dynamics import evolve_setups
+    setups = [reference_setup(*pair) for pair in ((0.5, 0.5), (0.7, 0.3), (0.2, 0.9))]
+    points = evolve_setups(setups, range(4), 28.0)
+    points[1] = points[1][::-1]
+    return points
+
+
+def assert_same_report(stacked, alone):
+    # field by field, bit for bit: numbers, the tau grid, series and rates
+    import dataclasses
+    for field in dataclasses.fields(InfoGainReport):
+        a, b = getattr(stacked, field.name), getattr(alone, field.name)
+        assert type(a) is type(b), field.name
+        if a is not None:
+            assert np.shape(a) == np.shape(b), field.name
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), field.name
+
+
+@pytest.mark.parametrize("with_rates", [False, True])
+@pytest.mark.parametrize("phase", ["optimal", 0.7])
+def test_stacked_analysis_equals_single_reports_bitwise(three_points, phase, with_rates):
+    # the stacked scorer under analyze_trajectories and chi_sweep: one phase
+    # search for every point, then each point scored as if alone
+    from parity_scope.inference import _analyze
+    reports = _analyze(three_points, 28.0, phase, 57, with_rates)
+    assert len({report.info_parity for report in reports}) == 3
+    assert all((report.rate_parity is not None) == with_rates for report in reports)
+    for trajectories, report in zip(three_points, reports):
+        assert_same_report(report, analyze_trajectories(
+            trajectories, 28.0, phase=phase, tau_points=57, with_rates=with_rates))
+
+
+def test_sweep_chunks_run_one_phase_search_and_one_evolve_each(monkeypatch):
+    # each SWEEP_CHUNK of points shares one stacked evolve and one stacked
+    # phase search: a per-point search would show here, not only in timings
+    from parity_scope import inference
+    searches, evolves = [], []
+    search, evolve_stack = inference.optimal_phase, inference.evolve_setups
+
+    def spy_search(integrals, tau):
+        searches.append(len(integrals))
+        return search(integrals, tau)
+
+    def spy_evolve(setups, *args, **kwargs):
+        evolves.append(len(setups))
+        return evolve_stack(setups, *args, **kwargs)
+    monkeypatch.setattr(inference, "optimal_phase", spy_search)
+    monkeypatch.setattr(inference, "evolve_setups", spy_evolve)
+    chunk = inference.SWEEP_CHUNK
+    pairs = [(0.1 + 0.05 * k, 0.3) for k in range(2 * chunk + 1)]
+    assert len(inference.chi_sweep(pairs, 1.0, reference_pulse(), 28.0)) == len(pairs)
+    assert searches == evolves == [chunk, chunk, 1]
+
+
 def test_analyze_runs_richardson_guard(monkeypatch):
     from parity_scope import dynamics
     monkeypatch.setattr(dynamics, "RECORD_TARGET", 50)
