@@ -25,7 +25,6 @@ from .dynamics import evolve_setups
 from .errors import GridTooCoarse, NonFiniteSignal, QuadratureNonconvergent
 from .measurement import MeasurementSetup
 
-LOG2 = math.log(2.0)
 DEFAULT_QUADRATURE_POINTS = 4001  # most nodes of a gain grid
 QUADRATURE_DENSITY = 16          # gain-grid nodes per sigma
 QUADRATURE_PADDING = 8.0         # integration range: means +/- padding * sqrt(tau)

@@ -236,12 +236,21 @@ def _count_below(cfg, cutoff, shifts, bounds=None):
     return np.array(counts)
 
 
-def _certified(cfg, cutoff, shifts, low, high):
-    """Whether inertia counts put the number of levels of
-    tcq_charge_hamiltonian(cfg, cutoff) below each shift within [low, high],
-    counted shift by shift up to the first that fails; a doubt fails."""
-    counts = _count_below(cfg, cutoff, shifts, (low, high))
-    return (counts is not None and len(counts) == len(shifts)
+def _certified(cfg, cutoff, lows, highs):
+    """Whether inertia counts certify each level k of
+    tcq_charge_hamiltonian(cfg, cutoff) in [lows[k], highs[k]).  Level k's
+    two shifts sit side by side, so a level out of bounds stops the count
+    early.  Only infinite bounds are skipped (a NaN one counts into doubt);
+    an empty or inverted interval, a doubt, or no shift left fails."""
+    shifts = np.column_stack([lows, highs]).ravel()
+    kept = ~np.isinf(shifts)
+    if np.any(lows >= highs) or not np.any(kept):
+        return False
+    level = np.arange(len(lows))
+    low = np.column_stack([np.zeros(len(lows)), level + 1]).ravel()[kept]
+    high = np.column_stack([level, np.full(len(lows), np.inf)]).ravel()[kept]
+    counts = _count_below(cfg, cutoff, shifts[kept], (low, high))
+    return (counts is not None and len(counts) == len(low)
             and bool(np.all((low <= counts) & (counts <= high))))
 
 
@@ -275,7 +284,7 @@ def _converge_cutoff(cfg, levels):
     tol = CONVERGENCE_RTOL * cfg.charging_scale
     # no basis above the ceiling is ever built, the probe's included
     while cutoff + 4 <= cfg.cutoff_ceiling:
-        if _certified(cfg, cutoff + 4, values - tol, np.zeros(levels), np.arange(levels)):
+        if _certified(cfg, cutoff + 4, values - tol, np.full(levels, np.inf)):
             return cutoff, values
         probe = _lowest_levels(cfg, cutoff + 4, levels)
         if np.max(np.abs(probe - values)) <= tol:
@@ -305,14 +314,14 @@ def charge_dispersion(cfg, levels=6, grid_points=21):
     swapping the two offsets gives the index-swapped matrix bit for bit, so
     of each swapped pair only the point with ng+ <= ng- is visited.
 
-    The anchor points, both offsets in {0, 0.5, 1}, are solved dense first.
-    Every other point is skipped when inertia counts (_count_below) certify
-    each of its levels inside the current envelope of dense levels shrunk by
-    ``DISPERSION_MARGIN * eps`` times the Gershgorin bound of its matrix, a
-    margin far above the dense solver's rounding; otherwise it is solved
-    dense and widens the envelope.  A skipped point's dense levels could
-    not have set a max or a min, so the result equals the all-dense loop's
-    bit for bit, and every published level comes from a dense solve.
+    Every other point is visited after the loop's, ring by ring outward
+    from the centre of the square, and skipped when inertia counts
+    (_certified) put each of its levels inside the envelope of dense levels
+    so far, shrunk by ``DISPERSION_MARGIN * eps`` times the Gershgorin bound
+    of its matrix, a margin far above the dense solver's rounding; otherwise
+    it is solved dense and widens the envelope.  A skipped point's levels
+    could not have set a max or a min, so the result equals the all-dense
+    loop's bit for bit in any order, and every published level is dense.
     """
     probes = {ng: _converge_cutoff(replace(cfg, offset_plus=ng, offset_minus=ng), levels)
               for ng in (0.0, 0.5)}
@@ -324,33 +333,21 @@ def charge_dispersion(cfg, levels=6, grid_points=21):
     grid = np.linspace(0.0, 1.0, grid_points).tolist()
     points = [(ng_plus, ng_minus) for i, ng_plus in enumerate(grid)
               for ng_minus in grid[i if swap else 0:]]
-    anchors = {0.0, 0.5, 1.0}
-    points.sort(key=lambda point: not anchors.issuperset(point))
+    points.sort(key=lambda point: (point not in solved,
+                                   max(abs(point[0] - 0.5), abs(point[1] - 0.5))))
     lows = np.full(levels, np.inf)
     highs = np.full(levels, -np.inf)
     for point in points:
         vals = solved.get(point)
         if vals is None:
             probe = replace(cfg, offset_plus=point[0], offset_minus=point[1])
-            if not anchors.issuperset(point) and _inside(probe, cutoff, lows, highs):
+            margin = DISPERSION_MARGIN * np.finfo(float).eps * _charge_scale(probe, cutoff)
+            if _certified(probe, cutoff, lows + margin, highs - margin):
                 continue
             vals = _lowest_levels(probe, cutoff, levels)
         lows = np.minimum(lows, vals)
         highs = np.maximum(highs, vals)
     return highs - lows
-
-
-def _inside(cfg, cutoff, lows, highs):
-    """Whether inertia counts certify each level k of
-    tcq_charge_hamiltonian(cfg, cutoff) strictly inside (lows[k], highs[k])
-    shrunk by DISPERSION_MARGIN eps times its Gershgorin bound."""
-    margin = DISPERSION_MARGIN * np.finfo(float).eps * _charge_scale(cfg, cutoff)
-    if not np.all(lows + margin < highs - margin):
-        return False
-    below = np.arange(len(lows))
-    return _certified(cfg, cutoff, np.concatenate([lows + margin, highs - margin]),
-                      np.concatenate([np.zeros(len(lows)), below + 1]),
-                      np.concatenate([below, np.full(len(lows), np.inf)]))
 
 
 # ---------------------------------------------------------------------------

@@ -219,6 +219,69 @@ def test_count_below_doubts_at_an_eigenvalue_of_the_first_block_or_a_nan():
         assert spectral._count_below(cfg, 8, [first[0] - 1.0, math.nan]) is None
 
 
+def certificate_case(monkeypatch):
+    """A config with well-separated levels, its lowest 6 levels at cutoff
+    8, a quarter of their smallest gap, and ``(shifts, counts)`` of every
+    inertia count."""
+    cfg = charge_config(7.0, offset_plus=0.13, offset_minus=0.41)
+    values = np.linalg.eigvalsh(tcq_charge_hamiltonian(cfg, 8))[:7]
+    counted = []
+
+    def spy(cfg, cutoff, shifts, bounds=None, count=spectral._count_below):
+        counts = count(cfg, cutoff, shifts, bounds)
+        counted.append((np.array(shifts), counts))
+        return counts
+    monkeypatch.setattr(spectral, "_count_below", spy)
+    return cfg, values[:6], np.min(np.diff(values)) / 4.0, counted
+
+
+def test_certificate_passes_an_envelope_around_each_level(monkeypatch):
+    cfg, values, step, counted = certificate_case(monkeypatch)
+    assert spectral._certified(cfg, 8, values - step, values + step)
+    # level k's two shifts side by side
+    assert np.array_equal(counted[-1][0],
+                          np.column_stack([values - step, values + step]).ravel())
+    # the cutoff probe's form: infinite highs are skipped, the lows counted as given
+    assert spectral._certified(cfg, 8, values - step, np.full(6, np.inf))
+    assert np.array_equal(counted[-1][0], values - step)
+
+
+@pytest.mark.parametrize("level", [0, 3, 5])
+def test_certificate_fails_an_envelope_that_excludes_a_level(monkeypatch, level):
+    cfg, values, step, counted = certificate_case(monkeypatch)
+    # level k above its interval: the count stops at its high shift, the
+    # 2k + 2nd; below it: at its low shift, the 2k + 1st
+    lows, highs = values - step, values + step
+    highs[level] = values[level] - step / 2.0
+    assert not spectral._certified(cfg, 8, lows, highs)
+    assert len(counted[-1][1]) == 2 * level + 2
+    lows, highs = values - step, values + step
+    lows[level] = values[level] + step / 2.0
+    assert not spectral._certified(cfg, 8, lows, highs)
+    assert len(counted[-1][1]) == 2 * level + 1
+
+
+def test_certificate_fails_closed(monkeypatch):
+    cfg, values, step, counted = certificate_case(monkeypatch)
+    inf = np.full(6, np.inf)
+    # the empty starting envelope, an inverted and an empty interval, and
+    # no finite bound at all fail before any count
+    assert not spectral._certified(cfg, 8, inf, -inf)
+    inverted = values + step
+    inverted[2] = values[2] - 2 * step
+    assert not spectral._certified(cfg, 8, values - step, inverted)
+    assert not spectral._certified(cfg, 8, values, values)
+    assert not spectral._certified(cfg, 8, -inf, inf)
+    assert counted == []
+    # a NaN bound is not skipped: it reaches the count, which doubts
+    for highs in (values + step, inf):
+        lows = values - step
+        lows[1] = math.nan
+        assert not spectral._certified(cfg, 8, lows, highs)
+        shifts, counts = counted.pop()
+        assert np.isnan(shifts).any() and counts is None
+
+
 def random_charge_config(rng, **kwargs):
     """Equal or unequal islands, E_J/E_C from 1 to 50, E_I of either sign."""
     ec = rng.uniform(0.2, 0.5)
@@ -310,13 +373,18 @@ def test_certified_dispersion_equals_all_dense_on_random_configs(monkeypatch):
     assert skipped > 0
 
 
+# dense solves per grid size, the cutoff loop's two included
+VALIDATE_DENSE_SOLVES = {50.0: {5: 4, 21: 4}, 1.0: {5: 11, 21: 37}}
+
+
 @pytest.mark.parametrize("josephson", [50.0, 1.0])   # validate's flat and steep
 def test_certified_dispersion_equals_all_dense_on_validate_grid(monkeypatch, josephson):
     ec = 0.3 * MHZ * 1e3
     cfg = ChargeBasisConfig(ec, ec, josephson * ec, josephson * ec, -0.5 * ec,
                             charge_cutoff=12)
-    dense, visited = assert_certified_equals_all_dense(monkeypatch, cfg, 21)
-    assert dense < visited
+    for grid_points, solves in VALIDATE_DENSE_SOLVES[josephson].items():
+        dense, visited = assert_certified_equals_all_dense(monkeypatch, cfg, grid_points)
+        assert (dense, visited) == (solves, grid_points * (grid_points + 1) // 2)
 
 
 def test_charge_spectrum_peak_memory_is_one_dense_matrix():
