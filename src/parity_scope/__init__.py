@@ -24,8 +24,8 @@ _EXPORTS = {
     ),
     "measurement": ("DrivePulse", "MeasurementSetup"),
     "dynamics": (
-        "Trajectory", "drive_envelope", "evolve", "evolve_setups", "evolve_weights",
-        "output_field", "reflection", "steady_state",
+        "Trajectory", "drive_envelope", "evolve", "evolve_setups", "output_field",
+        "reflection", "steady_state",
     ),
     "inference": (
         "InfoGainReport", "SignalModel", "SweepPoint", "analyze_trajectories",

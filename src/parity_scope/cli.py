@@ -52,9 +52,18 @@ def _csv_line(row):
     return ",".join(map(_fmt, row))
 
 
+def _write_text(path, text):
+    # every output path is configured (output_dir, --out), so one the OS
+    # refuses, as a directory in the way or a name too long, is a ConfigError
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def write_csv(path, header, rows):
     lines = [",".join(header), *map(_csv_line, rows)]
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def read_csv(path):
@@ -70,7 +79,7 @@ def _emit(args, message):
 
 
 def _write_json(args, path, payload):
-    path.write_text(json.dumps(payload, indent=2) + "\n")
+    _write_text(path, json.dumps(payload, indent=2) + "\n")
     _emit(args, f"wrote {path}")
 
 
@@ -87,9 +96,9 @@ def _load(args):
         cfg = replace(cfg, output_dir=args.out)
     try:
         Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
-    except (FileExistsError, NotADirectoryError) as exc:
-        raise ConfigError(
-            f"cannot create output directory {cfg.output_dir}: {exc.strerror}") from exc
+    except (OSError, ValueError) as exc:     # ValueError: a NUL byte in the path
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        raise ConfigError(f"cannot create output directory {cfg.output_dir}: {reason}") from exc
     return cfg
 
 

@@ -44,9 +44,10 @@ MATCHED_CHI_RTOL = 1e-6
 DISPERSION_GRID_MIN = 3
 # up to about 5.5e-3 the zero-switch check fails on the minimizer's rounding
 COUPLING_RATIO_MIN = 1e-2
-# a 101 x 101 offset grid is about 5,000 dense charge-basis solves
+# a 101 x 101 offset grid is 5,151 points after the island swap, of which
+# validate's flat and steep configurations solve 4 and 210 dense, ~40 s each
 DISPERSION_GRID_MAX = 101
-# 10,001 points on each of the two cuts are about 10 minutes of sweep at ~25 ms a point
+# 10,001 points on each of the two cuts are about 5 minutes of sweep at ~15 ms a point
 SWEEP_POINTS_MAX = 10_001
 
 

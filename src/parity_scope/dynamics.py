@@ -362,15 +362,9 @@ def evolve_setups(setups, weights, t_final, dt=None, stride=None, probe=True, la
     return [trajectories[i:i + len(weights)] for i in range(0, len(trajectories), len(weights))]
 
 
-def evolve_weights(setup, weights, t_final, dt=None, stride=None, probe=True):
-    """``evolve_setups`` for one setup: its list of Trajectory, one per
-    Hamming weight in ``weights``."""
-    return evolve_setups([setup], weights, t_final, dt, stride, probe)[0]
-
-
 def evolve(setup, hamming_weight, t_final, dt=None, stride=None, probe=True):
-    """One trajectory of ``evolve_weights``: Hamming weight ``hamming_weight``."""
-    return evolve_weights(setup, [hamming_weight], t_final, dt, stride, probe)[0]
+    """The trajectory of Hamming weight ``hamming_weight``, by ``evolve_setups``."""
+    return evolve_setups([setup], [hamming_weight], t_final, dt, stride, probe)[0][0]
 
 
 def steady_state(setup, hamming_weight, drive_amplitude=None):

@@ -149,34 +149,34 @@ def _project(integrals, phase):
 
 
 def output_integral(trajectory, tau):
-    """Complex integral of beta_out over [0, tau] on the trajectory grid."""
-    idx = np.atleast_1d(_tau_index(trajectory, tau))
-    return complex(_simpson_at(trajectory.times, trajectory.output, idx)[0])
-
-
-def integrated_signal(trajectory, phase, tau):
-    """Mean integrated homodyne signal, composite Simpson on the stored grid.
-
-    ``tau`` is one measurement time or an array of them, all served by one
-    cumulative pass (one tau sums only the panels up to it).  A Richardson
-    check against the half-resolution grid guards every tau with at least
-    five samples (GridTooCoarse beyond 1e-6 relative); the half grid closes
-    an odd sample count with a trapezoid.
-    """
+    """Complex integral of beta_out over [0, tau] on the trajectory grid and
+    its Richardson partner on the half grid, ``(fine, coarse)``: two numbers
+    for one tau, two arrays for an array of them.  One pass per grid
+    (``_simpson_at``); the half grid closes an odd sample count with a
+    trapezoid, and a tau with fewer than five samples gets the fine value."""
     idx = np.atleast_1d(_tau_index(trajectory, tau))
     t, y = trajectory.times[: idx.max() + 1], trajectory.output[: idx.max() + 1]
-    means = _project(_simpson_at(t, y, idx), phase)
-    checked = idx >= 4
-    guarded = idx[checked]
-    half = guarded - guarded % 2
+    fine = _simpson_at(t, y, idx)
+    half = idx - idx % 2
     coarse = _simpson_at(t[::2], y[::2], half // 2)
-    coarse += (t[guarded] - t[half]) * (y[half] + y[guarded]) / 2.0
-    fine = means[checked]
-    moved = np.abs(fine - _project(coarse, phase))
-    if not np.all(moved <= QUADRATURE_RTOL * np.maximum(np.abs(fine), 1.0)):  # a NaN fails too
+    coarse += (t[idx] - t[half]) * (y[half] + y[idx]) / 2.0
+    coarse = np.where(idx >= 4, coarse, fine)
+    if np.ndim(tau) == 0:
+        return complex(fine[0]), complex(coarse[0])
+    return fine, coarse
+
+
+def integrated_signal(integrals, phase):
+    """Mean integrated homodyne signal at ``phase``, a number or an array as
+    the ``(fine, coarse)`` pair of ``output_integral`` holds: the projected
+    fine integral, guarded by its partner (GridTooCoarse beyond 1e-6 relative)."""
+    fine, coarse = (np.atleast_1d(part) for part in integrals)
+    means = _project(fine, phase)
+    moved = np.abs(means - _project(coarse, phase))
+    if not np.all(moved <= QUADRATURE_RTOL * np.maximum(np.abs(means), 1.0)):  # a NaN fails too
         raise GridTooCoarse(
             f"Simpson refinement moved the signal by {np.max(moved):.3e}")
-    return float(means[0]) if np.ndim(tau) == 0 else means
+    return float(means[0]) if np.ndim(integrals[0]) == 0 else means
 
 
 def _ordered(trajectories):
@@ -190,7 +190,8 @@ def _ordered(trajectories):
 
 def signal_model(trajectories, phase, tau):
     """Conditional-mean model from the four Hamming-weight trajectories."""
-    means = tuple(integrated_signal(tr, phase, tau) for tr in _ordered(trajectories))
+    means = tuple(integrated_signal(output_integral(tr, tau), phase)
+                  for tr in _ordered(trajectories))
     return SignalModel(tau, phase, means)
 
 
@@ -530,44 +531,45 @@ class InfoGainReport:
         return self.info_hamming - self.info_parity
 
 
-def analyze_trajectories(trajectories, tau, phase="optimal", tau_points=57,
-                         with_rates=True):
+def analyze_trajectories(trajectories, tau, phase="optimal", tau_points=57):
     """Information-gain report of four evolved trajectories, the one path
     from trajectories to published gains (``simulate`` and the sweep).
 
     ``phase`` is a number, or "optimal" to pick it from the complex output
-    integrals at ``tau``.  One guarded cumulative pass per trajectory gives
-    the means at ``tau``, whose gains carry the doubling check, and with
-    ``with_rates`` on a uniform ``tau_points`` grid over [0, tau] too (it
-    must be commensurate with the trajectory sampling), scored in one
-    stacked pass and differentiated into measurement rates.
+    integrals at ``tau``.  Each trajectory is integrated once, fine and half
+    grid (``output_integral``), at ``tau`` and, unless ``tau_points`` is
+    None, on a uniform ``tau_points`` grid over [0, tau] (it must be
+    commensurate with the trajectory sampling).  The guarded means at
+    ``tau`` give the gains, which carry the doubling check; the series is
+    scored in one stacked pass and differentiated into measurement rates.
     """
-    return _analyze([trajectories], tau, phase, tau_points, with_rates)[0]
+    return _analyze([trajectories], tau, phase, tau_points)[0]
 
 
-def _analyze(points, tau, phase, tau_points, with_rates):
+def _analyze(points, tau, phase, tau_points):
     """``analyze_trajectories`` of several points, each given as its four
     trajectories: one stacked ``optimal_phase`` search picks every point's
     phase, then each point is guarded and scored on its own, so a report is
     what the point alone gives, bit for bit, and the first failing point in
     input order raises."""
-    if with_rates and tau_points < 3:
+    if tau_points is not None and tau_points < 3:
         raise ValueError("need at least 3 grid points")
-    points = [_ordered(trajectories) for trajectories in points]
-    if phase == "optimal":
-        integrals = [[output_integral(tr, tau) for tr in ordered] for ordered in points]
-        phases = optimal_phase(integrals, tau)[0].tolist()
-    else:
-        phases = [float(phase)] * len(points)
-    tau_grid = np.linspace(0.0, tau, tau_points) if with_rates else None
+    tau_grid = None if tau_points is None else np.linspace(0.0, tau, tau_points)
     # the gains vanish at tau = 0
     taus = np.array([tau], dtype=float) if tau_grid is None else tau_grid[1:]
+    integrals = [[output_integral(tr, taus) for tr in _ordered(trajectories)]
+                 for trajectories in points]
+    if phase == "optimal":
+        finals = [[fine[-1] for fine, _ in point] for point in integrals]
+        phases = optimal_phase(finals, tau)[0].tolist()
+    else:
+        phases = [float(phase)] * len(points)
     reports = []
-    for ordered, phi in zip(points, phases):
-        means = np.stack([integrated_signal(tr, phi, taus) for tr in ordered], axis=1)
+    for point, phi in zip(integrals, phases):
+        means = np.stack([integrated_signal(pair, phi) for pair in point], axis=1)
         gain_hw, gain_parity = info_gains(SignalModel(tau, phi, tuple(means[-1])))
         series = rates = (None, None)     # (Hamming weight, parity)
-        if with_rates:
+        if tau_grid is not None:
             gains = _guarded_gains(means, taus)
             series = [np.concatenate(([0.0], gains[:, k])) for k in (0, 1)]
             rates = [measurement_rates(tau_grid, gain) for gain in series]
@@ -623,8 +625,9 @@ def chi_sweep(chi_pairs, kappa, pulse, tau, workers=None):
             det = parity_detunings(model, kappa, kappa).plus_branch
             setups.append(MeasurementSetup(kappa, kappa, det[0], det[1], model, pulse))
         labels = [f"chi1/kappa = {chi1!r}, chi2/kappa = {chi2!r}" for chi1, chi2 in chunk]
-        evolved = evolve_setups(setups, range(4), tau, labels=labels)
-        reports = _analyze(evolved, tau, "optimal", None, with_rates=False)
+        # no name holds the trajectories: one chunk's are freed before the next evolves
+        reports = _analyze(evolve_setups(setups, range(4), tau, labels=labels),
+                           tau, "optimal", None)
         points += [SweepPoint(chi1, chi2, report.info_parity, report.info_hamming,
                               report.optimal_phase)
                    for (chi1, chi2), report in zip(chunk, reports)]

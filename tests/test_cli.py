@@ -21,7 +21,7 @@ from parity_scope.config import (
     preset_names,
 )
 from parity_scope.errors import ConfigError, ParityScopeError
-from parity_scope.inference import integrated_signal
+from parity_scope.inference import integrated_signal, output_integral
 
 
 def run(argv):
@@ -90,10 +90,13 @@ def test_cli_rejects_undecodable_config(tmp_path, capsys, content, message):
     assert str(path) in err and message in err
 
 
-@pytest.mark.parametrize("out", ["taken", "taken/sub"])
+@pytest.mark.parametrize("out", ["taken", "taken/sub",
+                                 pytest.param("n" * 300, id="name-too-long"),
+                                 pytest.param("nul\0byte", id="nul-byte")])
 @pytest.mark.parametrize("option", ["--out", "output_dir"])
 def test_cli_rejects_an_output_directory_blocked_by_a_file(tmp_path, capsys, out, option):
-    # an existing file at the output path, or one of its parents: exit 2
+    # an existing file at the output path or one of its parents, a name
+    # component longer than the OS allows, or a NUL byte: exit 2
     from parity_scope.config import PRESETS
     (tmp_path / "taken").write_text("")
     target = str(tmp_path / out)
@@ -107,6 +110,17 @@ def test_cli_rejects_an_output_directory_blocked_by_a_file(tmp_path, capsys, out
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert f"configuration error: cannot create output directory {target}" in err
+
+
+@pytest.mark.parametrize("argv, name", [(["dispersive"], "dispersive.json"),
+                                        (["simulate", "--hw", "0"], "trajectory_hw0.csv")])
+def test_cli_rejects_an_output_file_that_is_a_directory(tmp_path, capsys, argv, name):
+    # the JSON writer and the CSV writer: exit 2, naming the path
+    (tmp_path / name).mkdir()
+    argv = [*argv, "--preset", "paper-sec5-symmetric", "--out", str(tmp_path), "--quiet"]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert f"configuration error: cannot write {tmp_path / name}: Is a directory" in err
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +263,8 @@ def test_cli_trajectory_round_trip(tmp_path):
                          output=data[:, 5] + 1j * data[:, 6],
                          hamming_weight=1, step=traj.step)
     phase = 0.7
-    assert integrated_signal(rebuilt, phase, tau) == pytest.approx(
-        integrated_signal(traj, phase, tau), rel=1e-9)
+    assert integrated_signal(output_integral(rebuilt, tau), phase) == pytest.approx(
+        integrated_signal(output_integral(traj, tau), phase), rel=1e-9)
     assert np.array_equal(data[:, 1] + 1j * data[:, 2], traj.alpha1)
 
 
@@ -319,7 +333,7 @@ def test_cli_sweep_single_point_matches_direct(tmp_path):
     det = parity_detunings(model, kappa, kappa).plus_branch
     setup = MeasurementSetup(kappa, kappa, det[0], det[1], model, pulse)
     trajectories = [evolve(setup, hw, tau) for hw in range(4)]
-    direct = analyze_trajectories(trajectories, tau, with_rates=False)
+    direct = analyze_trajectories(trajectories, tau, tau_points=None)
     assert rows[0][2] == pytest.approx(direct.info_parity, abs=1e-9)
     assert rows[0][3] == pytest.approx(direct.info_hamming, abs=1e-9)
 

@@ -19,7 +19,7 @@ from parity_scope.dynamics import (
     decay_envelope_bound,
     drive_envelope,
     evolve,
-    evolve_weights,
+    evolve_setups,
     hamming_prefactor,
     mode_matrix,
     output_field,
@@ -420,11 +420,11 @@ def test_evolve_allocation_peak():
     assert peak <= 1.5 * 0.41e6
 
 
-def test_evolve_weights_matches_per_weight_evolve():
+def test_stacked_weights_match_per_weight_evolve():
     setup = make_setup(chi1=0.45, chi2=0.6, chi12=0.15, kappa1=1.0, kappa2=1.7)
     m = mode_matrix(setup, 1)
     assert np.abs(m @ m.conj().T - m.conj().T @ m).max() > 1e-2
-    stacked = evolve_weights(setup, range(4), 28.0)
+    [stacked] = evolve_setups([setup], range(4), 28.0)
     assert [traj.hamming_weight for traj in stacked] == [0, 1, 2, 3]
     for hw, traj in enumerate(stacked):
         single = evolve(setup, hw, 28.0)

@@ -50,13 +50,13 @@ def test_integrated_signal_zero_output():
     setup = MeasurementSetup(1.0, 1.0, setup.detuning1, setup.detuning2,
                              setup.model, DrivePulse(0.0, 4.0, 1.0, 16.0))
     traj = evolve(setup, 0, 28.0, probe=False)
-    assert integrated_signal(traj, 0.3, 28.0) == 0.0
+    assert integrated_signal(output_integral(traj, 28.0), 0.3) == 0.0
 
 
 def test_integrated_signal_phase_flip(reference_trajectories):
     traj = reference_trajectories[0]
-    plus = integrated_signal(traj, 0.4, 28.0)
-    minus = integrated_signal(traj, 0.4 + math.pi, 28.0)
+    plus = integrated_signal(output_integral(traj, 28.0), 0.4)
+    minus = integrated_signal(output_integral(traj, 28.0), 0.4 + math.pi)
     assert minus == pytest.approx(-plus, rel=1e-12)
 
 
@@ -70,12 +70,12 @@ def test_integrated_signal_constant_output():
                       drive=np.full_like(t, c),
                       output=np.full_like(t, c, dtype=complex),
                       hamming_weight=0, step=t[1] - t[0])
-    assert integrated_signal(traj, 0.0, 5.0) == pytest.approx(2 * c * 5.0, rel=1e-12)
+    assert integrated_signal(output_integral(traj, 5.0), 0.0) == pytest.approx(2 * c * 5.0, rel=1e-12)
 
 
 def test_integrated_signal_off_grid_tau(reference_trajectories):
     with pytest.raises(ValueError):
-        integrated_signal(reference_trajectories[0], 0.0, 28.0 / 3.0)
+        integrated_signal(output_integral(reference_trajectories[0], 28.0 / 3.0), 0.0)
 
 
 def test_integrated_signal_rejects_jagged_grid():
@@ -88,7 +88,7 @@ def test_integrated_signal_rejects_jagged_grid():
                       drive=np.zeros_like(t), output=noise, hamming_weight=0,
                       step=t[1] - t[0])
     with pytest.raises(GridTooCoarse):
-        integrated_signal(traj, 0.0, 5.0)
+        integrated_signal(output_integral(traj, 5.0), 0.0)
 
 
 def test_integrated_signal_fails_closed_on_nan():
@@ -101,7 +101,7 @@ def test_integrated_signal_fails_closed_on_nan():
                       drive=np.zeros_like(t), output=output, hamming_weight=0,
                       step=t[1] - t[0])
     with pytest.raises(GridTooCoarse):
-        integrated_signal(traj, 0.0, 1.0)
+        integrated_signal(output_integral(traj, 1.0), 0.0)
 
 
 def test_variance_convention_switch():
@@ -328,11 +328,11 @@ def test_sweep_rows_are_the_rate_less_report():
     # one scoring path: a sweep row is analyze_trajectories' report on the
     # same stacked trajectories, and the rate series leaves the phase and the
     # gains at tau as they are, bitwise
-    from parity_scope.dynamics import evolve_weights
+    from parity_scope.dynamics import evolve_setups
     from parity_scope.inference import chi_sweep
     [point] = chi_sweep([(0.6, 0.3)], 1.0, reference_pulse(), 28.0)
-    trajectories = evolve_weights(reference_setup(0.6, 0.3), range(4), 28.0)
-    bare = analyze_trajectories(trajectories, 28.0, with_rates=False)
+    [trajectories] = evolve_setups([reference_setup(0.6, 0.3)], range(4), 28.0)
+    bare = analyze_trajectories(trajectories, 28.0, tau_points=None)
     assert (point.phase, point.info_hamming, point.info_parity) == (
         bare.optimal_phase, bare.info_hamming, bare.info_parity)
     full = analyze_trajectories(trajectories, 28.0)
@@ -425,10 +425,10 @@ def test_signal_model_requires_all_weights(reference_trajectories):
 def test_output_integral_matches_means(reference_trajectories):
     # means computed via cached complex integrals equal the direct quadrature
     tau, phi = 28.0, 0.8
-    integrals = [output_integral(tr, tau) for tr in reference_trajectories]
+    integrals = [output_integral(tr, tau)[0] for tr in reference_trajectories]
     means = means_from_integrals(integrals, phi)
     for tr, mean in zip(reference_trajectories, means):
-        assert integrated_signal(tr, phi, tau) == pytest.approx(mean, rel=1e-12)
+        assert integrated_signal(output_integral(tr, tau), phi) == pytest.approx(mean, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +496,7 @@ def test_optimal_phase_matches_per_call_scan():
         model = DispersiveModel(0.0, 0.0, 0.0, chi1 * kappa, chi2 * kappa, 0.0, 0.0)
         det = parity_detunings(model, kappa, kappa).plus_branch
         setup = MeasurementSetup(kappa, kappa, det[0], det[1], model, pulse)
-        integrals = [output_integral(evolve(setup, hw, tau), tau) for hw in range(4)]
+        integrals = [output_integral(evolve(setup, hw, tau), tau)[0] for hw in range(4)]
         best, phi_ref, gain_ref = reference_optimal_phase(integrals, tau)
         assert _phase_bracket(integrals, phis, tau) == best
         assert optimal_phase(integrals, tau) == (phi_ref, gain_ref)
@@ -613,12 +613,13 @@ def test_stacked_optimal_phase_equals_single_searches_bitwise():
 
 def published_points(pairs):
     """The gain-grid node count of each sweep point's published model."""
-    from parity_scope.dynamics import evolve_weights
+    from parity_scope.dynamics import evolve_setups
     from parity_scope.inference import _node_counts, chi_sweep
     counts = []
     for pair, point in zip(pairs, chi_sweep(pairs, 1.0, reference_pulse(), 28.0)):
-        trajectories = evolve_weights(reference_setup(*pair), range(4), 28.0)
-        means = [integrated_signal(tr, point.phase, 28.0) for tr in trajectories]
+        [trajectories] = evolve_setups([reference_setup(*pair)], range(4), 28.0)
+        means = [integrated_signal(output_integral(tr, 28.0), point.phase)
+                 for tr in trajectories]
         counts.append(int(_node_counts(np.array([means]), np.array([28.0]), None)[0]))
     return counts
 
@@ -696,18 +697,19 @@ def assert_same_report(stacked, alone):
             assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), field.name
 
 
-@pytest.mark.parametrize("with_rates", [False, True])
+@pytest.mark.parametrize("rates", [False, True])
 @pytest.mark.parametrize("phase", ["optimal", 0.7])
-def test_stacked_analysis_equals_single_reports_bitwise(three_points, phase, with_rates):
+def test_stacked_analysis_equals_single_reports_bitwise(three_points, phase, rates):
     # the stacked scorer under analyze_trajectories and chi_sweep: one phase
     # search for every point, then each point scored as if alone
     from parity_scope.inference import _analyze
-    reports = _analyze(three_points, 28.0, phase, 57, with_rates)
+    tau_points = 57 if rates else None
+    reports = _analyze(three_points, 28.0, phase, tau_points)
     assert len({report.info_parity for report in reports}) == 3
-    assert all((report.rate_parity is not None) == with_rates for report in reports)
+    assert all((report.rate_parity is not None) == rates for report in reports)
     for trajectories, report in zip(three_points, reports):
         assert_same_report(report, analyze_trajectories(
-            trajectories, 28.0, phase=phase, tau_points=57, with_rates=with_rates))
+            trajectories, 28.0, phase=phase, tau_points=tau_points))
 
 
 def test_sweep_chunks_run_one_phase_search_and_one_evolve_each(monkeypatch):
@@ -732,6 +734,47 @@ def test_sweep_chunks_run_one_phase_search_and_one_evolve_each(monkeypatch):
     assert searches == evolves == [chunk, chunk, 1]
 
 
+def test_each_trajectory_is_integrated_once(monkeypatch, tmp_path):
+    # one fine and one half-grid Simpson pass per trajectory on both scoring
+    # paths, simulate's tau series and a two-chunk sweep; and a chunk's
+    # trajectories are freed before the next chunk is evolved
+    import weakref
+    from parity_scope import inference
+    from parity_scope.cli import main
+    grids, evolved = [], []
+    simpson_at, evolve_stack = inference._simpson_at, inference.evolve_setups
+
+    def spy_simpson(t, y, idx):
+        grids.append(t.size)
+        return simpson_at(t, y, idx)
+
+    def spy_evolve(*args, **kwargs):
+        assert all(ref() is None for ref in evolved)
+        points = evolve_stack(*args, **kwargs)
+        evolved.extend(weakref.ref(tr) for point in points for tr in point)
+        return points
+    monkeypatch.setattr(inference, "_simpson_at", spy_simpson)
+    monkeypatch.setattr(inference, "evolve_setups", spy_evolve)
+    argv = ["simulate", "--preset", "paper-sec5-symmetric", "--out", str(tmp_path), "--quiet"]
+    assert main(argv) == 0
+    assert len(grids) == 8 and grids[1::2] == [(grids[0] + 1) // 2] * 4
+    assert grids[::2] == [grids[0]] * 4
+    grids.clear()
+    monkeypatch.setattr(inference, "SWEEP_CHUNK", 2)
+    inference.chi_sweep([(0.3, 0.3), (0.5, 0.5), (0.7, 0.3)], 1.0, reference_pulse(), 28.0)
+    assert len(evolved) == 12
+    assert len(grids) == 24 and grids[1::2] == [(grids[0] + 1) // 2] * 12
+    assert grids[::2] == [grids[0]] * 12
+
+
+def test_no_tau_points_gives_no_series(reference_trajectories):
+    report = analyze_trajectories(reference_trajectories, 28.0, tau_points=None)
+    assert (report.tau_grid, report.info_hamming_series, report.info_parity_series,
+            report.rate_hamming, report.rate_parity) == (None,) * 5
+    full = analyze_trajectories(reference_trajectories, 28.0)
+    assert (full.info_parity, full.info_hamming) == (report.info_parity, report.info_hamming)
+
+
 def test_analyze_runs_richardson_guard(monkeypatch):
     from parity_scope import dynamics
     monkeypatch.setattr(dynamics, "RECORD_TARGET", 50)
@@ -739,14 +782,14 @@ def test_analyze_runs_richardson_guard(monkeypatch):
     with pytest.raises(GridTooCoarse):
         analyze_trajectories(trajectories, 28.0, tau_points=26)
     with pytest.raises(GridTooCoarse):
-        analyze_trajectories(trajectories, 28.0, with_rates=False)
+        analyze_trajectories(trajectories, 28.0, tau_points=None)
 
 
 def test_analysis_memory_peaks(reference_trajectories):
     # tracemalloc peaks of the per-call implementation (numpy 2.4, scipy
     # 1.17): 1.01 MB for one phase search, 2.11 MB for one full report
     import tracemalloc
-    integrals = [output_integral(tr, 28.0) for tr in reference_trajectories]
+    integrals = [output_integral(tr, 28.0)[0] for tr in reference_trajectories]
     for run, bound in ((lambda: optimal_phase(integrals, 28.0), 1.01e6),
                        (lambda: analyze_trajectories(reference_trajectories, 28.0), 2.11e6)):
         run()
@@ -789,9 +832,9 @@ def test_one_tau_integral_is_the_cumulative_entry_bitwise(reference_trajectories
             assert np.array_equal(_simpson_at(t, y, np.array([k])), cumulative[[k]])
     for k in (traj.times.size - 1, traj.times.size - 2, 1001, 1000):
         tau = traj.times[k]
-        assert output_integral(traj, tau) == _cumulative_simpson(traj.times, traj.output)[k]
-        assert integrated_signal(traj, 0.7, tau) == integrated_signal(
-            traj, 0.7, np.array([tau, traj.times[3]]))[0]
+        assert output_integral(traj, tau)[0] == _cumulative_simpson(traj.times, traj.output)[k]
+        assert integrated_signal(output_integral(traj, tau), 0.7) == integrated_signal(
+            output_integral(traj, np.array([tau, traj.times[3]])), 0.7)[0]
 
 
 @pytest.mark.parametrize("points", [101, 201, 4001, 8001])
@@ -817,13 +860,13 @@ def test_signal_series_matches_per_tau_quadrature(reference_trajectories):
     from scipy.integrate import simpson
     traj, phase = reference_trajectories[1], 0.9
     taus = np.linspace(0.0, 28.0, 57)[1:]
-    series = integrated_signal(traj, phase, taus)
+    series = integrated_signal(output_integral(traj, taus), phase)
     integrand = 2.0 * np.real(np.exp(-1j * phase) * traj.output)
     for tau, mean in zip(taus, series):
         idx = int(np.argmin(np.abs(traj.times - tau)))
         direct = simpson(integrand[:idx + 1], x=traj.times[:idx + 1])
         assert mean == pytest.approx(direct, rel=1e-12, abs=1e-12)
-        assert integrated_signal(traj, phase, tau) == mean
+        assert integrated_signal(output_integral(traj, tau), phase) == mean
 
 
 def test_report_guards_every_tau_of_the_series():
@@ -838,6 +881,6 @@ def test_report_guards_every_tau_of_the_series():
                                alpha2=np.zeros_like(output), drive=np.zeros_like(t),
                                output=output, hamming_weight=hw, step=t[1] - t[0])
                     for hw in range(4)]
-    analyze_trajectories(trajectories, 10.0, phase=0.0, with_rates=False)
+    analyze_trajectories(trajectories, 10.0, phase=0.0, tau_points=None)
     with pytest.raises(GridTooCoarse):
         analyze_trajectories(trajectories, 10.0, phase=0.0, tau_points=11)
