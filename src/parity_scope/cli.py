@@ -45,32 +45,38 @@ def _fmt(value):
     return str(value)
 
 
+CSV_BLOCK = 256        # rows formatted and written at a time
+
+
 def _csv_line(row):
-    # a row of Python floats, as trajectory_rows gives, needs no per-cell test
+    # a row of Python floats, as a trajectory array's tolist() gives, needs
+    # no per-cell test
     if set(map(type, row)) == {float}:
         return ",".join(map(repr, row))
     return ",".join(map(_fmt, row))
 
 
-def _write_text(path, text):
+def _write_text(path, chunks):
     # every output path is configured (output_dir, --out), so one the OS
     # refuses, as a directory in the way or a name too long, is a ConfigError
     try:
-        Path(path).write_text(text)
+        with open(path, "w") as out:
+            out.writelines(chunks)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def write_csv(path, header, rows):
-    lines = [",".join(header), *map(_csv_line, rows)]
-    _write_text(path, "\n".join(lines) + "\n")
-
-
-def read_csv(path):
-    lines = Path(path).read_text().strip().splitlines()
-    header = lines[0].split(",")
-    rows = [[float(cell) for cell in line.split(",")] for line in lines[1:]]
-    return header, rows
+    """Write a header and rows, a list of rows or a 2-D array, as CSV, a
+    block of CSV_BLOCK rows at a time."""
+    def blocks():
+        yield ",".join(header) + "\n"
+        for start in range(0, len(rows), CSV_BLOCK):
+            block = rows[start:start + CSV_BLOCK]
+            # tolist() yields Python floats, whose repr is what _fmt writes
+            lines = block.tolist() if hasattr(block, "tolist") else block
+            yield "".join(_csv_line(row) + "\n" for row in lines)
+    _write_text(path, blocks())
 
 
 def _emit(args, message):
@@ -79,7 +85,7 @@ def _emit(args, message):
 
 
 def _write_json(args, path, payload):
-    _write_text(path, json.dumps(payload, indent=2) + "\n")
+    _write_text(path, [json.dumps(payload, indent=2) + "\n"])
     _emit(args, f"wrote {path}")
 
 
@@ -170,12 +176,12 @@ TRAJECTORY_HEADER = ["t", "re_a1", "im_a1", "re_a2", "im_a2", "re_bout", "im_bou
 
 
 def trajectory_rows(traj):
+    """The CSV rows of a trajectory, one (samples, 7) array."""
     import numpy as np
 
-    # tolist() yields Python floats, whose repr is what _fmt writes
     return np.column_stack([traj.times, traj.alpha1.real, traj.alpha1.imag,
                             traj.alpha2.real, traj.alpha2.imag,
-                            traj.output.real, traj.output.imag]).tolist()
+                            traj.output.real, traj.output.imag])
 
 
 def cmd_simulate(args):
@@ -543,9 +549,11 @@ def main(argv=None):
     this one may run on two CPUs and can fork, ``validate`` forks one
     worker that computes its contrast charge dispersion meanwhile, with the
     same rows and the same error as in one process.  ``scenario-list`` and
-    ``dispersive`` never load numpy.  A call with ``argv`` runs in a
-    process that may hold other work, so it leaves the environment as it is
-    and forks nothing.
+    ``dispersive`` never load numpy.  On the way out the heap is frozen
+    (``gc.freeze``), so the interpreter's shutdown skips collecting objects
+    that die with the process anyway.  A call with ``argv`` runs in a
+    process that may hold other work, so it leaves the environment and the
+    collector as they are and forks nothing.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -557,6 +565,9 @@ def main(argv=None):
     except ParityScopeError as exc:
         print(f"{ERROR_PREFIX[exc.exit_code]}: {exc}", file=sys.stderr)
         return exc.exit_code
+    finally:
+        if argv is None:
+            gc.freeze()
 
 
 if __name__ == "__main__":

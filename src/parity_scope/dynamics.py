@@ -33,7 +33,7 @@ from .measurement import (  # noqa: F401 -- re-exported
 STEP_MARGIN = 0.01          # dt <= STEP_MARGIN * min(1/kappa, 1/|D + 3 chi|)
 PROBE_RTOL = 1e-8
 RECORD_TARGET = 2800        # aim for ~2801 stored samples per trajectory
-RECURRENCE_CHUNK = 1024     # most steps or blocks summed at once; bounds the scratch arrays
+RECURRENCE_CHUNK = 256      # most steps or blocks summed at once; bounds the scratch arrays
 
 
 def hamming_prefactor(hamming_weight):
@@ -173,31 +173,34 @@ def _scan(step, g):
     return g
 
 
-def _advance(step, forcing, n, every, out):
+def _advance(step, forcing, n, consume=None):
     """``n`` terms of y <- step y + g from y = 0, one RECURRENCE_CHUNK of terms
     at a time: the last value of a chunk enters the first term of the next.
-    ``forcing(i, j)`` gives g (..., 2, j - i) of terms i..j-1, and every
-    ``every``-th value is written to ``out`` (..., 2, n // every)."""
-    y = np.zeros(out.shape[:-1] + (1,), dtype=complex)
+    ``forcing(i, j)`` gives g (..., 2, j - i) of terms i..j-1, and each chunk
+    of values goes to ``consume(i, values)``, values (..., 2, j - i), before
+    the next chunk is built.  Returns the last value, (..., 2, 1)."""
+    y = np.zeros(step.shape[:-1] + (1,), dtype=complex)
     for start in range(0, n, RECURRENCE_CHUNK):
         stop = min(start + RECURRENCE_CHUNK, n)
         g = forcing(start, stop)
         g[..., :1] += step @ y
         z = _scan(step, g)
         y = z[..., -1:].copy()
-        # values n = k * every with start < n <= stop sit at z[n - start - 1]
-        first, last = start // every, stop // every
-        offset = (first + 1) * every - start - 1
-        out[..., first:last] = z[..., offset::every]
+        if consume is not None:
+            consume(start, z)
         del g, z        # before the next chunk is built: one chunk at a time
+    return y
 
 
-def _integrate(m, u, pulse, dt, n_steps, stride):
+def _integrate(m, u, pulse, dt, n_steps, stride, consume=None):
     """RK4 recurrence a[n+1] = S a[n] + f[n] from vacuum, recorded every ``stride`` steps.
 
     ``m`` is one 2x2 generator or a stack (..., 2, 2) sharing the drive
-    vector ``u`` and the pulse; each returned component is (..., n_steps //
-    stride + 1).  Solved in the complex Schur basis of the generator,
+    vector ``u`` and the pulse.  Returns the final amplitudes (a1, a2), each
+    (..., 1).  With ``consume`` the records go to ``consume(k, a1, a2)``, one
+    chunk at a time in time order, a1 and a2 (..., j) being records k..k+j-1
+    of the n_steps // stride + 1 (record 0 is the vacuum); no chunk is kept.
+    Solved in the complex Schur basis of the generator,
     M = Q T Q^H, which exists for every M (defective ones included): there
     the step p(dt T) is upper triangular, and so is every power of it, with
     entry [1, 0] exactly 0.  So the second component stays an exact scalar
@@ -256,25 +259,40 @@ def _integrate(m, u, pulse, dt, n_steps, stride):
             g += jump[..., :2, 3, None] * wave
             g += jump[..., :2, 4, None] * wave.conj()
         for k in np.flatnonzero(~whole[i:j]):
-            _advance(r, lambda a, b, first=(i + k) * stride: sampled(first + a, first + b),
-                     stride, stride, g[..., k:k + 1])
+            g[..., k:k + 1] = _advance(
+                r, lambda a, b, first=(i + k) * stride: sampled(first + a, first + b), stride)
         return g
 
-    rec = np.zeros(m.shape[:-2] + (2, n_blocks + 1), dtype=complex)
-    _advance(jump[..., :2, :2], forcing, n_blocks, 1, rec[..., 1:])
-    # back to M's basis, a1 = Q00 y1 + Q01 y2 and a2 = Q10 y1 + Q11 y2, in
-    # rec's own storage: the records are most of the memory a stack takes
+    # back to M's basis, a1 = Q00 y1 + Q01 y2 and a2 = Q10 y1 + Q11 y2
     q = q[..., None]
-    rec1, rec2 = rec[..., 0, :], rec[..., 1, :]
-    cross2, cross1 = q[..., 0, 1, :] * rec2, q[..., 1, 0, :] * rec1
-    rec1 *= q[..., 0, 0, :]
-    rec1 += cross2
-    rec2 *= q[..., 1, 1, :]
-    rec2 += cross1
-    return rec1, rec2
+
+    def basis(y):
+        y1, y2 = y[..., 0, :], y[..., 1, :]
+        return (y1 * q[..., 0, 0, :] + q[..., 0, 1, :] * y2,
+                y2 * q[..., 1, 1, :] + q[..., 1, 0, :] * y1)
+
+    emit = None
+    if consume is not None:
+        consume(0, *basis(np.zeros(m.shape[:-2] + (2, 1), dtype=complex)))
+
+        def emit(k, y):
+            consume(k + 1, *basis(y))     # block k ends at record k + 1
+    return basis(_advance(jump[..., :2, :2], forcing, n_blocks, emit))
 
 
-def evolve_setups(setups, weights, t_final, dt=None, stride=None, probe=True, labels=None):
+def _records(m, u, pulse, dt, n_steps, stride):
+    """Every record of ``_integrate``, as (a1, a2), each (..., n_steps // stride + 1)."""
+    rec = np.empty(m.shape[:-2] + (2, n_steps // stride + 1), dtype=complex)
+
+    def store(k, a1, a2):
+        rec[..., 0, k:k + a1.shape[-1]] = a1
+        rec[..., 1, k:k + a2.shape[-1]] = a2
+    _integrate(m, u, pulse, dt, n_steps, stride, store)
+    return rec[..., 0, :], rec[..., 1, :]
+
+
+def evolve_setups(setups, weights, t_final, dt=None, stride=None, probe=True, labels=None,
+                  consume=None):
     """Integrate the driven amplitude pair from vacuum with fixed-step RK4,
     one trajectory per setup and Hamming weight in ``weights``, all in one
     array pass.  Returns one list of Trajectory per setup.
@@ -291,6 +309,11 @@ def evolve_setups(setups, weights, t_final, dt=None, stride=None, probe=True, la
     the recorded grid (default ~2801 samples, at most 2 * RECORD_TARGET + 1:
     where no divisor keeps that few, the step count moves to a multiple of
     the stride); the work grows with the records, not the steps.
+
+    With ``consume`` no record is kept and nothing is returned: the output
+    field goes to ``consume(times, output)`` one recurrence chunk at a time,
+    in time order, times (j,) and output (len(setups) * len(weights), j),
+    the trajectories in the order of the returned lists, flattened.
     """
     setups = list(setups)
     first = setups[0]
@@ -333,16 +356,22 @@ def evolve_setups(setups, weights, t_final, dt=None, stride=None, probe=True, la
     weights = list(weights)
     m = np.stack([mode_matrix(setup, hw) for setup in setups[:passing] for hw in weights])
     u = -1j * _drive_vector(first)
+    pulse = first.pulse
     if probe:
-        # the half-step run first, so that only its final amplitudes are
-        # held while the recorded run takes its memory
-        f1, f2 = (f[:, -1].copy() for f in
-                  _integrate(m, u, first.pulse, dt / 2.0, 2 * n_steps, 2 * stride))
-    rec1, rec2 = _integrate(m, u, first.pulse, dt, n_steps, stride)
+        # the half-step run keeps its final amplitudes only
+        f1, f2 = _integrate(m, u, pulse, dt / 2.0, 2 * n_steps, 2 * stride)
+    if consume is None:
+        rec1, rec2 = _records(m, u, pulse, dt, n_steps, stride)
+        a1, a2 = rec1[:, -1:], rec2[:, -1:]
+    else:
+        def stream(k, chunk1, chunk2):
+            times = np.arange(k, k + chunk1.shape[-1]) * stride * dt
+            consume(times, output_field(chunk1, chunk2, drive_envelope(times, pulse), first))
+        a1, a2 = _integrate(m, u, pulse, dt, n_steps, stride, stream)
 
     if probe:
         ref = np.maximum(np.maximum(np.abs(f1), np.abs(f2)), 1e-30)
-        err = np.maximum(np.abs(rec1[:, -1] - f1), np.abs(rec2[:, -1] - f2)) / ref
+        err = (np.maximum(np.abs(a1 - f1), np.abs(a2 - f2)) / ref)[:, 0]
         failing = np.flatnonzero(~(err <= PROBE_RTOL))      # a NaN fails too
         if failing.size:
             i = failing[0] // len(weights)
@@ -352,9 +381,11 @@ def evolve_setups(setups, weights, t_final, dt=None, stride=None, probe=True, la
                              f"{own[worst]:.3e} > {PROBE_RTOL}")
     if passing < len(setups):
         raise unstable
+    if consume is not None:
+        return None
 
     times = np.arange(0, n_steps + 1, stride) * dt
-    drive = drive_envelope(times, first.pulse)
+    drive = drive_envelope(times, pulse)
     output = output_field(rec1, rec2, drive, first)
     trajectories = [Trajectory(times=times, alpha1=rec1[i], alpha2=rec2[i], drive=drive,
                                output=output[i], hamming_weight=hw, step=dt)
@@ -411,19 +442,3 @@ def reflection(setup, hamming_weight):
     if abs(denom) <= 1e-15 * scale:
         raise DegenerateResponse("reflection denominator vanished")
     return complex(x, 0.5 * n) / denom
-
-
-def decay_envelope_bound(setup, hamming_weight):
-    """Rigorous ring-down envelope constants for the free evolution.
-
-    Returns ``(rate, condition)`` such that after the drive ends
-    ``||a(t)|| <= condition * exp(-rate (t - t0)) * ||a(t0)||``; ``rate`` is
-    the slowest eigenvalue decay and ``condition`` the eigenvector condition
-    number of the 2x2 generator (non-normal transients can exceed the bare
-    eigenvalue envelope by up to this factor).
-    """
-    m = mode_matrix(setup, hamming_weight)
-    evals, evecs = np.linalg.eig(m)
-    rate = -float(np.max(evals.real))
-    condition = float(np.linalg.cond(evecs))
-    return rate, condition

@@ -36,7 +36,8 @@ PHASE_SCAN_FLOOR = 1e-12         # bits; rounding-level ties are re-scored too
 GAIN_CHUNK = 4096                # grid samples (models x points) per stacked kernel pass
 PHASE_TOLERANCE = 1e-4
 RATE_CONSISTENCY_BITS = 1e-3
-SWEEP_CHUNK = 8                  # sweep points scored in lockstep; bounds the stacked trajectories
+SWEEP_CHUNK = 8                  # sweep points scored in lockstep; bounds the phase-search
+                                 # stack and the recurrence scan's scratch
 
 
 @dataclass(frozen=True)
@@ -98,48 +99,93 @@ def _simpson(y, x):
     return np.sum(_simpson_panels(y, np.diff(x, axis=-1)), axis=-1)
 
 
-def _cumulative_simpson(t, y):
-    """Composite Simpson integral of y over [t_0, t_k] for every sample k.
+def _even_sums(start, h, y):
+    """Simpson integrals of y, on intervals h, up to every even sample:
+    ``start`` (..., 1) at sample 0, None there at the origin (0), then the
+    two-interval panels added in sequence, as one ``np.cumsum`` over all
+    panels would add them."""
+    panels = _simpson_panels(y, h)
+    if start is None:
+        start = np.zeros(y.shape[:-1] + (1,), dtype=complex)
+    else:
+        panels[..., :1] += start
+    return np.concatenate([start, np.cumsum(panels, axis=-1)], axis=-1)
 
-    Each value equals ``scipy.integrate.simpson(y[:k+1], x=t[:k+1])`` up to
-    summation order: two-interval panels (any spacing) are summed
-    cumulatively, an odd k closes with the same last-interval (Cartwright)
-    correction and k = 1 is a trapezoid.
-    """
-    out = np.zeros(y.shape, dtype=np.result_type(y, float))
-    if y.size < 2:
-        return out
-    h = np.diff(t)
-    out[2::2] = np.cumsum(_simpson_panels(y, h))
-    out[1] = 0.5 * h[0] * (y[0] + y[1])
-    k = np.arange(3, y.size, 2)
-    out[k] = _close_odd(out[k - 1], h, y, k)
+
+def _simpson_to(sums, h, y, k):
+    """Simpson integrals up to the samples ``k`` (an array) from the
+    ``_even_sums`` of (h, y): an odd k >= 3 closes the sum up to k - 1 with
+    the last-interval (Cartwright) correction, and k = 1 is a trapezoid."""
+    out = sums[..., k // 2]
+    if np.any(k == 1):
+        out[..., k == 1] = (0.5 * h[0] * (y[..., 0] + y[..., 1]))[..., None]
+    odd = (k % 2 == 1) & (k >= 3)
+    if np.any(odd):
+        c = k[odd]
+        h0, h1 = h[c - 2], h[c - 1]
+        alpha = (2.0 * h1 ** 2 + 3.0 * h0 * h1) / (6.0 * (h1 + h0))
+        beta = (h1 ** 2 + 3.0 * h0 * h1) / (6.0 * h0)
+        eta = h1 ** 3 / (6.0 * h0 * (h0 + h1))
+        out[..., odd] = (out[..., odd] + alpha * y[..., c] + beta * y[..., c - 1]
+                         - eta * y[..., c - 2])
     return out
 
 
-def _close_odd(even, h, y, k):
-    """Integrals up to the odd samples ``k`` (all >= 3) from those up to
-    ``k - 1``: the last-interval (Cartwright) correction."""
-    h0, h1 = h[k - 2], h[k - 1]
-    alpha = (2.0 * h1 ** 2 + 3.0 * h0 * h1) / (6.0 * (h1 + h0))
-    beta = (h1 ** 2 + 3.0 * h0 * h1) / (6.0 * h0)
-    eta = h1 ** 3 / (6.0 * h0 * (h0 + h1))
-    return even + alpha * y[k] + beta * y[k - 1] - eta * y[k - 2]
+class _Quadrature:
+    """The homodyne quadrature, fed the output field in time order.
 
+    ``feed(t, y)`` takes the next samples, times t (j,) and values y (..., j),
+    in chunks of any length.  ``fine`` and ``coarse`` (..., len(targets))
+    hold the complex integral over [t_0, t_k] at each target sample k and its
+    Richardson partner on the half grid (every other sample, an odd k closed
+    by a trapezoid, and k < 4 given the fine value), by the arithmetic of one
+    pass over all samples: composite Simpson panels (any spacing) added in
+    sequence, the Cartwright close of an odd k and a trapezoid at k = 1; so
+    every chunking gives the same bits.  With ``targets=None`` the target is
+    the last sample fed.  Only the last few samples are kept, from a
+    multiple of 4 so that both grids' panels start there, with both
+    integrals up to it.
+    """
 
-def _simpson_at(t, y, idx):
-    """``_cumulative_simpson(t, y)[idx]`` for an index array: one cumulative
-    pass for several samples, and for one sample only the panels up to it
-    (the same sequential sums, so the same bits)."""
-    if idx.size != 1:
-        return _cumulative_simpson(t, y)[idx]
-    k = int(idx[0])
-    if k < 2:
-        return _cumulative_simpson(t[:2], y[:2])[idx]
-    even = k - k % 2
-    h = np.diff(t[: k + 1])
-    out = np.cumsum(_simpson_panels(y[: even + 1], h[:even]))[-1:]
-    return _close_odd(out, h, y, idx) if k % 2 else out
+    def __init__(self, targets=None):
+        self.targets = None if targets is None else np.atleast_1d(targets)
+        self.start = 0              # index of the first kept sample
+        self.t = self.y = None      # the kept samples
+        self.sums = (None, None)    # both integrals up to the first kept sample
+        self.fine = self.coarse = None
+
+    def feed(self, t, y):
+        fed = t.size
+        if self.t is not None:
+            t, y = np.concatenate([self.t, t]), np.concatenate([self.y, y], axis=-1)
+        end = self.start + t.size
+        h, h_half = np.diff(t), np.diff(t[::2])
+        fine_sums = _even_sums(self.sums[0], h, y)
+        half_sums = _even_sums(self.sums[1], h_half, y[..., ::2])
+        if self.targets is None:
+            chosen, k = slice(None), np.array([end - 1])
+        else:
+            chosen = (self.targets >= end - fed) & (self.targets < end)
+            k = self.targets[chosen]
+        if k.size:
+            if self.fine is None:
+                shape = y.shape[:-1] + (1 if self.targets is None else self.targets.size,)
+                self.fine, self.coarse = np.zeros(shape, complex), np.zeros(shape, complex)
+            own, half = k - self.start, k - k % 2 - self.start
+            fine = _simpson_to(fine_sums, h, y, own)
+            coarse = _simpson_to(half_sums, h_half, y[..., ::2], half // 2)
+            coarse += (t[own] - t[half]) * (y[..., half] + y[..., own]) / 2.0
+            self.fine[..., chosen] = fine
+            self.coarse[..., chosen] = np.where(k >= 4, coarse, fine)
+        # keep from the last multiple of 4 at least four samples back: a later
+        # target reaches back two samples, its half-grid partner four
+        keep = max((end - 1) // 4 * 4 - 4, self.start)
+        cut = keep - self.start
+        if cut:
+            self.sums = (fine_sums[..., cut // 2:cut // 2 + 1],
+                         half_sums[..., cut // 4:cut // 4 + 1])
+        self.start = keep
+        self.t, self.y = t[cut:].copy(), y[..., cut:].copy()
 
 
 def _project(integrals, phase):
@@ -151,19 +197,15 @@ def _project(integrals, phase):
 def output_integral(trajectory, tau):
     """Complex integral of beta_out over [0, tau] on the trajectory grid and
     its Richardson partner on the half grid, ``(fine, coarse)``: two numbers
-    for one tau, two arrays for an array of them.  One pass per grid
-    (``_simpson_at``); the half grid closes an odd sample count with a
-    trapezoid, and a tau with fewer than five samples gets the fine value."""
+    for one tau, two arrays for an array of them.  One ``_Quadrature`` pass
+    over the samples up to the last tau."""
     idx = np.atleast_1d(_tau_index(trajectory, tau))
-    t, y = trajectory.times[: idx.max() + 1], trajectory.output[: idx.max() + 1]
-    fine = _simpson_at(t, y, idx)
-    half = idx - idx % 2
-    coarse = _simpson_at(t[::2], y[::2], half // 2)
-    coarse += (t[idx] - t[half]) * (y[half] + y[idx]) / 2.0
-    coarse = np.where(idx >= 4, coarse, fine)
+    quadrature = _Quadrature(idx)
+    stop = idx.max() + 1
+    quadrature.feed(trajectory.times[:stop], trajectory.output[:stop])
     if np.ndim(tau) == 0:
-        return complex(fine[0]), complex(coarse[0])
-    return fine, coarse
+        return complex(quadrature.fine[0]), complex(quadrature.coarse[0])
+    return quadrature.fine, quadrature.coarse
 
 
 def integrated_signal(integrals, phase):
@@ -533,7 +575,8 @@ class InfoGainReport:
 
 def analyze_trajectories(trajectories, tau, phase="optimal", tau_points=57):
     """Information-gain report of four evolved trajectories, the one path
-    from trajectories to published gains (``simulate`` and the sweep).
+    from trajectories to published gains (``simulate``; the sweep streams
+    the same integrals into the same scorer).
 
     ``phase`` is a number, or "optimal" to pick it from the complex output
     integrals at ``tau``.  Each trajectory is integrated once, fine and half
@@ -543,34 +586,34 @@ def analyze_trajectories(trajectories, tau, phase="optimal", tau_points=57):
     ``tau`` give the gains, which carry the doubling check; the series is
     scored in one stacked pass and differentiated into measurement rates.
     """
-    return _analyze([trajectories], tau, phase, tau_points)[0]
-
-
-def _analyze(points, tau, phase, tau_points):
-    """``analyze_trajectories`` of several points, each given as its four
-    trajectories: one stacked ``optimal_phase`` search picks every point's
-    phase, then each point is guarded and scored on its own, so a report is
-    what the point alone gives, bit for bit, and the first failing point in
-    input order raises."""
     if tau_points is not None and tau_points < 3:
         raise ValueError("need at least 3 grid points")
     tau_grid = None if tau_points is None else np.linspace(0.0, tau, tau_points)
     # the gains vanish at tau = 0
     taus = np.array([tau], dtype=float) if tau_grid is None else tau_grid[1:]
-    integrals = [[output_integral(tr, taus) for tr in _ordered(trajectories)]
-                 for trajectories in points]
+    integrals = [output_integral(tr, taus) for tr in _ordered(trajectories)]
+    return _analyze([integrals], tau, phase, tau_grid)[0]
+
+
+def _analyze(points, tau, phase, tau_grid):
+    """Reports of several points, each given as the ``(fine, coarse)``
+    integral pairs of its four Hamming weights, in order, at the taus of
+    ``tau_grid`` after 0 (at ``tau`` alone when it is None): one stacked
+    ``optimal_phase`` search picks every point's phase, then each point is
+    guarded and scored on its own, so a report is what the point alone
+    gives, bit for bit, and the first failing point in input order raises."""
     if phase == "optimal":
-        finals = [[fine[-1] for fine, _ in point] for point in integrals]
+        finals = [[fine[-1] for fine, _ in point] for point in points]
         phases = optimal_phase(finals, tau)[0].tolist()
     else:
         phases = [float(phase)] * len(points)
     reports = []
-    for point, phi in zip(integrals, phases):
+    for point, phi in zip(points, phases):
         means = np.stack([integrated_signal(pair, phi) for pair in point], axis=1)
         gain_hw, gain_parity = info_gains(SignalModel(tau, phi, tuple(means[-1])))
         series = rates = (None, None)     # (Hamming weight, parity)
         if tau_grid is not None:
-            gains = _guarded_gains(means, taus)
+            gains = _guarded_gains(means, tau_grid[1:])
             series = [np.concatenate(([0.0], gains[:, k])) for k in (0, 1)]
             rates = [measurement_rates(tau_grid, gain) for gain in series]
         reports.append(InfoGainReport(
@@ -609,11 +652,13 @@ def chi_sweep(chi_pairs, kappa, pulse, tau, workers=None):
 
     Each point applies its own parity detunings (plus branch).  Up to
     SWEEP_CHUNK points at a time are scored in lockstep: their Hamming-weight
-    trajectories are evolved in one stacked pass (``evolve_setups``: the
+    output fields are evolved in one stacked pass (``evolve_setups``: the
     step bound and the half-step probe stay per point, and a failure names
-    the first failing point in input order), and scored by the stacked path
-    under ``analyze_trajectories``, so a row is what scoring the point alone
-    gives, bit for bit.  ``workers`` is accepted and has no effect.
+    the first failing point in input order) and streamed into one
+    ``_Quadrature``, so no record is kept.  The integrals over the horizon
+    are ``output_integral``'s at ``tau``, bit for bit, and the stacked path
+    under ``analyze_trajectories`` scores them, so a row is what scoring the
+    point alone gives.  ``workers`` is accepted and has no effect.
     """
     pairs = [(float(chi1), float(chi2)) for chi1, chi2 in chi_pairs]
     points = []
@@ -625,8 +670,10 @@ def chi_sweep(chi_pairs, kappa, pulse, tau, workers=None):
             det = parity_detunings(model, kappa, kappa).plus_branch
             setups.append(MeasurementSetup(kappa, kappa, det[0], det[1], model, pulse))
         labels = [f"chi1/kappa = {chi1!r}, chi2/kappa = {chi2!r}" for chi1, chi2 in chunk]
-        # no name holds the trajectories: one chunk's are freed before the next evolves
-        reports = _analyze(evolve_setups(setups, range(4), tau, labels=labels),
+        quadrature = _Quadrature()      # up to the last sample, the horizon tau
+        evolve_setups(setups, range(4), tau, labels=labels, consume=quadrature.feed)
+        integrals = list(zip(quadrature.fine, quadrature.coarse))
+        reports = _analyze([integrals[i:i + 4] for i in range(0, len(integrals), 4)],
                            tau, "optimal", None)
         points += [SweepPoint(chi1, chi2, report.info_parity, report.info_hamming,
                               report.optimal_phase)

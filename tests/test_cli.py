@@ -6,12 +6,13 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import parity_scope
-from parity_scope.cli import BLAS_THREAD_VARIABLES, _second_core, main, read_csv
+from parity_scope.cli import BLAS_THREAD_VARIABLES, _second_core, main
 from parity_scope.config import (
     MHZ,
     derive_scenario,
@@ -26,6 +27,13 @@ from parity_scope.inference import integrated_signal, output_integral
 
 def run(argv):
     return main(argv)
+
+
+def read_csv(path):
+    lines = Path(path).read_text().strip().splitlines()
+    header = lines[0].split(",")
+    rows = [[float(cell) for cell in line.split(",")] for line in lines[1:]]
+    return header, rows
 
 
 # ---------------------------------------------------------------------------
@@ -1128,6 +1136,22 @@ def test_cli_in_process_main_leaves_the_environment(tmp_path, monkeypatch):
     assert run(["simulate", "--preset", "paper-sec5-symmetric", "--hw", "0",
                 "--out", str(tmp_path), "--quiet"]) == 0
     assert dict(os.environ) == before
+
+
+def test_cli_entry_point_freezes_the_heap_and_main_argv_does_not(tmp_path):
+    # the entry point freezes the heap on the way out, after an error exit
+    # too; an in-process main(argv) leaves the collector as it is
+    import gc
+    before = gc.get_freeze_count()
+    assert run(["dispersive", "--preset", "transmon-obstruction", "--out", str(tmp_path),
+                "--quiet"]) == 3
+    assert gc.get_freeze_count() == before
+    for preset, status in (("paper-sec5-symmetric", 0), ("transmon-obstruction", 3)):
+        argv = ["dispersive", "--preset", preset, "--out", str(tmp_path), "--quiet"]
+        code = ("import gc, sys\nfrom parity_scope.cli import main\n"
+                f"sys.argv = ['parity-scope', *{argv!r}]\n"
+                "status = main()\nprint(status, gc.get_freeze_count() > 0)")
+        assert _fresh_interpreter(code, tmp_path) == f"{status} True"
 
 
 def test_validate_agrees_across_blas_thread_counts(tmp_path):

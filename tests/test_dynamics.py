@@ -10,13 +10,12 @@ import scipy.linalg as sla
 from parity_scope import dynamics
 from parity_scope.dispersive import DispersiveModel, parity_detunings
 from parity_scope.dynamics import (
-    RECURRENCE_CHUNK,
     DrivePulse,
     MeasurementSetup,
     _integrate,
+    _records,
     _rk4_coefficients,
     _schur2,
-    decay_envelope_bound,
     drive_envelope,
     evolve,
     evolve_setups,
@@ -162,11 +161,11 @@ def test_evolve_step_guard():
 
 def test_evolve_probe_fails_closed_on_nan(monkeypatch):
     # a NaN in the half-step run compares false with every bound
-    def poisoned(m, u, pulse, dt, n_steps, stride):
-        rec1, rec2 = _integrate(m, u, pulse, dt, n_steps, stride)
+    def poisoned(m, u, pulse, dt, n_steps, stride, *consume):
+        final1, final2 = _integrate(m, u, pulse, dt, n_steps, stride, *consume)
         if dt < 1e-3:
-            rec1[:, -1] = math.nan
-        return rec1, rec2
+            final1[:, -1] = math.nan
+        return final1, final2
     monkeypatch.setattr(dynamics, "_integrate", poisoned)
     with pytest.raises(StepTooLarge, match="disagreement nan"):
         evolve(make_setup(), 1, 28.0)
@@ -213,7 +212,7 @@ def reference_integrate(m, u, beta_nodes, beta_mid, dt, n_steps, stride):
 def assert_matches_reference(m, u, pulse, dt, n_steps, stride):
     # m is one generator or a stack; each one against its own loop
     nodes = np.arange(n_steps + 1) * dt
-    got1, got2 = _integrate(m, u, pulse, dt, n_steps, stride)
+    got1, got2 = _records(m, u, pulse, dt, n_steps, stride)
     for index in np.ndindex(m.shape[:-2]):
         ref1, ref2 = reference_integrate(m[index], u, drive_envelope(nodes, pulse),
                                          drive_envelope(nodes[:-1] + dt / 2.0, pulse),
@@ -248,10 +247,10 @@ def test_integrate_matches_loop_defective_generator():
 
 
 @pytest.mark.parametrize("n_steps, stride", [
-    (RECURRENCE_CHUNK // 3, 7),                                 # shorter than one chunk
-    (2 * RECURRENCE_CHUNK + 37, 1),                             # not a multiple of the chunk
-    (3 * RECURRENCE_CHUNK, 3),                                  # stride does not divide the chunk
-    (2 * RECURRENCE_CHUNK + 37, 2 * RECURRENCE_CHUNK + 37),     # the probe's end-point call
+    (341, 7),           # 48 blocks: shorter than one chunk
+    (2085, 1),          # not a multiple of the chunk: 8 x 256 + 37 (and 2 x 1024 + 37)
+    (3072, 3),          # 1024 blocks, whole chunks; the stride does not divide the chunk
+    (2085, 2085),       # the probe's end-point call: one block of 2085 steps, in chunks
 ])
 def test_integrate_chunk_boundaries(n_steps, stride):
     setup = make_setup(chi1=0.45, chi2=0.6, chi12=0.15, kappa1=1.0, kappa2=1.7)
@@ -335,7 +334,7 @@ def test_integrate_blocks_decaying_past_the_float_range():
 def test_integrate_zero_amplitude_stays_in_vacuum():
     # the 1e-12 bound of a zero reference: exactly zero
     pulse = DrivePulse(amplitude=0.0, ramp=4.0, t_on=1.0, t_off=16.0)
-    got1, got2 = _integrate(NON_NORMAL, NON_NORMAL_DRIVE, pulse, 1e-3, 28000, 10)
+    got1, got2 = _records(NON_NORMAL, NON_NORMAL_DRIVE, pulse, 1e-3, 28000, 10)
     assert got1.size == 2801
     assert not np.any(got1) and not np.any(got2)
 
@@ -364,7 +363,7 @@ def test_integrate_undamped_mode_matches_loop_at_the_final_value():
     pulse = make_setup().pulse
     dt, n_steps = 1e-3, 28000
     nodes = np.arange(n_steps + 1) * dt
-    got1, got2 = _integrate(m, u, pulse, dt, n_steps, 10)
+    got1, got2 = _records(m, u, pulse, dt, n_steps, 10)
     ref1, ref2 = reference_integrate(m, u, drive_envelope(nodes, pulse),
                                      drive_envelope(nodes[:-1] + dt / 2.0, pulse),
                                      dt, n_steps, 10)
@@ -378,9 +377,9 @@ def test_probe_is_the_same_recurrence_at_half_step(monkeypatch):
     # made first so that only its final amplitudes are held ...
     calls = []
 
-    def spy(m, u, pulse, dt, n_steps, stride):
+    def spy(m, u, pulse, dt, n_steps, stride, *consume):
         calls.append((dt, n_steps, stride))
-        return _integrate(m, u, pulse, dt, n_steps, stride)
+        return _integrate(m, u, pulse, dt, n_steps, stride, *consume)
     monkeypatch.setattr(dynamics, "_integrate", spy)
     setup = make_setup(chi1=0.45, chi2=0.6, chi12=0.15)
     evolve(setup, 1, 28.0)
@@ -533,22 +532,3 @@ def test_output_modulus_equals_input_at_steady_state():
     setup = constant_setup()
     traj = evolve(setup, 2, 40.0, probe=False)
     assert abs(traj.output[-1]) == pytest.approx(abs(traj.drive[-1]), rel=1e-9)
-
-
-def test_output_ring_down_envelope():
-    # after the pulse ends the output decays inside the eigenvalue envelope
-    # (with the non-normal condition-number prefactor)
-    setup = make_setup()
-    for hw in range(4):
-        traj = evolve(setup, hw, 28.0, probe=False)
-        rate, condition = decay_envelope_bound(setup, hw)
-        t_end = setup.pulse.t_end
-        i0 = int(np.searchsorted(traj.times, t_end))
-        norm0 = math.hypot(abs(traj.alpha1[i0]), abs(traj.alpha2[i0]))
-        tail = slice(i0, None)
-        norms = np.hypot(np.abs(traj.alpha1[tail]), np.abs(traj.alpha2[tail]))
-        envelope = condition * norm0 * np.exp(-rate * (traj.times[tail] - traj.times[i0]))
-        assert np.all(norms <= envelope * (1.0 + 1e-6))
-        # and the output field itself has fully rung down at the horizon
-        assert abs(traj.output[-1]) < abs(traj.drive).max() * 2e-2
-        assert rate == pytest.approx(min(setup.kappa1, setup.kappa2) / 2.0, rel=1e-9)

@@ -651,12 +651,12 @@ def test_sweep_probe_names_the_first_failing_point(monkeypatch):
     from parity_scope.inference import chi_sweep
     integrate = dynamics._integrate
 
-    def poisoned(m, u, pulse, dt, n_steps, stride):
-        rec1, rec2 = integrate(m, u, pulse, dt, n_steps, stride)
+    def poisoned(m, u, pulse, dt, n_steps, stride, *consume):
+        final1, final2 = integrate(m, u, pulse, dt, n_steps, stride, *consume)
         if dt < 1e-3:
-            rec1[5, -1] += 1.0
-            rec1[8:12, -1] = math.nan
-        return rec1, rec2
+            final1[5, -1] += 1.0
+            final1[8:12, -1] = math.nan
+        return final1, final2
     monkeypatch.setattr(dynamics, "_integrate", poisoned)
     pairs = [(0.5, 0.5), (0.6, 0.6), (0.7, 0.3), (0.8, 0.8)]
     with pytest.raises(StepTooLarge,
@@ -704,7 +704,12 @@ def test_stacked_analysis_equals_single_reports_bitwise(three_points, phase, rat
     # search for every point, then each point scored as if alone
     from parity_scope.inference import _analyze
     tau_points = 57 if rates else None
-    reports = _analyze(three_points, 28.0, phase, tau_points)
+    tau_grid = np.linspace(0.0, 28.0, tau_points) if rates else None
+    taus = tau_grid[1:] if rates else np.array([28.0])
+    integrals = [[output_integral(tr, taus)
+                  for tr in sorted(point, key=lambda tr: tr.hamming_weight)]
+                 for point in three_points]
+    reports = _analyze(integrals, 28.0, phase, tau_grid)
     assert len({report.info_parity for report in reports}) == 3
     assert all((report.rate_parity is not None) == rates for report in reports)
     for trajectories, report in zip(three_points, reports):
@@ -735,36 +740,64 @@ def test_sweep_chunks_run_one_phase_search_and_one_evolve_each(monkeypatch):
 
 
 def test_each_trajectory_is_integrated_once(monkeypatch, tmp_path):
-    # one fine and one half-grid Simpson pass per trajectory on both scoring
-    # paths, simulate's tau series and a two-chunk sweep; and a chunk's
-    # trajectories are freed before the next chunk is evolved
-    import weakref
+    # one quadrature pass per trajectory on both scoring paths: simulate
+    # feeds each trajectory's samples up to its last tau once, and a
+    # two-chunk sweep streams each chunk's output fields once, in order
     from parity_scope import inference
     from parity_scope.cli import main
-    grids, evolved = [], []
-    simpson_at, evolve_stack = inference._simpson_at, inference.evolve_setups
+    feeds = []
+    feed = inference._Quadrature.feed
 
-    def spy_simpson(t, y, idx):
-        grids.append(t.size)
-        return simpson_at(t, y, idx)
-
-    def spy_evolve(*args, **kwargs):
-        assert all(ref() is None for ref in evolved)
-        points = evolve_stack(*args, **kwargs)
-        evolved.extend(weakref.ref(tr) for point in points for tr in point)
-        return points
-    monkeypatch.setattr(inference, "_simpson_at", spy_simpson)
-    monkeypatch.setattr(inference, "evolve_setups", spy_evolve)
+    def spy_feed(self, t, y):
+        feeds.append((self, t[0], t.size, y.shape[:-1]))    # self kept: ids stay unique
+        return feed(self, t, y)
+    monkeypatch.setattr(inference._Quadrature, "feed", spy_feed)
     argv = ["simulate", "--preset", "paper-sec5-symmetric", "--out", str(tmp_path), "--quiet"]
     assert main(argv) == 0
-    assert len(grids) == 8 and grids[1::2] == [(grids[0] + 1) // 2] * 4
-    assert grids[::2] == [grids[0]] * 4
-    grids.clear()
+    assert len(feeds) == len({id(owner) for owner, *_ in feeds}) == 4
+    assert {(start, size, rows) for _, start, size, rows in feeds} == {(0.0, 2801, ())}
+    feeds.clear()
     monkeypatch.setattr(inference, "SWEEP_CHUNK", 2)
     inference.chi_sweep([(0.3, 0.3), (0.5, 0.5), (0.7, 0.3)], 1.0, reference_pulse(), 28.0)
-    assert len(evolved) == 12
-    assert len(grids) == 24 and grids[1::2] == [(grids[0] + 1) // 2] * 12
-    assert grids[::2] == [grids[0]] * 12
+    owners = list({id(owner): owner for owner, *_ in feeds}.values())
+    assert len(owners) == 2
+    for owner, rows in zip(owners, [(8,), (4,)]):
+        own = [(start, size, shape) for key, start, size, shape in feeds if key is owner]
+        assert {shape for *_, shape in own} == {rows}
+        assert own[0][:2] == (0.0, 1)        # the vacuum record, then the chunks
+        assert sum(size for _, size, _ in own) == 2801
+
+
+def test_sweep_builds_no_trajectory(monkeypatch):
+    # the sweep streams its output fields: no Trajectory, no record array
+    from parity_scope import dynamics, inference
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sweep built a trajectory")
+    monkeypatch.setattr(dynamics, "Trajectory", refuse)
+    monkeypatch.setattr(dynamics, "_records", refuse)
+    monkeypatch.setattr(inference, "output_integral", refuse)
+    with pytest.raises(AssertionError, match="built a trajectory"):
+        evolve(reference_setup(), 0, 28.0)
+    [point] = inference.chi_sweep([(0.5, 0.5)], 1.0, reference_pulse(), 28.0)
+    assert 0.0 < point.info_parity <= point.info_hamming
+
+
+def test_sweep_peak_stays_below_its_records():
+    # a 4-point sweep chunk never holds its 16 trajectories' records,
+    # 2 x 2801 complex samples each (1.43 MB): the recurrence hands each
+    # chunk of the output fields to the quadrature and keeps none
+    import tracemalloc
+    from parity_scope.inference import chi_sweep
+    pairs = [(0.3, 0.3), (0.5, 0.5), (0.7, 0.3), (0.9, 0.6)]
+    chi_sweep(pairs, 1.0, reference_pulse(), 28.0)
+    tracemalloc.start()
+    try:
+        chi_sweep(pairs, 1.0, reference_pulse(), 28.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 * 2801 * np.dtype(complex).itemsize
 
 
 def test_no_tau_points_gives_no_series(reference_trajectories):
@@ -802,13 +835,23 @@ def test_analysis_memory_peaks(reference_trajectories):
         assert peak <= 1.5 * bound
 
 
+def quadrature_of(t, y, targets, cuts=()):
+    """The (fine, coarse) integrals of a ``_Quadrature`` fed (t, y) in the
+    chunks that the sample indices ``cuts`` delimit."""
+    from parity_scope.inference import _Quadrature
+    quadrature = _Quadrature(targets)
+    edges = [0, *cuts, t.size]
+    for start, stop in zip(edges[:-1], edges[1:]):
+        quadrature.feed(t[start:stop], y[..., start:stop])
+    return quadrature.fine, quadrature.coarse
+
+
 def test_cumulative_simpson_matches_scipy_prefixes():
     from scipy.integrate import simpson
-    from parity_scope.inference import _cumulative_simpson
     rng = np.random.default_rng(3)
     t = np.cumsum(rng.uniform(0.5, 1.5, 40))
     y = rng.normal(size=40) + 1j * rng.normal(size=40)
-    cumulative = _cumulative_simpson(t, y)
+    cumulative, _ = quadrature_of(t, y, np.arange(40))
     assert cumulative[0] == 0.0
     for k in range(1, t.size):
         direct = complex(simpson(y[:k + 1].real, x=t[:k + 1]),
@@ -816,23 +859,59 @@ def test_cumulative_simpson_matches_scipy_prefixes():
         assert abs(cumulative[k] - direct) <= 1e-13 * max(1.0, abs(direct))
 
 
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("uniform", [False, True])
+def test_quadrature_equals_scipy_bitwise_on_short_prefixes(seed, uniform):
+    # where the panel sums add in scipy's order, fewer than 8 panels, and
+    # the close is a trapezoid, the bits are scipy's: at k = 1 and every even
+    # k up to 14, on any spacing
+    from scipy.integrate import simpson
+    rng = np.random.default_rng(seed)
+    t = np.linspace(0.0, 28.0, 40) if uniform else np.cumsum(rng.uniform(0.5, 1.5, 40))
+    y = rng.normal(size=40) + 1j * rng.normal(size=40)
+    cumulative, _ = quadrature_of(t, y, np.arange(40), cuts=(5, 6, 17))
+    for k in (1, *range(2, 15, 2)):
+        assert cumulative[k].real == simpson(y[:k + 1].real, x=t[:k + 1])
+        assert cumulative[k].imag == simpson(y[:k + 1].imag, x=t[:k + 1])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_quadrature_chunking_is_bitwise_invisible(seed):
+    # chunks of any length, down to single samples, and a stack of rows give
+    # what one pass over one row gives, bit for bit: at one tau, at a tau
+    # series covering every sample, and at the last sample fed
+    rng = np.random.default_rng(seed)
+    n = 203 + seed
+    t = np.cumsum(rng.uniform(0.5, 1.5, n))
+    y = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
+    cuts = np.sort(rng.choice(np.arange(1, n), size=int(rng.integers(1, 60)), replace=False))
+    for targets in (np.array([n - 1 - seed]), np.arange(n)[::-1], None):
+        whole = quadrature_of(t, y, targets)
+        for got in (quadrature_of(t, y, targets, cuts), quadrature_of(t, y, targets, range(1, n))):
+            for a, b in zip(whole, got):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        for row in range(3):
+            alone = quadrature_of(t, y[row], targets, cuts)
+            assert all(a[row].tobytes() == b.tobytes() for a, b in zip(whole, alone))
+
+
 def test_one_tau_integral_is_the_cumulative_entry_bitwise(reference_trajectories):
-    # one tau sums only the panels up to it: the cumulative pass's bits at
-    # every even and odd index, on the fine grid and on the half grid that
-    # the Richardson check reads
-    from parity_scope.inference import _cumulative_simpson, _simpson_at
+    # one tau is the tau series' entry, fine and half grid, at every even and
+    # odd index, on random spacing and on a trajectory grid
     rng = np.random.default_rng(8)
     t = np.cumsum(rng.uniform(0.5, 1.5, 41))
     y = rng.normal(size=41) + 1j * rng.normal(size=41)
     traj = reference_trajectories[2]
     for t, y in ((t, y), (t[::2], y[::2]), (traj.times, traj.output),
                  (traj.times[::2], traj.output[::2])):
-        cumulative = _cumulative_simpson(t, y)
+        series = quadrature_of(t, y, np.arange(t.size))
         for k in [*range(min(t.size, 41)), t.size - 2, t.size - 1]:
-            assert np.array_equal(_simpson_at(t, y, np.array([k])), cumulative[[k]])
+            one = quadrature_of(t[:k + 1], y[:k + 1], np.array([k]))
+            assert all(np.array_equal(a, b[[k]]) for a, b in zip(one, series))
     for k in (traj.times.size - 1, traj.times.size - 2, 1001, 1000):
         tau = traj.times[k]
-        assert output_integral(traj, tau)[0] == _cumulative_simpson(traj.times, traj.output)[k]
+        assert output_integral(traj, tau)[0] == quadrature_of(
+            traj.times, traj.output, np.arange(traj.times.size))[0][k]
         assert integrated_signal(output_integral(traj, tau), 0.7) == integrated_signal(
             output_integral(traj, np.array([tau, traj.times[3]])), 0.7)[0]
 
@@ -884,3 +963,114 @@ def test_report_guards_every_tau_of_the_series():
     analyze_trajectories(trajectories, 10.0, phase=0.0, tau_points=None)
     with pytest.raises(GridTooCoarse):
         analyze_trajectories(trajectories, 10.0, phase=0.0, tau_points=11)
+
+
+# ---------------------------------------------------------------------------
+# exact oracle of the published homodyne integrals
+# ---------------------------------------------------------------------------
+
+def exact_output_integral(setup, hamming_weight, tau):
+    """B(tau) = int_0^tau beta_out dt of the linear ODE, exactly.
+
+    The state [a (2), zeta (3), B (1)] obeys one constant generator per
+    pulse piece (Van Loan, IEEE TAC 23, 395, 1978): da/dt = M a - i sqrt(k)
+    sum(zeta), dzeta/dt = diag(0, i pi/ramp, -i pi/ramp) zeta and dB/dt =
+    sum(zeta) - i sqrt(k) . a, where sum(zeta) is the envelope c0 + 2 c1
+    cos(pi (t - t_ref) / ramp) of the piece.  zeta is reset at each joint.
+    """
+    from scipy.linalg import expm
+    from parity_scope.dynamics import mode_matrix
+    pulse = setup.pulse
+    eps, ramp, on, off = pulse.amplitude, pulse.ramp, pulse.t_on, pulse.t_off
+    # (start, c0, c1, t_ref) of the pieces: off, rising, flat, falling, off
+    pieces = [(-math.inf, 0.0, 0.0, 0.0), (on, eps / 2.0, -eps / 4.0, on),
+              (on + ramp, eps, 0.0, 0.0), (off, eps / 2.0, eps / 4.0, off),
+              (off + ramp, 0.0, 0.0, 0.0)]
+    root = np.sqrt([setup.kappa1, setup.kappa2])
+    generator = np.zeros((6, 6), dtype=complex)
+    generator[:2, :2] = mode_matrix(setup, hamming_weight)
+    generator[:2, 2:5] = -1j * root[:, None]
+    generator[[3, 4], [3, 4]] = 1j * math.pi / ramp, -1j * math.pi / ramp
+    generator[5, :2] = -1j * root
+    generator[5, 2:5] = 1.0
+    state = np.zeros(6, dtype=complex)
+    for index, (start, c0, c1, t_ref) in enumerate(pieces):
+        stop = min(pieces[index + 1][0] if index + 1 < len(pieces) else math.inf, tau)
+        start = max(start, 0.0)
+        if stop <= start:
+            continue
+        phase = math.pi / ramp * (start - t_ref)
+        state[2:5] = c0, c1 * np.exp(1j * phase), c1 * np.exp(-1j * phase)
+        state = expm(generator * (stop - start)) @ state
+    return state[5]
+
+
+def random_oracle_setups(seed):
+    """Seeded setups with unequal kappas, random chis, switch and detunings,
+    and a horizon that is no pulse joint.  Every other one runs to 700 /
+    kappa, where a record block is ~0.25 / kappa, with a ramp shorter than
+    that block yet long enough for the step."""
+    rng = np.random.default_rng(seed)
+    setups = []
+    for k in range(4):
+        kappa1, kappa2 = rng.uniform(0.6, 1.6, 2)
+        model = DispersiveModel(0.0, 0.0, 0.0, *rng.uniform(-0.8, 0.8, 2), 0.0,
+                                rng.uniform(-0.2, 0.2))
+        t_on = rng.uniform(0.5, 2.0)
+        if k % 2:
+            horizon = rng.uniform(690.0, 710.0)
+            ramp = rng.uniform(0.5, 0.9) * horizon / 2800
+            t_off = t_on + rng.uniform(0.4, 0.6) * horizon
+        else:
+            ramp = rng.uniform(1.0, 4.0)
+            t_off = t_on + rng.uniform(4.0, 8.0)
+            horizon = t_off + (0.5 * ramp if k == 2 else rng.uniform(3.0, 6.0))
+        pulse = DrivePulse(amplitude=rng.uniform(0.2, 0.7), ramp=ramp, t_on=t_on, t_off=t_off)
+        setups.append((MeasurementSetup(kappa1, kappa2, *rng.uniform(-1.5, 1.5, 2), model,
+                                        pulse), horizon))
+    return setups
+
+
+@pytest.mark.parametrize("chunk", [1024, 256])
+def test_published_integrals_match_the_exact_oracle(monkeypatch, chunk):
+    # every integral that passes the guards (the step bound, the half-step
+    # probe and the Richardson check), streamed as the sweep does and read
+    # from records as simulate does, lies within QUADRATURE_RTOL max(|mean|,
+    # 1) of the exact integral, at any local-oscillator phase.  The two
+    # 700 / kappa runs resolve their ramps on the step but not on the record
+    # grid: the Richardson check refuses nearly all of their integrals
+    from parity_scope import dynamics
+    from parity_scope.dynamics import evolve_setups
+    from parity_scope.errors import GridTooCoarse, StepTooLarge
+    from parity_scope.inference import QUADRATURE_RTOL, _Quadrature
+    monkeypatch.setattr(dynamics, "RECURRENCE_CHUNK", chunk)
+    phases = np.linspace(0.0, math.pi, 8, endpoint=False)
+    checked = 0
+
+    def check(pair, exact):
+        nonlocal checked
+        for phase in phases:
+            try:
+                mean = integrated_signal(pair, phase)
+            except GridTooCoarse:
+                continue
+            truth = 2.0 * np.real(np.exp(-1j * phase) * exact)
+            assert abs(mean - truth) <= QUADRATURE_RTOL * max(abs(truth), 1.0)
+            checked += 1
+
+    for setup, horizon in random_oracle_setups(27):
+        quadrature = _Quadrature()
+        try:
+            evolve_setups([setup], range(4), horizon, consume=quadrature.feed)
+        except StepTooLarge:
+            continue
+        # the same recurrence with records: the probe above is its probe
+        [trajectories] = evolve_setups([setup], range(4), horizon, probe=False)
+        for hw, traj in enumerate(trajectories):
+            check((quadrature.fine[hw, 0], quadrature.coarse[hw, 0]),
+                  exact_output_integral(setup, hw, horizon))
+            taus = traj.times[[traj.times.size // 7, traj.times.size // 2 + 1]]
+            fine, coarse = output_integral(traj, taus)
+            for k, tau in enumerate(taus):
+                check((fine[k], coarse[k]), exact_output_integral(setup, hw, tau))
+    assert checked >= 192
