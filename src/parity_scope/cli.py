@@ -310,70 +310,43 @@ def _row(name, value, threshold, lower=False):
 def _on_second_core(task, fork):
     """Yield a function that returns ``task()`` or raises its exception.
 
-    With ``fork`` a forked worker computes it meanwhile on another core and
-    hands the outcome back through a pipe; a worker that ends without one
-    (killed, crashed, or an outcome that does not pickle) is replaced by an
-    inline call.  On the way out a worker still running is killed, and the
-    worker is always reaped.  Without ``fork`` the call runs inline.
+    With ``fork`` a one-worker process pool, forked from this process,
+    computes it meanwhile on another core; a worker that dies without an
+    outcome (a broken pool) is replaced by an inline call.  On the way out
+    the pool waits for a task still running and reaps its worker.  Without
+    ``fork`` the call runs inline.
     """
     if not fork:
         yield task
         return
-    import pickle
-    import signal
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
     # objects that outlive the fork stay out of the collector's reach, so
     # the worker copies no page to update their collection bookkeeping
     gc.freeze()
-    read_end, write_end = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        # the worker only computes: it writes its outcome to the pipe and
-        # nothing else, and leaves without the parent's exit handlers or
-        # buffered output
-        code = 1
-        try:
+    with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as pool:
+        future = pool.submit(task)
+
+        def result():
             try:
-                outcome = ("ok", task())
-            except BaseException as exc:  # noqa: BLE001 -- the parent raises it
-                outcome = ("error", exc)
-            with open(write_end, "wb") as pipe:
-                pipe.write(pickle.dumps(outcome))
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write_end)
-    status = None
+                return future.result()
+            except BrokenProcessPool:
+                return task()
 
-    def result():
-        nonlocal status
-        data = pipe.read()
-        status = os.waitpid(pid, 0)[1]
-        if status:
-            return task()
-        kind, value = pickle.loads(data)
-        if kind == "error":
-            raise value
-        return value
-
-    with open(read_end, "rb") as pipe:
-        try:
-            yield result
-        finally:
-            if status is None:
-                with contextlib.suppress(ProcessLookupError):
-                    os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+        yield result
 
 
 def _validation_checks(cfg, fork=False):
     """Rows and notes of the validation suite, in a fixed order.
 
     The contrast dispersion depends on no other check.  With ``fork`` it is
-    computed by a forked worker on a second core while this process runs
-    the rest (scipy's ``eigh`` holds the GIL, so threads cannot overlap
-    them); either way the rows are the same, and so is the error raised:
-    the first failing check's in row order.
+    computed by a one-worker process pool on a second core while this
+    process runs the rest (scipy's ``eigh`` holds the GIL, so threads cannot
+    overlap them); either way the rows are the same, and so is the error
+    raised: the first failing check's in row order.  A failing flat
+    dispersion waits for the worker's contrast before it is raised.
     """
     # the exact-diagonalization oracles are the only users of scipy, so no
     # other command pays for importing it; the worker forks after the imports
@@ -546,12 +519,12 @@ def main(argv=None):
     counts decide its cutoff probes and most of its offset grid; a second
     thread only spins, and it would make ``validate``'s rounding depend on
     the thread count.  The second core goes to a process instead: where
-    this one may run on two CPUs and can fork, ``validate`` forks one
-    worker that computes its contrast charge dispersion meanwhile, with the
-    same rows and the same error as in one process.  ``scenario-list`` and
-    ``dispersive`` never load numpy.  On the way out the heap is frozen
-    (``gc.freeze``), so the interpreter's shutdown skips collecting objects
-    that die with the process anyway.  A call with ``argv`` runs in a
+    this one may run on two CPUs and can fork, ``validate`` forks a
+    one-worker process pool that computes its contrast charge dispersion
+    meanwhile, with the same rows and the same error as in one process.
+    ``scenario-list`` and ``dispersive`` never load numpy.  On the way out
+    the heap is frozen (``gc.freeze``), so the interpreter's shutdown skips
+    collecting objects that die with the process anyway.  A call with ``argv`` runs in a
     process that may hold other work, so it leaves the environment and the
     collector as they are and forks nothing.
     """

@@ -115,8 +115,11 @@ def _integer(mapping, key, where, default, minimum, maximum=math.inf):
     return int(value)
 
 
-def _section(mapping, key, prefix=""):
-    """Optional sub-object; absent means all its defaults."""
+def _section(mapping, key, prefix="", required=False):
+    """Sub-object at ``mapping[key]``; an optional one that is absent means
+    all its defaults."""
+    if required:
+        _require(mapping, key, prefix[:-1] or "top level")
     value = mapping.get(key, {})
     if not isinstance(value, dict):
         raise ConfigError(f"{prefix}{key}: expected an object, got {value!r}")
@@ -234,7 +237,7 @@ def parse_config(tree, name="config"):
         raise ConfigError("devices: expected a non-empty list")
     devices = tuple(_parse_device(d, i) for i, d in enumerate(raw_devices))
 
-    bus = _require(tree, "bus", "top level")
+    bus = _section(tree, "bus", required=True)
     resonator1 = _mhz(bus, "resonator1_mhz", "bus")
     raw_r2 = _require(bus, "resonator2_mhz", "bus")
     if raw_r2 == "auto-parity":
@@ -247,14 +250,14 @@ def parse_config(tree, name="config"):
     kappa2 = _rate(bus, "kappa2_mhz", "bus")
     kappa = max(kappa1, kappa2)
 
-    targets = tree.get("targets")
     chi_targets = None
-    if targets is not None:
+    if tree.get("targets") is not None:    # null means absent
+        targets = _section(tree, "targets")
         # stored in units of kappa: (x * kappa) / kappa need not round-trip to x
         chi_targets = (_number(targets, "chi1_over_kappa", "targets", scale=kappa),
                        _number(targets, "chi2_over_kappa", "targets", scale=kappa))
 
-    raw_pulse = _require(tree, "pulse", "top level")
+    raw_pulse = _section(tree, "pulse", required=True)
     amplitude = _number(raw_pulse, "amplitude", "pulse")
     drive = amplitude * math.sqrt(kappa)
     if not math.isfinite(drive * drive):

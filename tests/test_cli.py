@@ -579,6 +579,12 @@ TRANSMON = {"type": "transmon", "josephson_energy_mhz": 20000.0,
     # below the floor where the ladder oracles resolve their own thresholds
     ("validate", "validation.coupling_ratio", 1e-4, "validation.coupling_ratio"),
     ("validate", "validation.coupling_ratio", 3.5e-3, "validation.coupling_ratio"),
+    # sections that are not objects; a null targets section means none, which
+    # a TCQ register needs
+    *[("dispersive", section, value, f"{section}: expected an object, got {value!r}")
+      for section in ("bus", "pulse", "targets") for value in (5, True, None, "x", [1])
+      if (section, value) != ("targets", None)],
+    ("dispersive", "targets", None, "tcq scenarios need a targets block"),
 ])
 def test_cli_rejects_malformed_field(tmp_path, capsys, command, path, value, message):
     # dotted keys step into objects, [i] into lists
@@ -987,13 +993,19 @@ def test_cli_validate_contract_walk(tmp_path, capsys):
 
 # ---------------------------------------------------------------------------
 # start-up: scenario-list and dispersive load no numpy, scipy is loaded by
-# validate only, and no command starts a process pool (validate forks one
-# worker, from the process entry point only: see the end of this file)
+# validate only, and no in-process command loads a process pool (validate
+# starts a one-worker pool from the process entry point only: see the end of
+# this file)
 # ---------------------------------------------------------------------------
 
 def _fresh_interpreter(code, tmp_path, env=None):
-    """Last stdout line of ``code`` run in a fresh interpreter.  ``env`` adds
-    to this process's environment; a value of None removes the variable."""
+    """Last stdout line of ``code`` run in a fresh interpreter."""
+    return _fresh_stdout(code, tmp_path, env)[-1]
+
+
+def _fresh_stdout(code, tmp_path, env=None):
+    """Stdout lines of ``code`` run in a fresh interpreter.  ``env`` adds to
+    this process's environment; a value of None removes the variable."""
     src = os.path.dirname(os.path.dirname(parity_scope.__file__))
     environ = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
@@ -1004,7 +1016,7 @@ def _fresh_interpreter(code, tmp_path, env=None):
             environ[name] = value
     out = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=environ,
                          capture_output=True, text=True, check=True, timeout=300)
-    return out.stdout.strip().splitlines()[-1]
+    return out.stdout.strip().splitlines()
 
 
 def _modules_after(code, tmp_path, packages=("scipy",)):
@@ -1061,6 +1073,19 @@ def test_validate_loads_neither_dynamics_nor_inference(tmp_path):
     assert "'parity_scope.spectral'" in loaded
     assert "'parity_scope.dynamics'" not in loaded
     assert "'parity_scope.inference'" not in loaded
+
+
+def test_in_process_validate_loads_no_process_pool(tmp_path):
+    # every check of main(argv) runs in the calling process, where a tracer
+    # sees its spans; scipy.linalg loads concurrent.futures itself, through
+    # numpy.testing, but not its process pool
+    path = _write_variant(tmp_path, "tiny", lambda tree: tree.__setitem__(
+        "validation", SMALL_VALIDATION))
+    code = ("from parity_scope.cli import main\n"
+            f"assert main(['validate', '--config', {str(path)!r}, '--out', 'out', '--quiet']) == 0")
+    loaded = _modules_after(code, tmp_path, ("concurrent", "multiprocessing"))
+    assert "'concurrent.futures.process'" not in loaded
+    assert "'multiprocessing" not in loaded
 
 
 def test_measurement_records_have_one_definition():
@@ -1184,8 +1209,9 @@ def test_validate_agrees_across_blas_thread_counts(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# validate at the process entry point: one forked worker computes the
-# contrast dispersion, with the rows, the error and the exit of one process
+# validate at the process entry point: the forked worker of a one-worker
+# process pool computes the contrast dispersion, with the rows, the error
+# and the exit of one process
 # ---------------------------------------------------------------------------
 
 # counts the forks of this process, and reports whether a child is left
@@ -1202,13 +1228,13 @@ os.fork = spy
 """
 
 
-def _validate_fresh(tmp_path, config, out, entry=True, patch=""):
+def _validate_fresh(tmp_path, config, out, entry=True, patch="", quiet=True):
     """Exit code, stderr, forks made and whether a child is left, of
     ``validate`` in a fresh interpreter that first runs ``patch``: through
     the process entry point, or as ``main(argv)``.  Either loads numpy with
     one BLAS thread, the entry point's own count, as a patch that loads it
-    first must too."""
-    argv = ["validate", "--config", str(config), "--out", out, "--quiet"]
+    first must too.  Without ``quiet`` the stdout lines of the run follow."""
+    argv = ["validate", "--config", str(config), "--out", out, *["--quiet"] * quiet]
     call = f"sys.argv = ['parity-scope', *{argv!r}]\ncode = main()" if entry else (
         f"code = main({argv!r})")
     code = (FORK_SPY + patch + "\nfrom parity_scope.cli import main\n"
@@ -1220,7 +1246,8 @@ def _validate_fresh(tmp_path, config, out, entry=True, patch=""):
     env = dict.fromkeys(BLAS_THREAD_VARIABLES)
     if patch or not entry:
         env["OPENBLAS_NUM_THREADS"] = "1"
-    return json.loads(_fresh_interpreter(code, tmp_path, env))
+    *printed, outcome = _fresh_stdout(code, tmp_path, env)
+    return json.loads(outcome) + ([] if quiet else [printed])
 
 
 needs_second_core = pytest.mark.skipif(not _second_core(),
@@ -1239,6 +1266,23 @@ def test_validate_forked_worker_writes_the_in_process_csv(tmp_path, ratio):
     entry = (tmp_path / "entry" / "validation.csv").read_bytes()
     assert entry == (tmp_path / "inline" / "validation.csv").read_bytes()
     assert (b"skipped" in entry) == (ratio == 0.3)
+
+
+@needs_second_core
+def test_validate_forked_worker_prints_nothing(tmp_path):
+    # the pool's worker inherits the parent's stdio: each line the parent
+    # prints reaches stdout once
+    config = _write_variant(tmp_path, "small", lambda tree: tree.__setitem__(
+        "validation", SMALL_VALIDATION))
+    *outcome, printed = _validate_fresh(tmp_path, config, "entry", quiet=False)
+    assert outcome == [0, "", 1, False]
+    assert _validate_fresh(tmp_path, config, "inline", entry=False) == [0, "", 0, False]
+    csv = (tmp_path / "entry" / "validation.csv").read_text()
+    assert csv == (tmp_path / "inline" / "validation.csv").read_text()
+    rows = [line.split(",") for line in csv.splitlines()[1:]]
+    assert printed == [f"[PASS] {name}: value={value} threshold={threshold} {note}"
+                       for name, value, threshold, _, note in rows] + [
+                           "wrote entry/validation.csv"]
 
 
 def test_in_process_validate_never_forks(tmp_path, monkeypatch):
