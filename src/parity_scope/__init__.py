@@ -28,9 +28,9 @@ _EXPORTS = {
         "reflection", "steady_state",
     ),
     "inference": (
-        "InfoGainReport", "SignalModel", "SweepPoint", "analyze_trajectories",
-        "chi_sweep", "conditional_density", "info_gains", "integrated_signal",
-        "measurement_rates", "optimal_phase", "posteriors", "signal_model",
+        "InfoGainReport", "SignalModel", "analyze_trajectories", "chi_sweep",
+        "conditional_density", "info_gains", "integrated_signal", "measurement_rates",
+        "optimal_phase", "posteriors", "signal_model",
     ),
     "spectral": (
         "ChargeBasisConfig", "ChiOracleReport", "DressedCheckReport", "LadderConfig",

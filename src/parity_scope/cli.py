@@ -244,12 +244,12 @@ SWEEP_HEADER = ["chi1_over_kappa", "chi2_over_kappa", "info_parity_bits",
                 "phi_star_rad"]
 
 
-def sweep_rows(points):
+def sweep_rows(pairs, reports):
     rows = []
-    for p in points:
-        missing = max(p.missing_parity, 1e-15)
-        rows.append([p.chi1_over_kappa, p.chi2_over_kappa, p.info_parity,
-                     p.info_hamming, p.delta_info, math.log10(missing), p.phase])
+    for (chi1, chi2), r in zip(pairs, reports):
+        missing = max(r.missing_parity, 1e-15)
+        rows.append([chi1, chi2, r.info_parity, r.info_hamming, r.delta_info,
+                     math.log10(missing), r.optimal_phase])
     return rows
 
 
@@ -267,7 +267,8 @@ def cmd_sweep(args):
     pulse = cfg.pulse.resolve(kappa)
     tau = cfg.analysis.resolve_measurement_time(kappa)
     sweep = cfg.analysis.sweep
-    grid = np.linspace(sweep.minimum, sweep.maximum, sweep.points)
+    # Python floats, so the rows take _csv_line's all-float path
+    grid = np.linspace(sweep.minimum, sweep.maximum, sweep.points).tolist()
 
     summary = {"scenario": cfg.name, "cuts": {}}
     cuts = {
@@ -278,18 +279,18 @@ def cmd_sweep(args):
     scored = iter(chi_sweep([pair for pairs in cuts.values() for pair in pairs],
                             kappa, pulse, tau))
     for cut_name, pairs in cuts.items():
-        points = [next(scored) for _ in pairs]
+        reports = [next(scored) for _ in pairs]
         path = Path(cfg.output_dir) / f"sweep_{cut_name}.csv"
-        write_csv(path, SWEEP_HEADER, sweep_rows(points))
-        best = min(points, key=lambda p: p.missing_parity)
+        write_csv(path, SWEEP_HEADER, sweep_rows(pairs, reports))
+        (chi1, chi2), best = min(zip(pairs, reports), key=lambda point: point[1].missing_parity)
         summary["cuts"][cut_name] = {
             "file": str(path),
-            "argmin_chi1_over_kappa": best.chi1_over_kappa,
-            "argmin_chi2_over_kappa": best.chi2_over_kappa,
+            "argmin_chi1_over_kappa": chi1,
+            "argmin_chi2_over_kappa": chi2,
             "min_missing_parity": best.missing_parity,
             "max_info_parity": best.info_parity,
         }
-        _emit(args, f"{cut_name}: argmin chi1/kappa = {best.chi1_over_kappa:.4f}, "
+        _emit(args, f"{cut_name}: argmin chi1/kappa = {chi1:.4f}, "
                     f"missing parity info {best.missing_parity:.3e}")
 
     _write_json(args, Path(cfg.output_dir) / "sweep.json", summary)

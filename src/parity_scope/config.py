@@ -203,6 +203,8 @@ def _parse_device(raw, index):
         raise ConfigError(f"{where}: expected an object")
     kind = _require(raw, "type", where)
     name = raw.get("name", f"q{index}")
+    if not isinstance(name, str):
+        raise ConfigError(f"{where}.name: expected a string, got {name!r}")
     if kind == "tcq":
         device = {
             "type": "tcq",
@@ -231,6 +233,9 @@ def parse_config(tree, name="config"):
     """Validate a configuration tree into a ScenarioConfig (rad/us units)."""
     if not isinstance(tree, dict):
         raise ConfigError("top level: expected a JSON object")
+    name = tree.get("name", name)
+    if not isinstance(name, str):
+        raise ConfigError(f"name: expected a string, got {name!r}")
 
     raw_devices = _require(tree, "devices", "top level")
     if not isinstance(raw_devices, list) or not raw_devices:
@@ -332,7 +337,7 @@ def parse_config(tree, name="config"):
         raise ConfigError(f"output_dir: expected a path string, got {output_dir!r}")
 
     return ScenarioConfig(
-        name=tree.get("name", name),
+        name=name,
         devices=devices,
         resonator1=resonator1,
         resonator2=resonator2,

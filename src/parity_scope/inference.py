@@ -28,7 +28,8 @@ from .measurement import MeasurementSetup
 DEFAULT_QUADRATURE_POINTS = 4001  # most nodes of a gain grid
 QUADRATURE_DENSITY = 16          # gain-grid nodes per sigma
 QUADRATURE_PADDING = 8.0         # integration range: means +/- padding * sqrt(tau)
-QUADRATURE_RTOL = 1e-6           # doubling check, in bits
+QUADRATURE_RTOL = 1e-6           # gain doubling check, in bits; Richardson guard of the
+                                 # homodyne mean, relative to max(|mean|, 1)
 NORMALIZATION_TOL = 1e-8         # |integral of the mixture density - 1| on a gain grid
 PHASE_COARSE_POINTS = 256
 PHASE_SCAN_DENSITY = 4           # nodes per sigma of the coarse phase scan, which only ranks phases
@@ -380,37 +381,17 @@ def _gains_and_masses(means, variance, points=None):
     return gains, masses
 
 
-def _guarded_gains(means, variance, points=None):
-    """The gains of ``_gains_and_masses``, for publishing.
-
-    Every model's density must integrate to 1 within NORMALIZATION_TOL
-    (QuadratureNonconvergent, naming the first model that fails).  Once the
-    means spread over a few thousand sigma the capped grid's nodes fall too
-    far apart for the Gaussians; past about 1e4 sigma they step over them,
-    and the density and the gains read about 0 at any resolution the
-    doubling check tries.
-    """
-    points = _node_counts(means, variance, points)
-    gains, masses = _gains_and_masses(means, variance, points)
-    failing = np.flatnonzero(~(np.abs(masses - 1.0) <= NORMALIZATION_TOL))  # a NaN fails too
-    if failing.size:
-        first = failing[0]
-        spread = np.ptp(means[first]) / math.sqrt(variance[first])
-        raise QuadratureNonconvergent(
-            f"the signal density integrates to {masses[first]:.12g}, not 1, on the "
-            f"{points[first]}-point gain grid: means {spread:.3g} sigma apart are not resolved")
-    return gains
-
-
 def info_gains(model, points=None, check=True):
     """Average information gains (bits) about Hamming weight and parity.
 
     Composite Simpson over the signal mixture on means +/- 8 sigma, at 16
     nodes per sigma up to 4001 nodes (``_quadrature_points``) unless
-    ``points`` fixes the count; the mixture density must integrate to 1
-    within 1e-8.  With ``check=True`` the quadrature is repeated at doubled
-    resolution and must agree within 1e-6 bits (QuadratureNonconvergent
-    otherwise).
+    ``points`` fixes the count.  Each model's mixture density must integrate
+    to 1 within NORMALIZATION_TOL, else QuadratureNonconvergent names the
+    first that fails: past a few thousand sigma the means fall between the
+    capped grid's nodes, and the density and gains read about 0 at any
+    resolution.  With ``check=True`` the quadrature is repeated at doubled
+    resolution and must agree within QUADRATURE_RTOL bits (the same error).
 
     ``model.means`` is four numbers, or a stack (n, 4) with ``model.variance``
     a number or (n,): then the two gains are (n,) arrays, each row what a
@@ -420,7 +401,14 @@ def info_gains(model, points=None, check=True):
     means = np.reshape(np.asarray(model.means, dtype=float), (-1, 4))
     variance = np.broadcast_to(np.asarray(model.variance, dtype=float), means.shape[:1])
     points = _node_counts(means, variance, points)
-    gains = _guarded_gains(means, variance, points)
+    gains, masses = _gains_and_masses(means, variance, points)
+    failing = np.flatnonzero(~(np.abs(masses - 1.0) <= NORMALIZATION_TOL))  # a NaN fails too
+    if failing.size:
+        first = failing[0]
+        spread = np.ptp(means[first]) / math.sqrt(variance[first])
+        raise QuadratureNonconvergent(
+            f"the signal density integrates to {masses[first]:.12g}, not 1, on the "
+            f"{points[first]}-point gain grid: means {spread:.3g} sigma apart are not resolved")
     if check:
         moved = np.abs(_gains_and_masses(means, variance, 2 * (points - 1) + 1)[0] - gains)
         failing = np.flatnonzero(~np.all(moved <= QUADRATURE_RTOL, axis=1))  # a NaN fails too
@@ -583,8 +571,8 @@ def analyze_trajectories(trajectories, tau, phase="optimal", tau_points=57):
     grid (``output_integral``), at ``tau`` and, unless ``tau_points`` is
     None, on a uniform ``tau_points`` grid over [0, tau] (it must be
     commensurate with the trajectory sampling).  The guarded means at
-    ``tau`` give the gains, which carry the doubling check; the series is
-    scored in one stacked pass and differentiated into measurement rates.
+    ``tau`` give the gains, which carry the doubling check; one stacked
+    ``info_gains`` call without it scores the series, differentiated into rates.
     """
     if tau_points is not None and tau_points < 3:
         raise ValueError("need at least 3 grid points")
@@ -613,8 +601,8 @@ def _analyze(points, tau, phase, tau_grid):
         gain_hw, gain_parity = info_gains(SignalModel(tau, phi, tuple(means[-1])))
         series = rates = (None, None)     # (Hamming weight, parity)
         if tau_grid is not None:
-            gains = _guarded_gains(means, tau_grid[1:])
-            series = [np.concatenate(([0.0], gains[:, k])) for k in (0, 1)]
+            gains = info_gains(_ModelStack(means, tau_grid[1:]), check=False)
+            series = [np.concatenate(([0.0], gain)) for gain in gains]
             rates = [measurement_rates(tau_grid, gain) for gain in series]
         reports.append(InfoGainReport(
             measurement_time=tau, optimal_phase=phi, info_hamming=gain_hw,
@@ -628,27 +616,8 @@ def _analyze(points, tau, phase, tau_grid):
 # chi sweep
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SweepPoint:
-    """One row of the information-gain sweep table."""
-
-    chi1_over_kappa: float
-    chi2_over_kappa: float
-    info_parity: float
-    info_hamming: float
-    phase: float
-
-    @property
-    def missing_parity(self):
-        return 1.0 - self.info_parity
-
-    @property
-    def delta_info(self):
-        return self.info_hamming - self.info_parity
-
-
 def chi_sweep(chi_pairs, kappa, pulse, tau, workers=None):
-    """Information gains over a set of (chi1/kappa, chi2/kappa) pairs.
+    """Rate-less ``InfoGainReport`` of each (chi1/kappa, chi2/kappa) pair, in order.
 
     Each point applies its own parity detunings (plus branch).  Up to
     SWEEP_CHUNK points at a time are scored in lockstep: their Hamming-weight
@@ -657,11 +626,11 @@ def chi_sweep(chi_pairs, kappa, pulse, tau, workers=None):
     the first failing point in input order) and streamed into one
     ``_Quadrature``, so no record is kept.  The integrals over the horizon
     are ``output_integral``'s at ``tau``, bit for bit, and the stacked path
-    under ``analyze_trajectories`` scores them, so a row is what scoring the
-    point alone gives.  ``workers`` is accepted and has no effect.
+    under ``analyze_trajectories`` scores them, so a report is what it gives
+    the point alone at ``tau_points=None``.  ``workers`` has no effect.
     """
     pairs = [(float(chi1), float(chi2)) for chi1, chi2 in chi_pairs]
-    points = []
+    reports = []
     for start in range(0, len(pairs), SWEEP_CHUNK):
         chunk = pairs[start:start + SWEEP_CHUNK]
         setups = []
@@ -673,9 +642,6 @@ def chi_sweep(chi_pairs, kappa, pulse, tau, workers=None):
         quadrature = _Quadrature()      # up to the last sample, the horizon tau
         evolve_setups(setups, range(4), tau, labels=labels, consume=quadrature.feed)
         integrals = list(zip(quadrature.fine, quadrature.coarse))
-        reports = _analyze([integrals[i:i + 4] for i in range(0, len(integrals), 4)],
-                           tau, "optimal", None)
-        points += [SweepPoint(chi1, chi2, report.info_parity, report.info_hamming,
-                              report.optimal_phase)
-                   for (chi1, chi2), report in zip(chunk, reports)]
-    return points
+        reports += _analyze([integrals[i:i + 4] for i in range(0, len(integrals), 4)],
+                            tau, "optimal", None)
+    return reports

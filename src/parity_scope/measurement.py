@@ -39,10 +39,6 @@ class DrivePulse:
         if self.t_on + self.ramp > self.t_off:
             raise ValueError("ramp must finish before t_off")
 
-    @property
-    def t_end(self):
-        return self.t_off + self.ramp
-
 
 @dataclass(frozen=True)
 class MeasurementSetup:

@@ -227,8 +227,8 @@ def test_criterion_6_sweep_minimum():
     asym_missing = np.array([p.missing_parity for p in asym])
     assert asym_missing.min() > missing.min()
     # weight-parity difference small away from the weak-shift corner
-    for p in diagonal:
-        if p.chi1_over_kappa >= 0.3:
+    for c, p in zip(grid, diagonal):
+        if c >= 0.3:
             assert p.delta_info < 0.05
     # the chi = kappa/2 design point sits within 0.05 bits of the grid optimum
     near_half = diagonal[int(np.argmin(np.abs(grid - 0.5)))]

@@ -68,6 +68,17 @@ def test_parse_rejects_bad_field_with_location():
         parse_config(cfg)
 
 
+def test_parse_defaults_absent_names():
+    # an absent scenario name is the caller's (a path or a preset name), an
+    # absent device name q<i>
+    from parity_scope.config import PRESETS
+    tree = json.loads(json.dumps(PRESETS["paper-sec5-symmetric"]))
+    del tree["name"], tree["devices"][1]["name"]
+    cfg = parse_config(tree, name="here.json")
+    assert cfg.name == "here.json"
+    assert [device["name"] for device in cfg.devices] == ["a", "q1", "c"]
+
+
 def test_load_config_round_trip(tmp_path):
     from parity_scope.config import PRESETS
     path = tmp_path / "scenario.json"
@@ -431,6 +442,22 @@ def test_cli_sweep_splits_cuts_in_order(tmp_path):
     assert [row[:2] for row in asymmetric] == [[0.4, 0.3], [0.6, 0.3]]
 
 
+def test_cli_sweep_summary_names_the_least_missing_row(tmp_path):
+    # each cut's summary in sweep.json is its CSV row with the least missing
+    # parity information, the first such row on a tie
+    path = _write_variant(tmp_path, "three", lambda tree: tree["analysis"].__setitem__(
+        "sweep", {"minimum": 0.3, "maximum": 0.7, "points": 3, "asymmetric_chi2": 0.3}))
+    assert run(["sweep", "--config", str(path), "--out", str(tmp_path), "--quiet"]) == 0
+    cuts = json.loads((tmp_path / "sweep.json").read_text())["cuts"]
+    assert set(cuts) == {"diagonal", "asymmetric"}
+    for name, cut in cuts.items():
+        _, rows = read_csv(tmp_path / f"sweep_{name}.csv")
+        best = min(rows, key=lambda row: 1.0 - row[2])
+        assert (cut["argmin_chi1_over_kappa"], cut["argmin_chi2_over_kappa"],
+                cut["min_missing_parity"], cut["max_info_parity"]) == (
+            best[0], best[1], 1.0 - best[2], best[2])
+
+
 def test_cli_sweep_work_counts(tmp_path, monkeypatch):
     # both cuts of a 2-point-per-cut sweep are scored in lockstep: one
     # _integrate call and its half-step probe in all, and 15 stacked
@@ -585,6 +612,12 @@ TRANSMON = {"type": "transmon", "josephson_energy_mhz": 20000.0,
       for section in ("bus", "pulse", "targets") for value in (5, True, None, "x", [1])
       if (section, value) != ("targets", None)],
     ("dispersive", "targets", None, "tcq scenarios need a targets block"),
+    # names, when given, are strings
+    ("dispersive", "name", [1], "name: expected a string, got [1]"),
+    ("simulate", "name", 5, "name: expected a string, got 5"),
+    ("dispersive", "devices[0].name", {"a": 1},
+     "devices[0].name: expected a string, got {'a': 1}"),
+    ("dispersive", "devices[2].name", None, "devices[2].name: expected a string, got None"),
 ])
 def test_cli_rejects_malformed_field(tmp_path, capsys, command, path, value, message):
     # dotted keys step into objects, [i] into lists

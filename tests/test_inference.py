@@ -205,10 +205,10 @@ def test_info_gains_fail_closed_on_an_unresolved_mixture(check):
 def test_stacked_gains_fail_closed_on_an_unresolved_row():
     # the tau-series kernel behind the rates: one unresolved row among
     # resolved ones fails the whole stack
-    from parity_scope.inference import _guarded_gains
+    from parity_scope.inference import _ModelStack
     means = np.array([[0.0, 1.0, 2.0, 3.0]] * 3 + [[0.0, 1e5, 2e5, 3e5]])
     with pytest.raises(QuadratureNonconvergent, match="density integrates"):
-        _guarded_gains(means, np.ones(4), 4001)
+        info_gains(_ModelStack(means, np.ones(4)), points=4001, check=False)
 
 
 def test_info_gains_perfect_discrimination():
@@ -333,7 +333,7 @@ def test_sweep_rows_are_the_rate_less_report():
     [point] = chi_sweep([(0.6, 0.3)], 1.0, reference_pulse(), 28.0)
     [trajectories] = evolve_setups([reference_setup(0.6, 0.3)], range(4), 28.0)
     bare = analyze_trajectories(trajectories, 28.0, tau_points=None)
-    assert (point.phase, point.info_hamming, point.info_parity) == (
+    assert (point.optimal_phase, point.info_hamming, point.info_parity) == (
         bare.optimal_phase, bare.info_hamming, bare.info_parity)
     full = analyze_trajectories(trajectories, 28.0)
     assert (full.optimal_phase, full.info_hamming, full.info_parity) == (
@@ -618,7 +618,7 @@ def published_points(pairs):
     counts = []
     for pair, point in zip(pairs, chi_sweep(pairs, 1.0, reference_pulse(), 28.0)):
         [trajectories] = evolve_setups([reference_setup(*pair)], range(4), 28.0)
-        means = [integrated_signal(output_integral(tr, 28.0), point.phase)
+        means = [integrated_signal(output_integral(tr, 28.0), point.optimal_phase)
                  for tr in trajectories]
         counts.append(int(_node_counts(np.array([means]), np.array([28.0]), None)[0]))
     return counts
