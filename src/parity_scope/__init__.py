@@ -24,13 +24,13 @@ _EXPORTS = {
     ),
     "measurement": ("DrivePulse", "MeasurementSetup"),
     "dynamics": (
-        "Trajectory", "drive_envelope", "evolve", "evolve_setups", "output_field",
+        "Trajectory", "drive_envelope", "evolve", "output_field",
         "reflection", "steady_state",
     ),
     "inference": (
         "InfoGainReport", "SignalModel", "analyze_trajectories", "chi_sweep",
         "conditional_density", "info_gains", "integrated_signal", "measurement_rates",
-        "optimal_phase", "posteriors", "signal_model",
+        "optimal_phase", "posteriors",
     ),
     "spectral": (
         "ChargeBasisConfig", "ChiOracleReport", "DressedCheckReport", "LadderConfig",

@@ -1,7 +1,8 @@
 """Command-line front end: derivation, simulation, sweeps and validation.
 
 Exit codes: 0 success, 2 configuration error, 3 physics-condition failure
-(e.g. unsatisfiable parity condition), 4 numerical-convergence failure.
+(e.g. unsatisfiable parity condition), 4 numerical-convergence failure, 5 an
+output the system could not write (a full disk, an I/O error).
 All numeric output uses shortest round-trip decimals, and sweep points
 run in input order, so repeated runs produce byte-identical files.
 """
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import gc
 import json
 import math
@@ -24,17 +26,23 @@ from pathlib import Path
 # run them, so scenario-list and dispersive start on the stdlib alone
 from .config import MHZ, derive_scenario, load_config, preset, preset_names
 from .dispersive import TcqSpec, tcq_dispersive, tcq_mixing
-from .errors import ConfigError, ParityScopeError
+from .errors import ConfigError, OutputError, ParityScopeError
 
 CONFIG_EXIT = 2
 PHYSICS_EXIT = 3
 NUMERICS_EXIT = 4
+OUTPUT_EXIT = 5
 # OpenBLAS reads its thread count from the first of these that is set, once,
 # when numpy loads
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 ERROR_PREFIX = {CONFIG_EXIT: "configuration error",
                 PHYSICS_EXIT: "physics condition failed",
-                NUMERICS_EXIT: "numerical convergence failure"}
+                NUMERICS_EXIT: "numerical convergence failure",
+                OUTPUT_EXIT: "output error"}
+# what a configured output path causes: a name too long, a directory or a
+# file in the way, a missing or unwritable parent
+PATH_ERRNOS = {errno.ENAMETOOLONG, errno.EISDIR, errno.ENOTDIR, errno.EEXIST,
+               errno.ENOENT, errno.EACCES, errno.EPERM, errno.EROFS}
 
 
 def _fmt(value):
@@ -56,14 +64,19 @@ def _csv_line(row):
     return ",".join(map(_fmt, row))
 
 
+def _output_failure(message, exc):
+    """The error of an output the OS refused: a ConfigError where the
+    configured path (output_dir, --out) is at fault, else an OutputError."""
+    cls = ConfigError if exc.errno in PATH_ERRNOS else OutputError
+    return cls(f"{message}: {exc.strerror}")
+
+
 def _write_text(path, chunks):
-    # every output path is configured (output_dir, --out), so one the OS
-    # refuses, as a directory in the way or a name too long, is a ConfigError
     try:
         with open(path, "w") as out:
             out.writelines(chunks)
     except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
+        raise _output_failure(f"cannot write {path}", exc) from exc
 
 
 def write_csv(path, header, rows):
@@ -100,11 +113,13 @@ def _load(args):
         raise ConfigError("one of --preset or --config is required")
     if args.out is not None:
         cfg = replace(cfg, output_dir=args.out)
+    message = f"cannot create output directory {cfg.output_dir}"
     try:
         Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
-    except (OSError, ValueError) as exc:     # ValueError: a NUL byte in the path
-        reason = exc.strerror if isinstance(exc, OSError) else exc
-        raise ConfigError(f"cannot create output directory {cfg.output_dir}: {reason}") from exc
+    except ValueError as exc:       # a NUL byte in the path
+        raise ConfigError(f"{message}: {exc}") from exc
+    except OSError as exc:
+        raise _output_failure(message, exc) from exc
     return cfg
 
 
@@ -196,11 +211,6 @@ def cmd_simulate(args):
     weights = range(4) if args.hw == "all" else [int(args.hw)]
 
     trajectories = [evolve(setup, hw, tau) for hw in weights]
-    intervals = trajectories[0].times.size - 1
-    if args.hw == "all" and intervals % (cfg.analysis.tau_points - 1):
-        raise ConfigError(
-            f"analysis.tau_points: {cfg.analysis.tau_points} points do not land on the "
-            f"{intervals}-interval trajectory grid (tau_points - 1 must divide {intervals})")
 
     summary = {"scenario": cfg.name, "files": {}, "reflection": {}}
     r = {}
@@ -216,7 +226,7 @@ def cmd_simulate(args):
     if args.hw == "all":
         summary["parity_collapse"] = max(abs(r[0] - r[2]), abs(r[1] - r[3]))
         summary["parity_contrast"] = abs(r[0] - r[1])
-        gains = analyze_trajectories(trajectories, tau,
+        gains = analyze_trajectories(setup, tau,
                                      phase=cfg.analysis.phase,
                                      tau_points=cfg.analysis.tau_points)
         summary["info_parity_bits"] = gains.info_parity
@@ -514,10 +524,10 @@ def main(argv=None):
     Both process entry points, ``python -m parity_scope.cli`` and the
     ``parity-scope`` script, call this without arguments.  Then numpy loads
     with one BLAS thread unless the environment already names a count.
-    ``simulate`` and ``sweep`` multiply at most 2x2 by 2x1024, far below
-    OpenBLAS's threading threshold, and ``validate`` runs its few dense
-    charge-basis solves as fast on one thread as on two, since inertia
-    counts decide its cutoff probes and most of its offset grid; a second
+    ``simulate`` and ``sweep`` multiply at most 2x2 by 2x256 and stacks of
+    6x6 matrices, far below OpenBLAS's threading threshold, and ``validate``
+    runs its few dense charge-basis solves as fast on one thread as on two,
+    since inertia counts decide its cutoff probes and most of its offset grid; a second
     thread only spins, and it would make ``validate``'s rounding depend on
     the thread count.  The second core goes to a process instead: where
     this one may run on two CPUs and can fork, ``validate`` forks a

@@ -49,6 +49,9 @@ COUPLING_RATIO_MIN = 1e-2
 DISPERSION_GRID_MAX = 101
 # 10,001 points on each of the two cuts are about 5 minutes of sweep at ~15 ms a point
 SWEEP_POINTS_MAX = 10_001
+# each tau point costs one 6x6 propagator per Hamming weight: 5,601 points,
+# one per record of the longest record grid, peak at about 70 MB
+TAU_POINTS_MAX = 5601
 
 
 def _require(mapping, key, where):
@@ -115,14 +118,27 @@ def _integer(mapping, key, where, default, minimum, maximum=math.inf):
     return int(value)
 
 
-def _section(mapping, key, prefix="", required=False):
-    """Sub-object at ``mapping[key]``; an optional one that is absent means
-    all its defaults."""
+def _known(mapping, keys, where):
+    """Reject a key of ``mapping`` that its parser does not read, naming the
+    nearest of ``keys``: a misspelled field would otherwise leave its default."""
+    for key in mapping:
+        if key not in keys:
+            import difflib      # only on the error path, so every command starts without it
+
+            near = difflib.get_close_matches(key, keys, n=1)
+            hint = f"; did you mean {near[0]!r}?" if near else ""
+            raise ConfigError(f"{where}: unknown key {key!r}{hint}")
+
+
+def _section(mapping, key, keys, prefix="", required=False):
+    """Sub-object at ``mapping[key]``, holding only ``keys``; an optional one
+    that is absent means all its defaults."""
     if required:
         _require(mapping, key, prefix[:-1] or "top level")
     value = mapping.get(key, {})
     if not isinstance(value, dict):
         raise ConfigError(f"{prefix}{key}: expected an object, got {value!r}")
+    _known(value, keys, prefix + key)
     return value
 
 
@@ -206,6 +222,8 @@ def _parse_device(raw, index):
     if not isinstance(name, str):
         raise ConfigError(f"{where}.name: expected a string, got {name!r}")
     if kind == "tcq":
+        _known(raw, ("type", "name", "qubit_frequency_mhz", "transverse_coupling_mhz",
+                     "anharmonicity_mhz"), where)
         device = {
             "type": "tcq",
             "name": name,
@@ -218,6 +236,8 @@ def _parse_device(raw, index):
             raise ConfigError(f"{where}.transverse_coupling_mhz: expected a nonzero number, got 0")
         return device
     if kind == "transmon":
+        _known(raw, ("type", "name", "josephson_energy_mhz", "charging_energy_mhz", "g1_mhz",
+                     "g2_mhz"), where)
         return {
             "type": "transmon",
             "name": name,
@@ -233,6 +253,8 @@ def parse_config(tree, name="config"):
     """Validate a configuration tree into a ScenarioConfig (rad/us units)."""
     if not isinstance(tree, dict):
         raise ConfigError("top level: expected a JSON object")
+    _known(tree, ("name", "description", "devices", "bus", "targets", "pulse", "analysis",
+                  "validation", "output_dir"), "top level")
     name = tree.get("name", name)
     if not isinstance(name, str):
         raise ConfigError(f"name: expected a string, got {name!r}")
@@ -242,7 +264,8 @@ def parse_config(tree, name="config"):
         raise ConfigError("devices: expected a non-empty list")
     devices = tuple(_parse_device(d, i) for i, d in enumerate(raw_devices))
 
-    bus = _section(tree, "bus", required=True)
+    bus = _section(tree, "bus", ("resonator1_mhz", "resonator2_mhz", "kappa1_mhz",
+                                 "kappa2_mhz"), required=True)
     resonator1 = _mhz(bus, "resonator1_mhz", "bus")
     raw_r2 = _require(bus, "resonator2_mhz", "bus")
     if raw_r2 == "auto-parity":
@@ -257,12 +280,13 @@ def parse_config(tree, name="config"):
 
     chi_targets = None
     if tree.get("targets") is not None:    # null means absent
-        targets = _section(tree, "targets")
+        targets = _section(tree, "targets", ("chi1_over_kappa", "chi2_over_kappa"))
         # stored in units of kappa: (x * kappa) / kappa need not round-trip to x
         chi_targets = (_number(targets, "chi1_over_kappa", "targets", scale=kappa),
                        _number(targets, "chi2_over_kappa", "targets", scale=kappa))
 
-    raw_pulse = _section(tree, "pulse", required=True)
+    raw_pulse = _section(tree, "pulse", ("amplitude", "ramp", "t_on", "t_off", "time_unit"),
+                         required=True)
     amplitude = _number(raw_pulse, "amplitude", "pulse")
     drive = amplitude * math.sqrt(kappa)
     if not math.isfinite(drive * drive):
@@ -284,8 +308,10 @@ def parse_config(tree, name="config"):
     if not pulse.ramp * pulse.time_scale(kappa) > 0:
         raise ConfigError(f"pulse.ramp: {pulse.ramp!r} {pulse.time_unit} underflows to 0 us")
 
-    raw_analysis = _section(tree, "analysis")
-    raw_sweep = _section(raw_analysis, "sweep", "analysis.")
+    raw_analysis = _section(tree, "analysis", ("measurement_time", "time_unit", "tau_points",
+                                               "phase", "sweep"))
+    raw_sweep = _section(raw_analysis, "sweep", ("minimum", "maximum", "points",
+                                                 "asymmetric_chi2"), "analysis.")
     # in units of kappa, like the targets
     sweep = SweepConfig(
         minimum=_number(raw_sweep, "minimum", "analysis.sweep", 0.1, scale=kappa),
@@ -306,7 +332,7 @@ def parse_config(tree, name="config"):
     analysis = AnalysisConfig(
         measurement_time=_positive(raw_analysis, "measurement_time", "analysis", 28.0),
         time_unit=time_unit,
-        tau_points=_integer(raw_analysis, "tau_points", "analysis", 57, 3),
+        tau_points=_integer(raw_analysis, "tau_points", "analysis", 57, 3, TAU_POINTS_MAX),
         phase=phase,
         sweep=sweep,
     )
@@ -320,7 +346,8 @@ def parse_config(tree, name="config"):
             f"analysis.measurement_time: {analysis.measurement_time!r} {time_unit} needs "
             f"{steps:.7g} RK4 steps at dt = {DEFAULT_STEP_FACTOR:g}/kappa, above the budget "
             f"of {RK4_STEP_BUDGET:.0e}")
-    raw_validation = _section(tree, "validation")
+    raw_validation = _section(tree, "validation", ("coupling_ratio", "charge_cutoff",
+                                                   "dispersion_grid"))
     validation = ValidationConfig(
         coupling_ratio=_number(raw_validation, "coupling_ratio", "validation", 0.05),
         # room for one cutoff + 4 convergence probe below the ceiling

@@ -173,12 +173,12 @@ def _scan(step, g):
     return g
 
 
-def _advance(step, forcing, n, consume=None):
+def _advance(step, forcing, n, out=None):
     """``n`` terms of y <- step y + g from y = 0, one RECURRENCE_CHUNK of terms
     at a time: the last value of a chunk enters the first term of the next.
-    ``forcing(i, j)`` gives g (..., 2, j - i) of terms i..j-1, and each chunk
-    of values goes to ``consume(i, values)``, values (..., 2, j - i), before
-    the next chunk is built.  Returns the last value, (..., 2, 1)."""
+    ``forcing(i, j)`` gives g (..., 2, j - i) of terms i..j-1, and with ``out``
+    (..., 2, n) each chunk of values is stored there before the next chunk
+    is built.  Returns the last value, (..., 2, 1)."""
     y = np.zeros(step.shape[:-1] + (1,), dtype=complex)
     for start in range(0, n, RECURRENCE_CHUNK):
         stop = min(start + RECURRENCE_CHUNK, n)
@@ -186,21 +186,20 @@ def _advance(step, forcing, n, consume=None):
         g[..., :1] += step @ y
         z = _scan(step, g)
         y = z[..., -1:].copy()
-        if consume is not None:
-            consume(start, z)
+        if out is not None:
+            out[..., start:stop] = z
         del g, z        # before the next chunk is built: one chunk at a time
     return y
 
 
-def _integrate(m, u, pulse, dt, n_steps, stride, consume=None):
+def _integrate(m, u, pulse, dt, n_steps, stride, records=False):
     """RK4 recurrence a[n+1] = S a[n] + f[n] from vacuum, recorded every ``stride`` steps.
 
     ``m`` is one 2x2 generator or a stack (..., 2, 2) sharing the drive
     vector ``u`` and the pulse.  Returns the final amplitudes (a1, a2), each
-    (..., 1).  With ``consume`` the records go to ``consume(k, a1, a2)``, one
-    chunk at a time in time order, a1 and a2 (..., j) being records k..k+j-1
-    of the n_steps // stride + 1 (record 0 is the vacuum); no chunk is kept.
-    Solved in the complex Schur basis of the generator,
+    (..., 1), or with ``records`` every record, each (..., n_steps // stride
+    + 1), record 0 being the vacuum.  Solved in the complex Schur basis of
+    the generator,
     M = Q T Q^H, which exists for every M (defective ones included): there
     the step p(dt T) is upper triangular, and so is every power of it, with
     entry [1, 0] exactly 0.  So the second component stays an exact scalar
@@ -263,80 +262,39 @@ def _integrate(m, u, pulse, dt, n_steps, stride, consume=None):
                 r, lambda a, b, first=(i + k) * stride: sampled(first + a, first + b), stride)
         return g
 
+    if records:
+        y = np.zeros(m.shape[:-2] + (2, n_blocks + 1), dtype=complex)
+        _advance(jump[..., :2, :2], forcing, n_blocks, y[..., 1:])  # block k ends at record k + 1
+    else:
+        y = _advance(jump[..., :2, :2], forcing, n_blocks)
     # back to M's basis, a1 = Q00 y1 + Q01 y2 and a2 = Q10 y1 + Q11 y2
     q = q[..., None]
-
-    def basis(y):
-        y1, y2 = y[..., 0, :], y[..., 1, :]
-        return (y1 * q[..., 0, 0, :] + q[..., 0, 1, :] * y2,
-                y2 * q[..., 1, 1, :] + q[..., 1, 0, :] * y1)
-
-    emit = None
-    if consume is not None:
-        consume(0, *basis(np.zeros(m.shape[:-2] + (2, 1), dtype=complex)))
-
-        def emit(k, y):
-            consume(k + 1, *basis(y))     # block k ends at record k + 1
-    return basis(_advance(jump[..., :2, :2], forcing, n_blocks, emit))
+    y1, y2 = y[..., 0, :], y[..., 1, :]
+    return (y1 * q[..., 0, 0, :] + q[..., 0, 1, :] * y2,
+            y2 * q[..., 1, 1, :] + q[..., 1, 0, :] * y1)
 
 
-def _records(m, u, pulse, dt, n_steps, stride):
-    """Every record of ``_integrate``, as (a1, a2), each (..., n_steps // stride + 1)."""
-    rec = np.empty(m.shape[:-2] + (2, n_steps // stride + 1), dtype=complex)
+def evolve(setup, hamming_weight, t_final, dt=None, stride=None, probe=True):
+    """Integrate the driven amplitude pair of Hamming weight ``hamming_weight``
+    from vacuum with fixed-step RK4; returns its Trajectory.
 
-    def store(k, a1, a2):
-        rec[..., 0, k:k + a1.shape[-1]] = a1
-        rec[..., 1, k:k + a2.shape[-1]] = a2
-    _integrate(m, u, pulse, dt, n_steps, stride, store)
-    return rec[..., 0, :], rec[..., 1, :]
-
-
-def evolve_setups(setups, weights, t_final, dt=None, stride=None, probe=True, labels=None,
-                  consume=None):
-    """Integrate the driven amplitude pair from vacuum with fixed-step RK4,
-    one trajectory per setup and Hamming weight in ``weights``, all in one
-    array pass.  Returns one list of Trajectory per setup.
-
-    The setups must share the decay rates and the pulse, and so the step,
-    the record grid and the drive vector.  ``dt`` defaults to ``1e-3 /
-    max(kappa)`` and must respect every setup's ``dt <= 0.01 * min(1/kappa,
-    1/|detuning + 3 chi|)``; it is nudged so the horizon is a whole number of
-    steps.  With ``probe=True`` every trajectory is repeated at dt/2 (the
-    same ``_integrate`` call on the same record grid) and its final
-    amplitudes must agree to 1e-8 relative, otherwise StepTooLarge.  Setups
-    are checked in input order, so the error is the first failing setup's,
-    prefixed with ``labels[i]`` when labels are given.  ``stride`` controls
-    the recorded grid (default ~2801 samples, at most 2 * RECORD_TARGET + 1:
-    where no divisor keeps that few, the step count moves to a multiple of
-    the stride); the work grows with the records, not the steps.
-
-    With ``consume`` no record is kept and nothing is returned: the output
-    field goes to ``consume(times, output)`` one recurrence chunk at a time,
-    in time order, times (j,) and output (len(setups) * len(weights), j),
-    the trajectories in the order of the returned lists, flattened.
+    ``dt`` defaults to ``1e-3 / max(kappa)`` and must respect ``dt <= 0.01 *
+    min(1/kappa, 1/|detuning + 3 chi|)``, else StepTooLarge; it is nudged so
+    the horizon is a whole number of steps.  With ``probe=True`` the
+    trajectory is repeated at dt/2 (the same ``_integrate`` call on the same
+    record grid) and its final amplitudes must agree to 1e-8 relative,
+    otherwise StepTooLarge.  ``stride`` controls the recorded grid (default
+    ~2801 samples, at most 2 * RECORD_TARGET + 1: where no divisor keeps that
+    few, the step count moves to a multiple of the stride); the work grows
+    with the records, not the steps.
     """
-    setups = list(setups)
-    first = setups[0]
-    if any((s.kappa1, s.kappa2, s.pulse) != (first.kappa1, first.kappa2, first.pulse)
-           for s in setups):
-        raise ValueError("stacked setups must share the decay rates and the pulse")
     if t_final <= 0:
         raise ValueError("t_final must be positive")
-
-    def failure(i, message):
-        return StepTooLarge(message if labels is None else f"{labels[i]}: {message}")
-
     if dt is None:
-        dt = DEFAULT_STEP_FACTOR / first.kappa_scale
-    bounds = [_step_bound(setup) for setup in setups]
-    # the setups before the first one dt fails are integrated, and their
-    # probes checked, before that failure is raised
-    passing = next((i for i, bound in enumerate(bounds) if dt > bound), len(setups))
-    if passing < len(setups):
-        unstable = failure(passing, f"dt = {dt:.3e} exceeds the stability margin "
-                                    f"{bounds[passing]:.3e}")
-        if passing == 0:
-            raise unstable
+        dt = DEFAULT_STEP_FACTOR / setup.kappa_scale
+    bound = _step_bound(setup)
+    if dt > bound:
+        raise StepTooLarge(f"dt = {dt:.3e} exceeds the stability margin {bound:.3e}")
 
     n_steps = max(1, int(round(t_final / dt)))
     dt = t_final / n_steps
@@ -353,49 +311,25 @@ def evolve_setups(setups, weights, t_final, dt=None, stride=None, probe=True, la
     elif n_steps % stride:
         raise ValueError("stride must divide the number of steps")
 
-    weights = list(weights)
-    m = np.stack([mode_matrix(setup, hw) for setup in setups[:passing] for hw in weights])
-    u = -1j * _drive_vector(first)
-    pulse = first.pulse
+    m = mode_matrix(setup, hamming_weight)
+    u = -1j * _drive_vector(setup)
+    pulse = setup.pulse
     if probe:
         # the half-step run keeps its final amplitudes only
         f1, f2 = _integrate(m, u, pulse, dt / 2.0, 2 * n_steps, 2 * stride)
-    if consume is None:
-        rec1, rec2 = _records(m, u, pulse, dt, n_steps, stride)
-        a1, a2 = rec1[:, -1:], rec2[:, -1:]
-    else:
-        def stream(k, chunk1, chunk2):
-            times = np.arange(k, k + chunk1.shape[-1]) * stride * dt
-            consume(times, output_field(chunk1, chunk2, drive_envelope(times, pulse), first))
-        a1, a2 = _integrate(m, u, pulse, dt, n_steps, stride, stream)
-
+    a1, a2 = _integrate(m, u, pulse, dt, n_steps, stride, records=True)
     if probe:
         ref = np.maximum(np.maximum(np.abs(f1), np.abs(f2)), 1e-30)
-        err = (np.maximum(np.abs(a1 - f1), np.abs(a2 - f2)) / ref)[:, 0]
-        failing = np.flatnonzero(~(err <= PROBE_RTOL))      # a NaN fails too
-        if failing.size:
-            i = failing[0] // len(weights)
-            own = err[i * len(weights):(i + 1) * len(weights)]
-            worst = int(np.argmax(own))
-            raise failure(i, f"h_w={weights[worst]}: half-step probe disagreement "
-                             f"{own[worst]:.3e} > {PROBE_RTOL}")
-    if passing < len(setups):
-        raise unstable
-    if consume is not None:
-        return None
+        err = np.max(np.maximum(np.abs(a1[..., -1:] - f1), np.abs(a2[..., -1:] - f2)) / ref)
+        if not err <= PROBE_RTOL:       # a NaN fails too
+            raise StepTooLarge(f"h_w={hamming_weight}: half-step probe disagreement "
+                               f"{err:.3e} > {PROBE_RTOL}")
 
     times = np.arange(0, n_steps + 1, stride) * dt
     drive = drive_envelope(times, pulse)
-    output = output_field(rec1, rec2, drive, first)
-    trajectories = [Trajectory(times=times, alpha1=rec1[i], alpha2=rec2[i], drive=drive,
-                               output=output[i], hamming_weight=hw, step=dt)
-                    for i, hw in enumerate(weights * len(setups))]
-    return [trajectories[i:i + len(weights)] for i in range(0, len(trajectories), len(weights))]
-
-
-def evolve(setup, hamming_weight, t_final, dt=None, stride=None, probe=True):
-    """The trajectory of Hamming weight ``hamming_weight``, by ``evolve_setups``."""
-    return evolve_setups([setup], [hamming_weight], t_final, dt, stride, probe)[0][0]
+    return Trajectory(times=times, alpha1=a1, alpha2=a2, drive=drive,
+                      output=output_field(a1, a2, drive, setup),
+                      hamming_weight=hamming_weight, step=dt)
 
 
 def steady_state(setup, hamming_weight, drive_amplitude=None):

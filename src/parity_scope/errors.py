@@ -2,7 +2,7 @@
 
 Each error class declares the command-line exit code it ends in:
 2 for a bad configuration, 3 for a physics condition, 4 for a numerical
-convergence failure.
+convergence failure, 5 for an output the system could not write.
 """
 
 
@@ -93,3 +93,10 @@ class NonFiniteSignal(ParityScopeError):
     """A signal mean or an information gain overflowed to inf or NaN."""
 
     exit_code = 4
+
+
+class OutputError(ParityScopeError):
+    """Writing an output failed for a reason outside the configured path, such
+    as a full disk or an I/O error."""
+
+    exit_code = 5

@@ -21,15 +21,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .dispersive import DispersiveModel, parity_detunings
-from .dynamics import evolve_setups
+from .dynamics import _envelope_pieces, mode_matrix
 from .errors import GridTooCoarse, NonFiniteSignal, QuadratureNonconvergent
 from .measurement import MeasurementSetup
 
 DEFAULT_QUADRATURE_POINTS = 4001  # most nodes of a gain grid
 QUADRATURE_DENSITY = 16          # gain-grid nodes per sigma
 QUADRATURE_PADDING = 8.0         # integration range: means +/- padding * sqrt(tau)
-QUADRATURE_RTOL = 1e-6           # gain doubling check, in bits; Richardson guard of the
-                                 # homodyne mean, relative to max(|mean|, 1)
+QUADRATURE_RTOL = 1e-6           # gain doubling check, in bits
 NORMALIZATION_TOL = 1e-8         # |integral of the mixture density - 1| on a gain grid
 PHASE_COARSE_POINTS = 256
 PHASE_SCAN_DENSITY = 4           # nodes per sigma of the coarse phase scan, which only ranks phases
@@ -37,8 +36,8 @@ PHASE_SCAN_FLOOR = 1e-12         # bits; rounding-level ties are re-scored too
 GAIN_CHUNK = 4096                # grid samples (models x points) per stacked kernel pass
 PHASE_TOLERANCE = 1e-4
 RATE_CONSISTENCY_BITS = 1e-3
-SWEEP_CHUNK = 8                  # sweep points scored in lockstep; bounds the phase-search
-                                 # stack and the recurrence scan's scratch
+EXPM_CHUNK = 64                  # matrices per Pade pass; bounds its scratch
+SWEEP_CHUNK = 8                  # sweep points scored in lockstep; bounds the phase-search stack
 
 
 @dataclass(frozen=True)
@@ -63,31 +62,6 @@ class SignalModel:
         return self.measurement_time
 
 
-def _tau_index(trajectory, tau):
-    """Sample index of each measurement time (a number or an array of them)."""
-    times = trajectory.times
-    tau = np.asarray(tau, dtype=float)
-    if np.any(tau > times[-1] * (1 + 1e-12)):
-        raise ValueError(f"tau = {np.max(tau)} beyond trajectory horizon {times[-1]}")
-    right = np.minimum(np.searchsorted(times, tau), times.size - 1)
-    left = np.maximum(right - 1, 0)
-    idx = np.where(np.abs(times[left] - tau) <= np.abs(times[right] - tau), left, right)
-    spacing = times[1] - times[0] if times.size > 1 else 1.0
-    if np.any(np.abs(times[idx] - tau) > 1e-6 * spacing + 1e-12 * np.maximum(tau, 1.0)):
-        raise ValueError("tau does not land on the trajectory grid")
-    return idx
-
-
-def _simpson_panels(y, h):
-    """Two-interval Simpson panels of y along the last axis, for any spacing;
-    ``h`` holds the interval widths.  A trailing odd interval is left out."""
-    h0, h1 = h[..., :-1:2], h[..., 1::2]
-    hsum, ratio = h0 + h1, h0 / h1
-    return hsum / 6.0 * (y[..., :-2:2] * (2.0 - 1.0 / ratio)
-                         + y[..., 1:-1:2] * (hsum * (hsum / (h0 * h1)))
-                         + y[..., 2::2] * (2.0 - ratio))
-
-
 def _simpson(y, x):
     """Composite Simpson integral of y over x along the last axis, for an odd
     sample count; x is (p,) or shaped like y.
@@ -97,151 +71,119 @@ def _simpson(y, x):
     """
     if y.shape[-1] % 2 == 0:
         raise ValueError(f"simpson needs an odd number of samples, got {y.shape[-1]}")
-    return np.sum(_simpson_panels(y, np.diff(x, axis=-1)), axis=-1)
+    h = np.diff(x, axis=-1)
+    h0, h1 = h[..., :-1:2], h[..., 1::2]
+    hsum, ratio = h0 + h1, h0 / h1
+    return np.sum(hsum / 6.0 * (y[..., :-2:2] * (2.0 - 1.0 / ratio)
+                                + y[..., 1:-1:2] * (hsum * (hsum / (h0 * h1)))
+                                + y[..., 2::2] * (2.0 - ratio)), axis=-1)
 
 
-def _even_sums(start, h, y):
-    """Simpson integrals of y, on intervals h, up to every even sample:
-    ``start`` (..., 1) at sample 0, None there at the origin (0), then the
-    two-interval panels added in sequence, as one ``np.cumsum`` over all
-    panels would add them."""
-    panels = _simpson_panels(y, h)
-    if start is None:
-        start = np.zeros(y.shape[:-1] + (1,), dtype=complex)
-    else:
-        panels[..., :1] += start
-    return np.concatenate([start, np.cumsum(panels, axis=-1)], axis=-1)
+# Pade-13 coefficients, and the 1-norm up to which that approximant needs no
+# scaling (Higham, SIAM J. Matrix Anal. Appl. 26, 1179, 2005)
+PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+          1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+          33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
+PADE13_THETA = 5.371920351148152
 
 
-def _simpson_to(sums, h, y, k):
-    """Simpson integrals up to the samples ``k`` (an array) from the
-    ``_even_sums`` of (h, y): an odd k >= 3 closes the sum up to k - 1 with
-    the last-interval (Cartwright) correction, and k = 1 is a trapezoid."""
-    out = sums[..., k // 2]
-    if np.any(k == 1):
-        out[..., k == 1] = (0.5 * h[0] * (y[..., 0] + y[..., 1]))[..., None]
-    odd = (k % 2 == 1) & (k >= 3)
-    if np.any(odd):
-        c = k[odd]
-        h0, h1 = h[c - 2], h[c - 1]
-        alpha = (2.0 * h1 ** 2 + 3.0 * h0 * h1) / (6.0 * (h1 + h0))
-        beta = (h1 ** 2 + 3.0 * h0 * h1) / (6.0 * h0)
-        eta = h1 ** 3 / (6.0 * h0 * (h0 + h1))
-        out[..., odd] = (out[..., odd] + alpha * y[..., c] + beta * y[..., c - 1]
-                         - eta * y[..., c - 2])
-    return out
+def _expm(a):
+    """exp(a) of each matrix of a stack (..., n, n), EXPM_CHUNK matrices at a
+    time: Pade-13 scaling and squaring (Higham 2005), each matrix scaled by
+    its own power of 2, so a matrix gets the bits it gets alone.  A zero row
+    or column of a is the identity's in exp(a), and is set so: those unit
+    entries (the drive's constant mode, the integral's own) then stay exact
+    through the squarings, which would otherwise compound their rounding 2^s
+    times.  A non-finite matrix gives a non-finite result."""
+    b = PADE13
+    eye = np.eye(a.shape[-1])
+    flat = a.reshape(-1, *a.shape[-2:])
+    e = np.empty_like(flat)
+    for start in range(0, len(flat), EXPM_CHUNK):
+        x = flat[start:start + EXPM_CHUNK]
+        norm = np.abs(x).sum(axis=-2).max(axis=-1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            squarings = np.ceil(np.log2(norm / PADE13_THETA))
+        squarings = np.nan_to_num(np.fmax(squarings, 0.0), posinf=0.0).astype(int)
+        x = x * (0.5 ** squarings)[:, None, None]
+        x2 = x @ x
+        x4 = x2 @ x2
+        x6 = x4 @ x2
+        u = x @ (x6 @ (b[13] * x6 + b[11] * x4 + b[9] * x2)
+                 + b[7] * x6 + b[5] * x4 + b[3] * x2 + b[1] * eye)
+        v = (x6 @ (b[12] * x6 + b[10] * x4 + b[8] * x2)
+             + b[6] * x6 + b[4] * x4 + b[2] * x2 + b[0] * eye)
+        unit = np.all(x == 0.0, axis=-1)[:, :, None] | np.all(x == 0.0, axis=-2)[:, None, :]
+        y = np.where(unit, eye, np.linalg.solve(v - u, v + u))
+        for k in range(squarings.max(initial=0)):
+            more = squarings > k
+            y[more] = y[more] @ y[more]
+        e[start:start + EXPM_CHUNK] = y
+    return e.reshape(a.shape)
 
 
-class _Quadrature:
-    """The homodyne quadrature, fed the output field in time order.
+def output_integral(setups, taus):
+    """Complex integrals B_hw(tau) = int_0^tau beta_out dt of the output field
+    of each setup at Hamming weights 0..3, exactly: (len(setups), 4, len(taus)).
 
-    ``feed(t, y)`` takes the next samples, times t (j,) and values y (..., j),
-    in chunks of any length.  ``fine`` and ``coarse`` (..., len(targets))
-    hold the complex integral over [t_0, t_k] at each target sample k and its
-    Richardson partner on the half grid (every other sample, an odd k closed
-    by a trapezoid, and k < 4 given the fine value), by the arithmetic of one
-    pass over all samples: composite Simpson panels (any spacing) added in
-    sequence, the Cartwright close of an odd k and a trapezoid at k = 1; so
-    every chunking gives the same bits.  With ``targets=None`` the target is
-    the last sample fed.  Only the last few samples are kept, from a
-    multiple of 4 so that both grids' panels start there, with both
-    integrals up to it.
+    The setups share one pulse.  On each pulse piece the state x = [a1, a2,
+    z0, z+, z-, B] obeys one constant generator (Van Loan, IEEE TAC 23, 395,
+    1978): da/dt = M a - i sqrt(k) (z0 + z+ + z-), dz/dt = diag(0, s, -s) z
+    and dB/dt = z0 + z+ + z- - i sqrt(k) . a, where z0 + z+ + z- is the
+    piece's envelope c0 + 2 c1 cos(pi (t - t_ref) / ramp), s = i pi / ramp on
+    the two ramps and 0 elsewhere, so pi / ramp scales no other piece, and z
+    starts each piece at (c0, c1, c1).  So x(tau) = exp(G (tau - t_p)) x(t_p)
+    from the start t_p of the piece p holding tau, and x(t_p) is the product
+    of the whole pieces before it: one stacked ``_expm`` covers them and the
+    taus, and no tau's bits depend on another tau or on another setup.
+    NonFiniteSignal where a propagator or a result is not finite, as where
+    pi / ramp overflows.
     """
-
-    def __init__(self, targets=None):
-        self.targets = None if targets is None else np.atleast_1d(targets)
-        self.start = 0              # index of the first kept sample
-        self.t = self.y = None      # the kept samples
-        self.sums = (None, None)    # both integrals up to the first kept sample
-        self.fine = self.coarse = None
-
-    def feed(self, t, y):
-        fed = t.size
-        if self.t is not None:
-            t, y = np.concatenate([self.t, t]), np.concatenate([self.y, y], axis=-1)
-        end = self.start + t.size
-        h, h_half = np.diff(t), np.diff(t[::2])
-        fine_sums = _even_sums(self.sums[0], h, y)
-        half_sums = _even_sums(self.sums[1], h_half, y[..., ::2])
-        if self.targets is None:
-            chosen, k = slice(None), np.array([end - 1])
-        else:
-            chosen = (self.targets >= end - fed) & (self.targets < end)
-            k = self.targets[chosen]
-        if k.size:
-            if self.fine is None:
-                shape = y.shape[:-1] + (1 if self.targets is None else self.targets.size,)
-                self.fine, self.coarse = np.zeros(shape, complex), np.zeros(shape, complex)
-            own, half = k - self.start, k - k % 2 - self.start
-            fine = _simpson_to(fine_sums, h, y, own)
-            coarse = _simpson_to(half_sums, h_half, y[..., ::2], half // 2)
-            coarse += (t[own] - t[half]) * (y[..., half] + y[..., own]) / 2.0
-            self.fine[..., chosen] = fine
-            self.coarse[..., chosen] = np.where(k >= 4, coarse, fine)
-        # keep from the last multiple of 4 at least four samples back: a later
-        # target reaches back two samples, its half-grid partner four
-        keep = max((end - 1) // 4 * 4 - 4, self.start)
-        cut = keep - self.start
-        if cut:
-            self.sums = (fine_sums[..., cut // 2:cut // 2 + 1],
-                         half_sums[..., cut // 4:cut // 4 + 1])
-        self.start = keep
-        self.t, self.y = t[cut:].copy(), y[..., cut:].copy()
-
-
-def _project(integrals, phase):
-    """Conditional means 2 Re(exp(-i phi) B) of complex output integrals B;
-    the homodyne mean is linear in exp(+-i phi)."""
-    return 2.0 * np.real(np.exp(-1j * phase) * integrals)
-
-
-def output_integral(trajectory, tau):
-    """Complex integral of beta_out over [0, tau] on the trajectory grid and
-    its Richardson partner on the half grid, ``(fine, coarse)``: two numbers
-    for one tau, two arrays for an array of them.  One ``_Quadrature`` pass
-    over the samples up to the last tau."""
-    idx = np.atleast_1d(_tau_index(trajectory, tau))
-    quadrature = _Quadrature(idx)
-    stop = idx.max() + 1
-    quadrature.feed(trajectory.times[:stop], trajectory.output[:stop])
-    if np.ndim(tau) == 0:
-        return complex(quadrature.fine[0]), complex(quadrature.coarse[0])
-    return quadrature.fine, quadrature.coarse
+    setups = list(setups)
+    pulse = setups[0].pulse
+    if any(setup.pulse != pulse for setup in setups):
+        raise ValueError("the setups must share one pulse")
+    taus = np.asarray(taus, dtype=float)
+    joints, c0, c1, _ = _envelope_pieces(pulse)
+    starts = np.concatenate([[0.0], joints])
+    piece = np.searchsorted(joints, taus, side="right")     # as drive_envelope classifies
+    whole = piece.max()                                     # the pieces before the last tau's
+    root = np.sqrt([[setup.kappa1, setup.kappa2] for setup in setups])[:, None, None, :]
+    g = np.zeros((len(setups), 4, c0.size, 6, 6), dtype=complex)
+    g[..., :2, :2] = np.array([[mode_matrix(setup, hw) for hw in range(4)]
+                               for setup in setups])[:, :, None]
+    g[..., :2, 2:5] = -1j * root[..., None]
+    g[..., 5, :2] = -1j * root
+    g[..., 5, 2:5] = 1.0
+    ramps = c1 != 0.0
+    g[:, :, ramps, 3, 3] = 1j * math.pi / pulse.ramp
+    g[:, :, ramps, 4, 4] = -1j * math.pi / pulse.ramp
+    spans = np.concatenate([np.diff(starts)[:whole], taus - starts[piece]])
+    with np.errstate(invalid="ignore", over="ignore"):
+        e = _expm(g[:, :, np.concatenate([np.arange(whole), piece])] * spans[:, None, None])
+        x = np.zeros((len(setups), 4, whole + 1, 6), dtype=complex)
+        for p in range(whole + 1):
+            if p:
+                x[:, :, p] = (e[:, :, p - 1] @ x[:, :, p - 1, :, None])[..., 0]
+            x[:, :, p, 2:5] = c0[p], c1[p], c1[p]
+        b = np.sum(e[:, :, whole:, 5] * x[:, :, piece], axis=-1)
+    if not (np.all(np.isfinite(e)) and np.all(np.isfinite(b))):
+        raise NonFiniteSignal(f"a pulse-piece propagator or output integral is not finite "
+                              f"(pi / ramp = {math.pi / pulse.ramp:.3g} rad/us)")
+    return b
 
 
 def integrated_signal(integrals, phase):
-    """Mean integrated homodyne signal at ``phase``, a number or an array as
-    the ``(fine, coarse)`` pair of ``output_integral`` holds: the projected
-    fine integral, guarded by its partner (GridTooCoarse beyond 1e-6 relative)."""
-    fine, coarse = (np.atleast_1d(part) for part in integrals)
-    means = _project(fine, phase)
-    moved = np.abs(means - _project(coarse, phase))
-    if not np.all(moved <= QUADRATURE_RTOL * np.maximum(np.abs(means), 1.0)):  # a NaN fails too
-        raise GridTooCoarse(
-            f"Simpson refinement moved the signal by {np.max(moved):.3e}")
-    return float(means[0]) if np.ndim(integrals[0]) == 0 else means
-
-
-def _ordered(trajectories):
-    if len(trajectories) != 4:
-        raise ValueError("need one trajectory per Hamming weight")
-    ordered = sorted(trajectories, key=lambda tr: tr.hamming_weight)
-    if [tr.hamming_weight for tr in ordered] != [0, 1, 2, 3]:
-        raise ValueError("trajectories must cover Hamming weights 0..3")
-    return ordered
-
-
-def signal_model(trajectories, phase, tau):
-    """Conditional-mean model from the four Hamming-weight trajectories."""
-    means = tuple(integrated_signal(output_integral(tr, tau), phase)
-                  for tr in _ordered(trajectories))
-    return SignalModel(tau, phase, means)
+    """Mean integrated homodyne signal 2 Re(exp(-i phi) B) of complex output
+    integrals B (a number or an array) at the local-oscillator phase; the
+    means are linear in exp(+-i phi)."""
+    return 2.0 * np.real(np.exp(-1j * phase) * integrals)
 
 
 def means_from_integrals(integrals, phase):
     """Conditional means for any local-oscillator phase, from cached complex
     output integrals (the means are linear in exp(+-i phi))."""
-    return tuple(float(m) for m in _project(np.asarray(integrals), phase))
+    return tuple(float(m) for m in integrated_signal(np.asarray(integrals), phase))
 
 
 def conditional_density(value, model, hamming_weight):
@@ -434,7 +376,7 @@ def _phase_bracket(integrals, phis, tau):
     chosen.
     """
     stack = np.reshape(np.asarray(integrals), (-1, 1, 4))
-    means = _project(stack, phis[:, None]).reshape(-1, 4)
+    means = integrated_signal(stack, phis[:, None]).reshape(-1, 4)
     variance = np.full(len(means), float(tau))
     points = _quadrature_points(means, variance, PHASE_SCAN_DENSITY, 4)
     values, errors = np.empty(len(means)), np.empty(len(means))
@@ -473,7 +415,8 @@ def optimal_phase(integrals, tau):
     stack = np.reshape(np.asarray(integrals), (-1, 4))
 
     def objective(phi, rows):
-        model = _ModelStack(_project(stack[rows], phi[:, None]), np.full(rows.size, float(tau)))
+        model = _ModelStack(integrated_signal(stack[rows], phi[:, None]),
+                            np.full(rows.size, float(tau)))
         return info_gains(model, check=False)[1]
 
     phis = np.linspace(0.0, math.pi, PHASE_COARSE_POINTS, endpoint=False)
@@ -561,16 +504,15 @@ class InfoGainReport:
         return self.info_hamming - self.info_parity
 
 
-def analyze_trajectories(trajectories, tau, phase="optimal", tau_points=57):
-    """Information-gain report of four evolved trajectories, the one path
-    from trajectories to published gains (``simulate``; the sweep streams
-    the same integrals into the same scorer).
+def analyze_trajectories(setup, tau, phase="optimal", tau_points=57):
+    """Information-gain report of the four Hamming-weight trajectories of
+    ``setup``, the one path from a setup to published gains (``simulate``;
+    ``chi_sweep`` scores its points by the same ``_analyze``).
 
     ``phase`` is a number, or "optimal" to pick it from the complex output
-    integrals at ``tau``.  Each trajectory is integrated once, fine and half
-    grid (``output_integral``), at ``tau`` and, unless ``tau_points`` is
-    None, on a uniform ``tau_points`` grid over [0, tau] (it must be
-    commensurate with the trajectory sampling).  The guarded means at
+    integrals at ``tau``.  ``output_integral`` gives them at ``tau`` and,
+    unless ``tau_points`` is None, on a uniform ``tau_points`` grid over [0,
+    tau], whose last point is ``tau`` with the same bits.  The means at
     ``tau`` give the gains, which carry the doubling check; one stacked
     ``info_gains`` call without it scores the series, differentiated into rates.
     """
@@ -578,26 +520,24 @@ def analyze_trajectories(trajectories, tau, phase="optimal", tau_points=57):
         raise ValueError("need at least 3 grid points")
     tau_grid = None if tau_points is None else np.linspace(0.0, tau, tau_points)
     # the gains vanish at tau = 0
-    taus = np.array([tau], dtype=float) if tau_grid is None else tau_grid[1:]
-    integrals = [output_integral(tr, taus) for tr in _ordered(trajectories)]
-    return _analyze([integrals], tau, phase, tau_grid)[0]
+    taus = [tau] if tau_grid is None else tau_grid[1:]
+    return _analyze(output_integral([setup], taus), tau, phase, tau_grid)[0]
 
 
-def _analyze(points, tau, phase, tau_grid):
-    """Reports of several points, each given as the ``(fine, coarse)``
-    integral pairs of its four Hamming weights, in order, at the taus of
-    ``tau_grid`` after 0 (at ``tau`` alone when it is None): one stacked
-    ``optimal_phase`` search picks every point's phase, then each point is
-    guarded and scored on its own, so a report is what the point alone
-    gives, bit for bit, and the first failing point in input order raises."""
+def _analyze(integrals, tau, phase, tau_grid):
+    """Reports of several points from their complex output integrals (n, 4,
+    k), Hamming weights in order, at the taus of ``tau_grid`` after 0 (at
+    ``tau`` alone when it is None): one stacked ``optimal_phase`` search picks
+    every point's phase, then each point is scored on its own, so a report is
+    what the point alone gives, bit for bit, and the first failing point in
+    input order raises."""
     if phase == "optimal":
-        finals = [[fine[-1] for fine, _ in point] for point in points]
-        phases = optimal_phase(finals, tau)[0].tolist()
+        phases = optimal_phase(integrals[:, :, -1], tau)[0].tolist()
     else:
-        phases = [float(phase)] * len(points)
+        phases = [float(phase)] * len(integrals)
     reports = []
-    for point, phi in zip(points, phases):
-        means = np.stack([integrated_signal(pair, phi) for pair in point], axis=1)
+    for point, phi in zip(integrals, phases):
+        means = integrated_signal(point.T, phi)         # (k, 4)
         gain_hw, gain_parity = info_gains(SignalModel(tau, phi, tuple(means[-1])))
         series = rates = (None, None)     # (Hamming weight, parity)
         if tau_grid is not None:
@@ -620,28 +560,19 @@ def chi_sweep(chi_pairs, kappa, pulse, tau, workers=None):
     """Rate-less ``InfoGainReport`` of each (chi1/kappa, chi2/kappa) pair, in order.
 
     Each point applies its own parity detunings (plus branch).  Up to
-    SWEEP_CHUNK points at a time are scored in lockstep: their Hamming-weight
-    output fields are evolved in one stacked pass (``evolve_setups``: the
-    step bound and the half-step probe stay per point, and a failure names
-    the first failing point in input order) and streamed into one
-    ``_Quadrature``, so no record is kept.  The integrals over the horizon
-    are ``output_integral``'s at ``tau``, bit for bit, and the stacked path
-    under ``analyze_trajectories`` scores them, so a report is what it gives
-    the point alone at ``tau_points=None``.  ``workers`` has no effect.
+    SWEEP_CHUNK points at a time are scored in lockstep: one
+    ``output_integral`` call gives their integrals at ``tau``, and
+    ``_analyze`` runs one phase search for all of them, so a report is what
+    ``analyze_trajectories`` gives the point alone at ``tau_points=None``,
+    bit for bit.  ``workers`` has no effect.
     """
     pairs = [(float(chi1), float(chi2)) for chi1, chi2 in chi_pairs]
     reports = []
     for start in range(0, len(pairs), SWEEP_CHUNK):
-        chunk = pairs[start:start + SWEEP_CHUNK]
         setups = []
-        for chi1, chi2 in chunk:
+        for chi1, chi2 in pairs[start:start + SWEEP_CHUNK]:
             model = DispersiveModel(0.0, 0.0, 0.0, chi1 * kappa, chi2 * kappa, 0.0, 0.0)
             det = parity_detunings(model, kappa, kappa).plus_branch
             setups.append(MeasurementSetup(kappa, kappa, det[0], det[1], model, pulse))
-        labels = [f"chi1/kappa = {chi1!r}, chi2/kappa = {chi2!r}" for chi1, chi2 in chunk]
-        quadrature = _Quadrature()      # up to the last sample, the horizon tau
-        evolve_setups(setups, range(4), tau, labels=labels, consume=quadrature.feed)
-        integrals = list(zip(quadrature.fine, quadrature.coarse))
-        reports += _analyze([integrals[i:i + 4] for i in range(0, len(integrals), 4)],
-                            tau, "optimal", None)
+        reports += _analyze(output_integral(setups, [tau]), tau, "optimal", None)
     return reports

@@ -22,7 +22,6 @@ from parity_scope.config import (
     preset_names,
 )
 from parity_scope.errors import ConfigError, ParityScopeError
-from parity_scope.inference import integrated_signal, output_integral
 
 
 def run(argv):
@@ -140,6 +139,17 @@ def test_cli_rejects_an_output_file_that_is_a_directory(tmp_path, capsys, argv, 
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert f"configuration error: cannot write {tmp_path / name}: Is a directory" in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+def test_cli_full_disk_is_an_output_error(tmp_path, capsys):
+    # a write that fails for want of space is no configuration error: exit 5,
+    # naming the path, and no traceback
+    (tmp_path / "dispersive.json").symlink_to("/dev/full")
+    argv = ["dispersive", "--preset", "paper-sec5-symmetric", "--out", str(tmp_path), "--quiet"]
+    assert run(argv) == 5
+    assert capsys.readouterr().err == (f"output error: cannot write {tmp_path / 'dispersive.json'}"
+                                       f": No space left on device\n")
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +272,11 @@ def test_cli_simulate_all_weights_summary(tmp_path):
 def test_cli_trajectory_round_trip(tmp_path):
     # re-reading the CSV and recomputing the integrated signal reproduces the
     # in-memory value (17-significant-digit round trip)
+    from scipy.integrate import simpson
+
     from parity_scope.config import preset as load_preset
-    from parity_scope.dynamics import Trajectory, evolve
+    from parity_scope.dynamics import evolve
+    from parity_scope.inference import integrated_signal
 
     cfg = load_preset("paper-sec5-symmetric")
     report = derive_scenario(cfg)
@@ -275,15 +288,10 @@ def test_cli_trajectory_round_trip(tmp_path):
     traj = evolve(setup, 1, tau)
     _, rows = read_csv(tmp_path / "trajectory_hw1.csv")
     data = np.array(rows)
-    rebuilt = Trajectory(times=data[:, 0],
-                         alpha1=data[:, 1] + 1j * data[:, 2],
-                         alpha2=data[:, 3] + 1j * data[:, 4],
-                         drive=np.real(traj.drive),
-                         output=data[:, 5] + 1j * data[:, 6],
-                         hamming_weight=1, step=traj.step)
     phase = 0.7
-    assert integrated_signal(output_integral(rebuilt, tau), phase) == pytest.approx(
-        integrated_signal(output_integral(traj, tau), phase), rel=1e-9)
+    assert simpson(integrated_signal(data[:, 5] + 1j * data[:, 6], phase),
+                   x=data[:, 0]) == pytest.approx(
+        simpson(integrated_signal(traj.output, phase), x=traj.times), rel=1e-9)
     assert np.array_equal(data[:, 1] + 1j * data[:, 2], traj.alpha1)
 
 
@@ -341,7 +349,7 @@ def test_cli_sweep_single_point_matches_direct(tmp_path):
     assert len(rows) == 1
 
     from parity_scope.dispersive import DispersiveModel, parity_detunings
-    from parity_scope.dynamics import MeasurementSetup, evolve
+    from parity_scope.dynamics import MeasurementSetup
     from parity_scope.inference import analyze_trajectories
 
     cfg = load_config(path)
@@ -351,8 +359,7 @@ def test_cli_sweep_single_point_matches_direct(tmp_path):
     model = DispersiveModel(0, 0, 0, 0.5 * kappa, 0.5 * kappa, 0.0, 0.0)
     det = parity_detunings(model, kappa, kappa).plus_branch
     setup = MeasurementSetup(kappa, kappa, det[0], det[1], model, pulse)
-    trajectories = [evolve(setup, hw, tau) for hw in range(4)]
-    direct = analyze_trajectories(trajectories, tau, tau_points=None)
+    direct = analyze_trajectories(setup, tau, tau_points=None)
     assert rows[0][2] == pytest.approx(direct.info_parity, abs=1e-9)
     assert rows[0][3] == pytest.approx(direct.info_hamming, abs=1e-9)
 
@@ -421,14 +428,74 @@ def _write_variant(tmp_path, name, edit):
     return path
 
 
-@pytest.mark.parametrize("field, value", [("phase", "best"), ("tau_points", 50),
-                                          ("tau_points", 2), ("time_unit", "ns")])
+@pytest.mark.parametrize("field, value", [("phase", "best"), ("tau_points", 2),
+                                          ("time_unit", "ns")])
 def test_cli_simulate_rejects_bad_analysis_field(tmp_path, capsys, field, value):
     path = _write_variant(tmp_path, field,
                           lambda tree: tree["analysis"].__setitem__(field, value))
     code = run(["simulate", "--config", str(path), "--out", str(tmp_path), "--quiet"])
     assert code == 2
     assert f"analysis.{field}" in capsys.readouterr().err
+
+
+def test_cli_simulate_takes_any_tau_points(tmp_path):
+    # the exact integrals need no trajectory grid: 50 points do not divide
+    # its 2,800 intervals, yet give 50 rows
+    path = _write_variant(tmp_path, "fifty",
+                          lambda tree: tree["analysis"].__setitem__("tau_points", 50))
+    assert run(["simulate", "--config", str(path), "--out", str(tmp_path), "--quiet"]) == 0
+    header, rows = read_csv(tmp_path / "rates.csv")
+    assert len(rows) == 50 and rows[-1][0] == 28.0
+
+
+@pytest.mark.parametrize("path, key, near", [
+    ("analysis.measurment_time", "measurment_time", "measurement_time"),
+    ("pulse.amplitud", "amplitud", "amplitude"),
+    ("validaton", "validaton", "validation"),
+    ("analysis.sweep.point", "point", "points"),
+    ("bus.kapa1_mhz", "kapa1_mhz", "kappa1_mhz"),
+    ("targets.chi2_over_kapa", "chi2_over_kapa", "chi2_over_kappa"),
+    ("devices[1].anharmonicity", "anharmonicity", "anharmonicity_mhz"),
+    ("validation.dispersion_gird", "dispersion_gird", "dispersion_grid"),
+    ("colour", "colour", None),
+])
+def test_cli_rejects_a_misspelled_key(tmp_path, capsys, path, key, near):
+    # a key its section does not read exits 2, naming it and the nearest
+    # known one, if any is near
+    *steps, field = [int(part) if part.isdigit() else part
+                     for part in re.findall(r"[^.\[\]]+", path)]
+
+    def edit(tree):
+        node = tree
+        for step in steps:
+            node = node[step] if isinstance(step, int) else node.setdefault(step, {})
+        node[field] = 3
+    config = _write_variant(tmp_path, "typo", edit)
+    for command in ("dispersive", "simulate"):
+        assert run([command, "--config", str(config), "--out", str(tmp_path), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        hint = "" if near is None else f"; did you mean {near!r}?"
+        assert err.endswith(f": unknown key {key!r}{hint}\n"), err
+
+
+def test_presets_and_benchmark_scenarios_parse(monkeypatch):
+    # every shipped preset, and the first scenarios of each benchmark
+    # workload (design-loop's fourth is a transmon register), use known keys only
+    import importlib.util
+
+    from parity_scope.config import PRESETS
+    for name in PRESETS:
+        preset(name)
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)     # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    for workload in workloads.WORKLOADS:
+        stream = workloads.scenarios(workload, 0)
+        for _ in range(8):
+            scenario = next(stream)
+            parse_config(json.loads(json.dumps(scenario.config)), name=scenario.key)
 
 
 def test_cli_sweep_splits_cuts_in_order(tmp_path):
@@ -459,10 +526,10 @@ def test_cli_sweep_summary_names_the_least_missing_row(tmp_path):
 
 
 def test_cli_sweep_work_counts(tmp_path, monkeypatch):
-    # both cuts of a 2-point-per-cut sweep are scored in lockstep: one
-    # _integrate call and its half-step probe in all, and 15 stacked
-    # golden-section objective passes (2 + 12 steps over a 2 pi / 256
-    # bracket + 1 at the optimum); no gain grid exceeds the 4001-node cap
+    # both cuts of a 2-point-per-cut sweep are scored in lockstep: no RK4
+    # (_integrate) call, and 15 stacked golden-section objective passes (2 +
+    # 12 steps over a 2 pi / 256 bracket + 1 at the optimum); no gain grid
+    # exceeds the 4001-node cap
     from parity_scope import dynamics, inference
     calls = {"integrate": 0, "objective": 0, "nodes": 0}
     integrate, info_gains = dynamics._integrate, inference.info_gains
@@ -485,7 +552,7 @@ def test_cli_sweep_work_counts(tmp_path, monkeypatch):
     path = _write_variant(tmp_path, "two", lambda tree: tree["analysis"].__setitem__(
         "sweep", {"minimum": 0.4, "maximum": 0.6, "points": 2, "asymmetric_chi2": 0.3}))
     assert run(["sweep", "--config", str(path), "--out", str(tmp_path), "--quiet"]) == 0
-    assert calls["integrate"] == 2
+    assert calls["integrate"] == 0
     assert calls["objective"] == 15
     assert 0 < calls["nodes"] <= 4001
 
@@ -657,6 +724,41 @@ def test_cli_short_ramp_fails_the_probe(tmp_path, capsys):
     assert run(["simulate", "--config", str(config), "--out", str(tmp_path), "--quiet"]) == 4
     assert ("h_w=0: half-step probe disagreement 9.214e-05 > 1e-08"
             in capsys.readouterr().err)
+
+
+def test_cli_sweep_overflowing_ramp_exits_4(tmp_path, capsys):
+    # a 1e-310/kappa ramp: pi / ramp overflows in the ramp's propagator, and
+    # the sweep fails closed instead of publishing its NaN
+    def edit(tree):
+        tree["pulse"]["ramp"] = 1e-310
+        tree["analysis"]["sweep"] = ONE_POINT_SWEEP
+    config = _write_variant(tmp_path, "tiny", edit)
+    out = tmp_path / "out"
+    assert run(["sweep", "--config", str(config), "--out", str(out), "--quiet"]) == 4
+    assert ("numerical convergence failure: a pulse-piece propagator or output integral "
+            "is not finite (pi / ramp = inf rad/us)") in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize("amplitude", [3, 30])
+def test_cli_simulate_does_not_depend_on_the_recurrence_chunk(tmp_path, monkeypatch, amplitude):
+    # RECURRENCE_CHUNK bounds the RK4 scan's scratch and moves only the
+    # rounding of the trajectory records; the published phase, the gains and
+    # the exit code come from the exact integrals, bit for bit
+    from parity_scope import dynamics
+    config = _write_variant(tmp_path, "loud", lambda tree: tree["pulse"].__setitem__(
+        "amplitude", amplitude))
+    outcomes = set()
+    for chunk in (256, 512, 1024):
+        monkeypatch.setattr(dynamics, "RECURRENCE_CHUNK", chunk)
+        out = tmp_path / str(chunk)
+        code = run(["simulate", "--config", str(config), "--out", str(out), "--quiet"])
+        summary = {}
+        if code == 0:
+            summary = json.loads((out / "simulate.json").read_text())
+        outcomes.add((code, *(summary.get(key) for key in (
+            "optimal_phase_rad", "info_parity_bits", "info_hamming_bits"))))
+    assert len(outcomes) == 1, outcomes
 
 
 # validate sized down to a fraction of a second per run
@@ -866,6 +968,7 @@ EXIT_CODES = {
     "SingularResponseMatrix": 3, "DegenerateResponse": 3,
     "ConvergenceFailure": 4, "LevelIdentificationFailure": 4, "StepTooLarge": 4,
     "GridTooCoarse": 4, "QuadratureNonconvergent": 4, "NonFiniteSignal": 4,
+    "OutputError": 5,
 }
 
 
@@ -873,7 +976,7 @@ def test_cli_maps_every_error_to_its_exit_code(monkeypatch, capsys):
     # a new error class must be given a code here, or this test fails
     from parity_scope import cli
     prefixes = {2: "configuration error: ", 3: "physics condition failed: ",
-                4: "numerical convergence failure: "}
+                4: "numerical convergence failure: ", 5: "output error: "}
     errors = list(_subclasses(ParityScopeError))
     assert sorted(error.__name__ for error in errors) == sorted(EXIT_CODES)
     for error in errors:

@@ -13,12 +13,10 @@ from parity_scope.dynamics import (
     DrivePulse,
     MeasurementSetup,
     _integrate,
-    _records,
     _rk4_coefficients,
     _schur2,
     drive_envelope,
     evolve,
-    evolve_setups,
     hamming_prefactor,
     mode_matrix,
     output_field,
@@ -161,10 +159,10 @@ def test_evolve_step_guard():
 
 def test_evolve_probe_fails_closed_on_nan(monkeypatch):
     # a NaN in the half-step run compares false with every bound
-    def poisoned(m, u, pulse, dt, n_steps, stride, *consume):
-        final1, final2 = _integrate(m, u, pulse, dt, n_steps, stride, *consume)
+    def poisoned(m, u, pulse, dt, n_steps, stride, **records):
+        final1, final2 = _integrate(m, u, pulse, dt, n_steps, stride, **records)
         if dt < 1e-3:
-            final1[:, -1] = math.nan
+            final1[..., -1] = math.nan
         return final1, final2
     monkeypatch.setattr(dynamics, "_integrate", poisoned)
     with pytest.raises(StepTooLarge, match="disagreement nan"):
@@ -207,6 +205,10 @@ def reference_integrate(m, u, beta_nodes, beta_mid, dt, n_steps, stride):
             rec.append(a)
     rec = np.array(rec)
     return rec[:, 0], rec[:, 1]
+
+
+def _records(m, u, pulse, dt, n_steps, stride):
+    return _integrate(m, u, pulse, dt, n_steps, stride, records=True)
 
 
 def assert_matches_reference(m, u, pulse, dt, n_steps, stride):
@@ -377,9 +379,9 @@ def test_probe_is_the_same_recurrence_at_half_step(monkeypatch):
     # made first so that only its final amplitudes are held ...
     calls = []
 
-    def spy(m, u, pulse, dt, n_steps, stride, *consume):
+    def spy(m, u, pulse, dt, n_steps, stride, **records):
         calls.append((dt, n_steps, stride))
-        return _integrate(m, u, pulse, dt, n_steps, stride, *consume)
+        return _integrate(m, u, pulse, dt, n_steps, stride, **records)
     monkeypatch.setattr(dynamics, "_integrate", spy)
     setup = make_setup(chi1=0.45, chi2=0.6, chi12=0.15)
     evolve(setup, 1, 28.0)
@@ -420,18 +422,18 @@ def test_evolve_allocation_peak():
 
 
 def test_stacked_weights_match_per_weight_evolve():
+    # the recurrence on a stack of the four generators gives each weight's
+    # evolve records
     setup = make_setup(chi1=0.45, chi2=0.6, chi12=0.15, kappa1=1.0, kappa2=1.7)
     m = mode_matrix(setup, 1)
     assert np.abs(m @ m.conj().T - m.conj().T @ m).max() > 1e-2
-    [stacked] = evolve_setups([setup], range(4), 28.0)
-    assert [traj.hamming_weight for traj in stacked] == [0, 1, 2, 3]
-    for hw, traj in enumerate(stacked):
+    stack = np.stack([mode_matrix(setup, hw) for hw in range(4)])
+    rec1, rec2 = _records(stack, -1j * np.array([1.0, math.sqrt(1.7)]), setup.pulse,
+                          28.0 / 47600, 47600, 17)
+    for hw in range(4):
         single = evolve(setup, hw, 28.0)
-        assert traj.step == single.step
-        np.testing.assert_array_equal(traj.times, single.times)
-        np.testing.assert_array_equal(traj.drive, single.drive)
-        for got, ref in ((traj.alpha1, single.alpha1), (traj.alpha2, single.alpha2),
-                         (traj.output, single.output)):
+        assert single.hamming_weight == hw and single.step == 28.0 / 47600
+        for got, ref in ((rec1[hw], single.alpha1), (rec2[hw], single.alpha2)):
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
