@@ -3,7 +3,7 @@
 The public names below are loaded on first access (PEP 562), so importing
 the package, or one submodule, loads only what that code path needs:
 ``scenario-list`` and ``dispersive`` run on the stdlib alone, ``simulate``
-and ``sweep`` add numpy, and ``validate`` numpy and scipy.
+and ``sweep`` add numpy, and ``validate`` numpy and scipy's LAPACK alone.
 """
 
 import importlib

@@ -359,8 +359,8 @@ def _validation_checks(cfg, fork=False):
     raised: the first failing check's in row order.  A failing flat
     dispersion waits for the worker's contrast before it is raised.
     """
-    # the exact-diagonalization oracles are the only users of scipy, so no
-    # other command pays for importing it; the worker forks after the imports
+    # only the exact-diagonalization oracles use scipy, and only its LAPACK
+    # extension, never the scipy.linalg package; the worker forks after the imports
     import numpy as np
 
     from .spectral import ChargeBasisConfig, charge_dispersion

@@ -11,26 +11,27 @@ Three layers of brute force:
   the resonator-resonator switch from raw spectra.
 
 Every published level comes from a plain dense eigh of a real-symmetric
-matrix; sizes stay at desk scale (<~ 4000), where that is both adequate
-and easy to audit.  In the charge basis, solves that only decide a yes/no
-question are replaced by Sylvester inertia counts of H - s I from a block
-LDL^T (Parlett, *The Symmetric Eigenvalue Problem*, SIAM 1998): a cutoff
-probe passes when the counts certify that no level moved by more than the
-tolerance, and a grid point of the charge dispersion is skipped when they
-certify that none of its levels can set a max or a min.  A probe or a grid
-point the counts cannot certify is solved dense, so every charge-basis
-level comes from the same eigh.
+matrix (scipy's LAPACK, not ``scipy.linalg``); sizes stay at desk scale
+(<~ 4000), where that is both adequate and easy to audit.  In the charge
+basis, solves that only decide a yes/no question are replaced by Sylvester
+inertia counts of H - s I from a block LDL^T (Parlett, *The Symmetric
+Eigenvalue Problem*, SIAM 1998): a cutoff probe passes when the counts
+certify that no level moved by more than the tolerance, and a grid point of
+the charge dispersion is skipped when they certify that none of its levels
+can set a max or a min.  A probe or a grid point the counts cannot certify
+is solved dense, so every charge-basis level comes from the same eigh.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass, replace
 from functools import reduce
 
 import numpy as np
-import scipy.linalg as sla
-from scipy.linalg import lapack
 
 from .dispersive import (
     CHARGE_CUTOFF_CEILING,
@@ -41,12 +42,48 @@ from .dispersive import (
     tcq_mixing,
 )
 from .errors import ConvergenceFailure, LevelIdentificationFailure
+from .matfuncs import _expm
 
 CONVERGENCE_RTOL = 1e-8
 OVERLAP_FLOOR = 0.5
 TWIST_BLOCKS = 2                 # on each side of the middle one; see _count_below
 DISPERSION_MARGIN = 100          # eps times the Gershgorin bound; see charge_dispersion
 MINIMIZER_MAXFUN = 500           # evaluations; scipy's default for the bounded search
+
+
+# scipy's compiled LAPACK extension: scipy.linalg's module when it is loaded,
+# else its file loaded alone and taken back out of sys.modules, so that a
+# later ``import scipy.linalg`` binds its own copy of the same routines
+lapack = sys.modules.get("scipy.linalg._flapack")
+if lapack is None:
+    _spec = importlib.machinery.FileFinder(
+        importlib.util.find_spec("scipy").submodule_search_locations[0] + "/linalg",
+        (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES),
+    ).find_spec("scipy.linalg._flapack")
+    _spec.loader.exec_module(lapack := importlib.util.module_from_spec(_spec))
+    sys.modules.pop(_spec.name, None)
+
+
+def __getattr__(name):
+    # ``sla``, scipy.linalg imported on access, serves only perfbench's tracer (ROADMAP item 1)
+    if name == "sla":
+        return importlib.import_module("scipy.linalg")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def eigh(a, eigvals_only=False, subset_by_index=None, overwrite_a=False):
+    """``scipy.linalg.eigh`` of a real-symmetric matrix by the same dsyevr
+    call, so the same bits.  ValueError when ``a`` is not finite."""
+    a = np.asarray_chkfinite(a)
+    lwork, liwork, _ = lapack.dsyevr_lwork(n=len(a), lower=True)
+    subset = {} if subset_by_index is None else dict(
+        range="I", il=subset_by_index[0] + 1, iu=subset_by_index[1] + 1)
+    values, vectors, m, _, info = lapack.dsyevr(
+        a=a, overwrite_a=overwrite_a, **subset, lower=True,
+        compute_v=0 if eigvals_only else 1, lwork=int(lwork), liwork=liwork)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dsyevr failed with info {info}")
+    return values[:m] if eigvals_only else (values[:m], vectors[:, :m])
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +130,7 @@ def transmon_charge_hamiltonian(josephson, charging, offset, cutoff):
 
 def transmon_charge_spectrum(josephson, charging, offset=0.0, cutoff=20, levels=6):
     h = transmon_charge_hamiltonian(josephson, charging, offset, cutoff)
-    return sla.eigh(h, eigvals_only=True, subset_by_index=(0, levels - 1))
+    return eigh(h, eigvals_only=True, subset_by_index=(0, levels - 1))
 
 
 def _charge_onsite(cfg, cutoff):
@@ -128,8 +165,8 @@ def tcq_charge_hamiltonian(cfg, cutoff):
 def _lowest_levels(cfg, cutoff, levels):
     # the matrix is exactly symmetric, so its transpose holds the same bits in
     # Fortran order, which LAPACK overwrites in place instead of copying
-    return sla.eigh(tcq_charge_hamiltonian(cfg, cutoff).T, overwrite_a=True,
-                    eigvals_only=True, subset_by_index=(0, levels - 1))
+    return eigh(tcq_charge_hamiltonian(cfg, cutoff).T, overwrite_a=True,
+                eigvals_only=True, subset_by_index=(0, levels - 1))
 
 
 def _charge_scale(cfg, cutoff):
@@ -411,7 +448,7 @@ def _beam_splitter_frame(angle, levels):
     """Rotated product-state dictionary: columns of U^dagger label the
     dressed states |n+ n->."""
     hop = _product((levels, levels), {0: _lowering(levels), 1: _lowering(levels).T})
-    return sla.expm(angle * (hop - hop.T)).T  # real orthogonal: U^dagger = U^T
+    return _expm(angle * (hop - hop.T)).T  # real orthogonal: U^dagger = U^T
 
 
 def _identify(eigvecs, target):
@@ -451,7 +488,7 @@ def dressed_tcq_check(spec, levels=8):
         raise ValueError("need at least 6 levels per mode")
     dressed = tcq_mixing(spec)
     h = duffing_pair_hamiltonian(spec, levels)
-    values, vectors = sla.eigh(h)
+    values, vectors = eigh(h)
     frame = _beam_splitter_frame(dressed.mixing_angle, levels)
 
     energies = {}
@@ -554,7 +591,7 @@ def _ladder_hamiltonian(cfg, resonator2_frequency=None, photon_levels=None):
 
 def _extract_chis(cfg, photon_levels=None):
     dims, terms, hops, labels = _ladder(cfg, photon_levels=photon_levels)
-    values, vectors = sla.eigh(_fock_hamiltonian(dims, terms, hops))
+    values, vectors = eigh(_fock_hamiltonian(dims, terms, hops))
 
     def photon_energies(label):
         # resonator-1 and resonator-2 photon addition energies in qubit state ``label``
@@ -642,7 +679,7 @@ def _photon_pair_gap(ladder, qubit_label, resonator2_frequency):
     """Gap of the two photon-like eigenstates; ``ladder`` is
     ``_switch_ladder(cfg)``."""
     dims, _, hamiltonian = ladder
-    values, vectors = sla.eigh(hamiltonian(resonator2_frequency))
+    values, vectors = eigh(hamiltonian(resonator2_frequency))
     i10, i01 = (np.ravel_multi_index(qubit_label + photons, dims)
                 for photons in ((1, 0), (0, 1)))
     k10 = int(np.argmax(np.abs(vectors[i10, :])))

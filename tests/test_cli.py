@@ -1156,9 +1156,10 @@ def _fresh_stdout(code, tmp_path, env=None):
 
 
 def _modules_after(code, tmp_path, packages=("scipy",)):
-    """Modules of ``packages`` loaded in a fresh interpreter after running ``code``."""
-    probe = (code + "\nimport sys\nprint(sorted(m for m in sys.modules"
-             f" if m.split('.')[0] in {tuple(packages)!r}))")
+    """Modules of ``packages``, or in them, loaded in a fresh interpreter after
+    running ``code``."""
+    probe = (code + "\nimport sys\nprint(sorted(m for m in sys.modules if any("
+             f"m == p or m.startswith(p + '.') for p in {tuple(packages)!r})))")
     return _fresh_interpreter(probe, tmp_path)
 
 
@@ -1213,15 +1214,12 @@ def test_validate_loads_neither_dynamics_nor_inference(tmp_path):
 
 def test_in_process_validate_loads_no_process_pool(tmp_path):
     # every check of main(argv) runs in the calling process, where a tracer
-    # sees its spans; scipy.linalg loads concurrent.futures itself, through
-    # numpy.testing, but not its process pool
+    # sees its spans; nothing it loads imports concurrent.futures
     path = _write_variant(tmp_path, "tiny", lambda tree: tree.__setitem__(
         "validation", SMALL_VALIDATION))
     code = ("from parity_scope.cli import main\n"
             f"assert main(['validate', '--config', {str(path)!r}, '--out', 'out', '--quiet']) == 0")
-    loaded = _modules_after(code, tmp_path, ("concurrent", "multiprocessing"))
-    assert "'concurrent.futures.process'" not in loaded
-    assert "'multiprocessing" not in loaded
+    assert _modules_after(code, tmp_path, ("concurrent", "multiprocessing")) == "[]"
 
 
 def test_measurement_records_have_one_definition():
@@ -1233,15 +1231,47 @@ def test_measurement_records_have_one_definition():
         assert getattr(parity_scope, name) is getattr(measurement, name)
 
 
-def test_validate_loads_scipy(tmp_path):
+def test_validate_loads_lapack_not_scipy_linalg(tmp_path):
+    # the oracles call scipy's compiled LAPACK extension, loaded from its
+    # file: neither scipy.linalg's package import nor the numpy subpackages
+    # that it pulls in run, and switch_splitting runs a port of scipy's
+    # bounded minimizer, not scipy.optimize.  The loader leaves sys.modules
+    # as it found it, so no scipy module is listed there
     path = _write_variant(tmp_path, "tiny", lambda tree: tree.__setitem__(
         "validation", {"charge_cutoff": 8, "dispersion_grid": 3}))
-    code = ("from parity_scope.cli import main\n"
-            f"main(['validate', '--config', {str(path)!r}, '--out', 'out', '--quiet'])")
-    loaded = _modules_after(code, tmp_path)
-    assert "'scipy.linalg'" in loaded
-    # switch_splitting runs a port of scipy's bounded minimizer
-    assert "'scipy.optimize'" not in loaded
+    argv = ["validate", "--config", str(path), "--out", "out", "--quiet"]
+    code = ("import os\n"
+            "from parity_scope.cli import main\n"
+            f"assert main({argv!r}) == 0\n"
+            "from parity_scope.spectral import lapack\n"
+            "assert os.path.basename(lapack.__file__).startswith('_flapack.')\n"
+            "assert os.path.basename(os.path.dirname(lapack.__file__)) == 'linalg'")
+    assert _modules_after(code, tmp_path, ("scipy", "numpy.f2py", "numpy.random",
+                                           "numpy.testing", "numpy.ma")) == "[]"
+
+
+@pytest.mark.parametrize("first", ["spectral", "scipy.linalg"])
+def test_spectral_and_scipy_linalg_share_lapack_in_either_import_order(tmp_path, first):
+    # spectral reuses the extension scipy.linalg loaded, and scipy.linalg,
+    # imported after spectral, binds its own _flapack with the same routines
+    imports = ["from parity_scope import spectral", "import scipy.linalg"]
+    code = "\n".join([*(imports if first == "spectral" else imports[::-1]),
+                      "import numpy as np",
+                      "from scipy.linalg import _flapack",
+                      "a = np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 4.0]])",
+                      "values, vectors = spectral.eigh(a)",
+                      "theirs = scipy.linalg.eigh(a)",
+                      "assert values.tobytes() == theirs[0].tobytes()",
+                      "assert vectors.tobytes() == theirs[1].tobytes()",
+                      "assert scipy.linalg.lapack.dpotrf(a)[1] == 0",
+                      "assert scipy.linalg._flapack is _flapack",
+                      "for name in ('dsyevr', 'dsyevr_lwork', 'dpotrf', 'dpotri', 'dsytrf',"
+                      " 'dsytri', 'dsytrf_lwork'):",
+                      "    mine = getattr(spectral.lapack, name)",
+                      "    assert getattr(scipy.linalg.lapack, name) is mine",
+                      "    assert getattr(_flapack, name) is mine",
+                      "print('ok')"])
+    assert _fresh_interpreter(code, tmp_path) == "ok"
 
 
 def test_package_exports_resolve():

@@ -613,13 +613,13 @@ def test_sweep_point_does_not_depend_on_its_neighbours():
 def test_sweep_in_chunks_equals_one_pass(monkeypatch):
     # long sweeps are scored SWEEP_CHUNK points at a time, and their
     # propagators formed EXPM_CHUNK matrices at a time, bit for bit alike
-    from parity_scope import inference
+    from parity_scope import inference, matfuncs
     pairs = [(0.3, 0.3), (0.5, 0.5), (0.7, 0.3), (1.0, 0.6), (0.2, 0.9)]
     whole = inference.chi_sweep(pairs, 1.0, reference_pulse(), 28.0)
     monkeypatch.setattr(inference, "SWEEP_CHUNK", 2)
     assert inference.chi_sweep(pairs, 1.0, reference_pulse(), 28.0) == whole
     monkeypatch.setattr(inference, "SWEEP_CHUNK", 8)
-    monkeypatch.setattr(inference, "EXPM_CHUNK", 7)
+    monkeypatch.setattr(matfuncs, "EXPM_CHUNK", 7)
     assert inference.chi_sweep(pairs, 1.0, reference_pulse(), 28.0) == whole
 
 

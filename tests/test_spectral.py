@@ -18,6 +18,7 @@ from parity_scope.dispersive import (
 from parity_scope import spectral
 from parity_scope.config import MHZ
 from parity_scope.errors import ConvergenceFailure, LevelIdentificationFailure
+from parity_scope.matfuncs import _expm
 from parity_scope.spectral import (
     ChargeBasisConfig,
     LadderConfig,
@@ -50,6 +51,37 @@ def charge_config(ej_over_ec=50.0, ec=0.3, ei_over_ec=-0.5, **kwargs):
 
 def unequal_islands(cfg):
     return replace(cfg, charging_minus=0.39, josephson_minus=0.8 * cfg.josephson_plus)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 6, 17, 81, 289, 625])
+def test_eigh_is_scipy_eigh_bitwise(dim):
+    # the same dsyevr call as scipy.linalg.eigh: values and vectors, full and
+    # subset, and in place on a Fortran-ordered matrix as _lowest_levels asks
+    x = np.random.default_rng(dim).standard_normal((dim, dim))
+    a = x + x.T
+    top = min(5, dim - 1)
+    def same(mine, theirs):
+        if not isinstance(mine, tuple):
+            mine, theirs = (mine,), (theirs,)
+        return all(m.shape == t.shape and m.tobytes() == t.tobytes()
+                   for m, t in zip(mine, theirs, strict=True))
+
+    for kwargs in ({}, {"eigvals_only": True}, {"subset_by_index": (0, top)},
+                   {"subset_by_index": (top // 2, top), "eigvals_only": True}):
+        assert same(spectral.eigh(a, **kwargs), sla.eigh(a, **kwargs)), kwargs
+        assert same(spectral.eigh(np.asfortranarray(a), overwrite_a=True, **kwargs),
+                    sla.eigh(np.asfortranarray(a), overwrite_a=True, **kwargs)), kwargs
+    assert np.array_equal(a, x + x.T)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_eigh_rejects_a_non_finite_matrix(bad):
+    a = np.eye(4)
+    a[2, 1] = a[1, 2] = bad
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        spectral.eigh(a)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        sla.eigh(a)
 
 
 def test_charge_hamiltonians_symmetric():
@@ -827,15 +859,65 @@ def test_ladder_builder_matches_kron_reference(kind, reference, draws):
                               reference(cfg, cfg.resonator2_frequency, 2 * nc))
 
 
-def test_duffing_pair_builder_matches_kron_reference():
+def random_duffing_pairs():
+    """40 (spec, levels, angle) draws of the Duffing-pair builder tests."""
     rng = np.random.default_rng(23)
     for _ in range(40):
         levels = int(rng.integers(2, 11))
         coupling = 0.0 if rng.random() < 0.2 else rng.uniform(-1.0, 1.0)
         spec = TcqSpec(*rng.uniform(4.0, 7.0, 2), *rng.uniform(-1.0, 0.0, 2), coupling)
+        yield spec, levels, rng.uniform(-math.pi, math.pi)
+
+
+def reference_frame_generator(angle, levels):
+    a = _ref_lowering(levels)
+    return angle * (np.kron(a, a.T) - np.kron(a.T, a))
+
+
+def test_duffing_pair_builder_matches_kron_reference():
+    for spec, levels, angle in random_duffing_pairs():
         assert np.array_equal(duffing_pair_hamiltonian(spec, levels),
                               reference_duffing_pair(spec, levels))
-        a = _ref_lowering(levels)
-        angle = rng.uniform(-math.pi, math.pi)
-        frame = sla.expm(angle * (np.kron(a, a.T) - np.kron(a.T, a))).T
+        frame = _expm(reference_frame_generator(angle, levels)).T
         assert np.array_equal(_beam_splitter_frame(angle, levels), frame)
+
+
+def test_beam_splitter_frame_matches_scipy_expm():
+    # the frame is orthogonal, so its entries are at most 1 and an absolute
+    # bound is a relative one.  It stays orthogonal to rounding; scipy's
+    # expm drifts from a 32-digit reference by up to 1e-13 on these draws
+    # (see below), which sets the bound between the two
+    for _, levels, angle in random_duffing_pairs():
+        frame = _beam_splitter_frame(angle, levels)
+        assert np.max(np.abs(frame.T @ frame - np.eye(levels * levels))) <= 1e-14
+        theirs = sla.expm(reference_frame_generator(angle, levels)).T
+        assert np.max(np.abs(frame - theirs)) <= 1e-12
+
+
+def test_beam_splitter_frame_matches_a_32_digit_expm():
+    # the draws of up to 5 levels per mode, where scipy's expm is furthest
+    # off, against mpmath's at 32 digits
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(32):
+        for _, levels, angle in random_duffing_pairs():
+            if levels <= 5:
+                generator = mpmath.matrix(reference_frame_generator(angle, levels).tolist())
+                exact = np.array(mpmath.expm(generator).tolist(), dtype=float).T
+                assert np.max(np.abs(_beam_splitter_frame(angle, levels) - exact)) <= 1e-14
+
+
+def test_dressed_check_does_not_depend_on_the_frame_expm(monkeypatch):
+    # the frame only labels eigenvectors; the published numbers are
+    # eigenvalue differences, bitwise those a scipy-expm frame labels; the
+    # unpublished min_overlap moves at rounding
+    def reports():
+        return [dressed_tcq_check(spec, max(levels, 6))
+                for spec, levels, _ in random_duffing_pairs()]
+
+    mine = reports()
+    monkeypatch.setattr(spectral, "_beam_splitter_frame", lambda angle, levels: sla.expm(
+        reference_frame_generator(angle, levels)).T)
+    for a, b in zip(mine, reports(), strict=True):
+        for field in ("exact", "perturbative", "relative_errors"):
+            assert getattr(a, field) == getattr(b, field), field
+        assert abs(a.min_overlap - b.min_overlap) <= 1e-14
