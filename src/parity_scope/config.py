@@ -47,17 +47,95 @@ COUPLING_RATIO_MIN = 1e-2
 # a 101 x 101 offset grid is 5,151 points after the island swap, of which
 # validate's flat and steep configurations solve 4 and 210 dense, ~40 s each
 DISPERSION_GRID_MAX = 101
-# 10,001 points on each of the two cuts are about 5 minutes of sweep at ~15 ms a point
+# 10,001 points on each of the two cuts are about 1.5 minutes of sweep at
+# about 4.5 ms a point (2 x 1,001 points took 8.0-9.4 s on a 2-vCPU VM)
 SWEEP_POINTS_MAX = 10_001
-# each tau point costs one 6x6 propagator per Hamming weight: 5,601 points,
-# one per record of the longest record grid, peak at about 70 MB
+# each tau point holds one 6x6 propagator per Hamming weight in memory:
+# simulate --hw all at 5,601 points peaks at 70 MB RSS, against 34 MB at 57
 TAU_POINTS_MAX = 5601
 
+# ---------------------------------------------------------------------------
+# the schema: one table of leaves per section, key -> (kind, default, bounds,
+# scale).  Kinds: "number" (finite; bounds a sign, or the literals also
+# accepted), "rate" (a positive number whose square in rad/us is a finite
+# nonzero float), "integer" (bounds (low, high)), "literal" (one of bounds),
+# "string", "path" (a string), "any", "object" (bounds its table; null is
+# absent where the default is None) and "list" (non-empty; bounds the table
+# of each type).  A
+# leaf scaled by "MHz" must stay finite in rad/us and is stored so, without
+# its _mhz suffix; one scaled by "kappa" must stay finite times kappa and is
+# stored in units of kappa, since (x * kappa) / kappa need not round-trip.
+# ---------------------------------------------------------------------------
 
-def _require(mapping, key, where):
-    if key not in mapping:
-        raise ConfigError(f"{where}: missing required field {key!r}")
-    return mapping[key]
+REQUIRED = object()
+TIME_UNITS = ("1/kappa", "us")
+NAME = ("string", None, None, None)     # absent: the caller's name, or q<i>
+
+TCQ = {
+    "type": ("literal", REQUIRED, ("tcq", "transmon"), None),
+    "name": NAME,
+    "qubit_frequency_mhz": ("number", REQUIRED, None, "MHz"),
+    # the sign-flip couplings need the pi/4 mixing that J != 0 gives
+    "transverse_coupling_mhz": ("number", REQUIRED, "nonzero", "MHz"),
+    "anharmonicity_mhz": ("number", REQUIRED, "negative", "MHz"),
+}
+TRANSMON = {
+    "type": TCQ["type"],
+    "name": NAME,
+    "josephson_energy_mhz": ("number", REQUIRED, "positive", "MHz"),
+    "charging_energy_mhz": ("number", REQUIRED, "positive", "MHz"),
+    "g1_mhz": ("number", REQUIRED, None, "MHz"),
+    "g2_mhz": ("number", REQUIRED, None, "MHz"),
+}
+BUS = {
+    "resonator1_mhz": ("number", REQUIRED, None, "MHz"),
+    "resonator2_mhz": ("number", REQUIRED, ("auto-parity",), "MHz"),
+    # a rate squared is the unit of the dispersive summary's switch excess
+    "kappa1_mhz": ("rate", REQUIRED, "positive", "MHz"),
+    "kappa2_mhz": ("rate", REQUIRED, "positive", "MHz"),
+}
+TARGETS = {
+    "chi1_over_kappa": ("number", REQUIRED, None, "kappa"),
+    "chi2_over_kappa": ("number", REQUIRED, None, "kappa"),
+}
+PULSE = {
+    "amplitude": ("number", REQUIRED, None, None),
+    "ramp": ("number", REQUIRED, None, None),
+    "t_on": ("number", REQUIRED, None, None),
+    "t_off": ("number", REQUIRED, None, None),
+    "time_unit": ("literal", "1/kappa", TIME_UNITS, None),
+}
+SWEEP = {
+    "minimum": ("number", 0.1, None, "kappa"),
+    "maximum": ("number", 1.2, None, "kappa"),
+    "points": ("integer", 61, (1, SWEEP_POINTS_MAX), None),
+    "asymmetric_chi2": ("number", 0.3, None, "kappa"),
+}
+ANALYSIS = {
+    "measurement_time": ("number", 28.0, "positive", None),
+    "time_unit": ("literal", "1/kappa", TIME_UNITS, None),
+    "tau_points": ("integer", 57, (3, TAU_POINTS_MAX), None),
+    "phase": ("number", "optimal", ("optimal",), None),
+    "sweep": ("object", {}, SWEEP, None),
+}
+VALIDATION = {
+    "coupling_ratio": ("number", 0.05, None, None),
+    # room for one cutoff + 4 convergence probe below the ceiling
+    "charge_cutoff": ("integer", 12, (8, CHARGE_CUTOFF_CEILING - 4), None),
+    "dispersion_grid": ("integer", 21, (DISPERSION_GRID_MIN, DISPERSION_GRID_MAX), None),
+}
+DEVICES = {"tcq": TCQ, "transmon": TRANSMON}
+LEAVES = {
+    "name": NAME,
+    "description": ("any", None, None, None),
+    "devices": ("list", REQUIRED, DEVICES, None),
+    "bus": ("object", REQUIRED, BUS, None),
+    "targets": ("object", None, TARGETS, None),
+    "pulse": ("object", REQUIRED, PULSE, None),
+    "analysis": ("object", {}, ANALYSIS, None),
+    "validation": ("object", {}, VALIDATION, None),
+    "output_dir": ("path", "out", None, None),
+}
 
 
 def _is_number(value):
@@ -66,80 +144,63 @@ def _is_number(value):
             and not abs(value) > sys.float_info.max)
 
 
-def _number(mapping, key, where, default=None, scale=1.0):
-    """Finite number at ``mapping[key]``; required unless a default is given.
-
-    ``scale`` is the factor the caller multiplies the value by (a unit or a
-    rate); the product must be finite too, or an overflow there would pass.
-    """
-    value = _require(mapping, key, where) if default is None else mapping.get(key, default)
-    if not (_is_number(value) and math.isfinite(value * scale)):
-        raise ConfigError(f"{where}.{key}: expected a finite number, got {value!r}")
-    return float(value)
-
-
-def _positive(mapping, key, where, default=None, scale=1.0):
-    value = _number(mapping, key, where, default, scale)
-    if value <= 0:
-        raise ConfigError(f"{where}.{key}: expected a positive number, got {value!r}")
-    return value
-
-
-def _negative(mapping, key, where, scale=1.0):
-    value = _number(mapping, key, where, scale=scale)
-    if value >= 0:
-        raise ConfigError(f"{where}.{key}: expected a negative number, got {value!r}")
-    return value
-
-
-def _mhz(mapping, key, where, check=_number):
-    """A frequency field in MHz, as angular rad/us that stays finite."""
-    return check(mapping, key, where, scale=MHZ) * MHZ
-
-
-def _rate(mapping, key, where):
-    """A decay rate in MHz, as angular rad/us whose square, the unit of the
-    switch excess, is a finite nonzero float."""
-    value = _mhz(mapping, key, where, _positive)
-    if not 0.0 < value * value < math.inf:
-        raise ConfigError(f"{where}.{key}: {mapping[key]!r} squared in rad/us leaves "
-                          "the float range")
-    return value
-
-
-def _integer(mapping, key, where, default, minimum, maximum=math.inf):
-    """Integer in [minimum, maximum] (integral floats accepted); optional."""
-    value = mapping.get(key, default)
-    if not (_is_number(value) and math.isfinite(value) and value == int(value)
-            and minimum <= value <= maximum):
-        bound = (f"of at least {minimum}" if maximum == math.inf
-                 else f"from {minimum} to {maximum}")
-        raise ConfigError(f"{where}.{key}: expected an integer {bound}, got {value!r}")
-    return int(value)
+def _leaf(mapping, key, leaf, path, kappa=None):
+    """The leaf ``key`` of ``mapping`` checked against its table entry, or
+    its default when absent; a MHz leaf comes back in rad/us."""
+    kind, default, bounds, scale = leaf
+    where = f"{path}.{key}" if path else key
+    if key not in mapping:
+        if default is REQUIRED:
+            raise ConfigError(f"{where}: missing required field")
+        return default
+    value = mapping[key]
+    if (kind == "any" or kind == "object" and value is None and default is None
+            or kind != "integer" and isinstance(bounds, tuple) and value in bounds):
+        return value
+    if kind == "integer":
+        low, high = bounds
+        if (_is_number(value) and math.isfinite(value) and value == int(value)
+                and low <= value <= high):
+            return int(value)
+        raise ConfigError(f"{where}: expected an integer from {low} to {high}, got {value!r}")
+    if kind in ("number", "rate"):
+        factor = MHZ if scale == "MHz" else kappa if scale == "kappa" else 1.0
+        if not (_is_number(value) and math.isfinite(value * factor)):
+            expected = (f"a number or {bounds[0]!r}" if isinstance(bounds, tuple)
+                        else "a finite number")
+            raise ConfigError(f"{where}: expected {expected}, got {value!r}")
+        number = float(value)
+        if bounds == "nonzero" and number == 0:
+            raise ConfigError(f"{where}: expected a nonzero number, got 0")
+        if bounds == "positive" and number <= 0 or bounds == "negative" and number >= 0:
+            raise ConfigError(f"{where}: expected a {bounds} number, got {number!r}")
+        number *= MHZ if scale == "MHz" else 1.0
+        if kind == "rate" and not 0.0 < number * number < math.inf:
+            raise ConfigError(f"{where}: {value!r} squared in rad/us leaves the float range")
+        return number
+    if (kind in ("string", "path") and isinstance(value, str)
+            or kind == "object" and isinstance(value, dict)
+            or kind == "list" and isinstance(value, list) and value):
+        return value
+    expected = {"string": "a string", "path": "a path string", "object": "an object",
+                "list": "a non-empty list"}.get(kind) or " or ".join(map(repr, bounds))
+    raise ConfigError(f"{where}: expected {expected}, got {value!r}")
 
 
-def _known(mapping, keys, where):
-    """Reject a key of ``mapping`` that its parser does not read, naming the
-    nearest of ``keys``: a misspelled field would otherwise leave its default."""
+def _read(mapping, leaves, path, kappa=None):
+    """Every leaf of the table ``leaves`` from the section ``mapping`` at
+    ``path``, keyed without the _mhz suffix; a key outside the table is
+    rejected, naming the nearest one, as a misspelled field would otherwise
+    leave its default."""
     for key in mapping:
-        if key not in keys:
+        if key not in leaves:
             import difflib      # only on the error path, so every command starts without it
 
-            near = difflib.get_close_matches(key, keys, n=1)
+            near = difflib.get_close_matches(key, leaves, n=1)
             hint = f"; did you mean {near[0]!r}?" if near else ""
-            raise ConfigError(f"{where}: unknown key {key!r}{hint}")
-
-
-def _section(mapping, key, keys, prefix="", required=False):
-    """Sub-object at ``mapping[key]``, holding only ``keys``; an optional one
-    that is absent means all its defaults."""
-    if required:
-        _require(mapping, key, prefix[:-1] or "top level")
-    value = mapping.get(key, {})
-    if not isinstance(value, dict):
-        raise ConfigError(f"{prefix}{key}: expected an object, got {value!r}")
-    _known(value, keys, prefix + key)
-    return value
+            raise ConfigError(f"{path or 'top level'}: unknown key {key!r}{hint}")
+    return {key.removesuffix("_mhz"): _leaf(mapping, key, leaf, path, kappa)
+            for key, leaf in leaves.items()}
 
 
 @dataclass(frozen=True)
@@ -148,7 +209,7 @@ class PulseConfig:
     ramp: float
     t_on: float
     t_off: float
-    time_unit: str = "1/kappa"
+    time_unit: str
 
     def resolve(self, kappa):
         """Physical DrivePulse for a given kappa (rad/us).
@@ -172,19 +233,19 @@ class PulseConfig:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    minimum: float = 0.1
-    maximum: float = 1.2
-    points: int = 61
-    asymmetric_chi2: float = 0.3
+    minimum: float
+    maximum: float
+    points: int
+    asymmetric_chi2: float
 
 
 @dataclass(frozen=True)
 class AnalysisConfig:
-    measurement_time: float = 28.0
-    time_unit: str = "1/kappa"
-    tau_points: int = 57
-    phase: object = "optimal"
-    sweep: SweepConfig = SweepConfig()
+    measurement_time: float
+    time_unit: str
+    tau_points: int
+    phase: object
+    sweep: SweepConfig
 
     def resolve_measurement_time(self, kappa):
         return (self.measurement_time / kappa
@@ -193,9 +254,9 @@ class AnalysisConfig:
 
 @dataclass(frozen=True)
 class ValidationConfig:
-    coupling_ratio: float = 0.05
-    charge_cutoff: int = 12
-    dispersion_grid: int = 21
+    coupling_ratio: float
+    charge_cutoff: int
+    dispersion_grid: int
 
 
 @dataclass(frozen=True)
@@ -210,97 +271,38 @@ class ScenarioConfig:
     pulse: PulseConfig
     analysis: AnalysisConfig
     validation: ValidationConfig
-    output_dir: str = "out"
+    output_dir: str
 
 
 def _parse_device(raw, index):
     where = f"devices[{index}]"
     if not isinstance(raw, dict):
         raise ConfigError(f"{where}: expected an object")
-    kind = _require(raw, "type", where)
-    name = raw.get("name", f"q{index}")
-    if not isinstance(name, str):
-        raise ConfigError(f"{where}.name: expected a string, got {name!r}")
-    if kind == "tcq":
-        _known(raw, ("type", "name", "qubit_frequency_mhz", "transverse_coupling_mhz",
-                     "anharmonicity_mhz"), where)
-        device = {
-            "type": "tcq",
-            "name": name,
-            "qubit_frequency": _mhz(raw, "qubit_frequency_mhz", where),
-            "transverse_coupling": _mhz(raw, "transverse_coupling_mhz", where),
-            "anharmonicity": _mhz(raw, "anharmonicity_mhz", where, _negative),
-        }
-        if device["transverse_coupling"] == 0.0:
-            # the sign-flip couplings need the pi/4 mixing that J != 0 gives
-            raise ConfigError(f"{where}.transverse_coupling_mhz: expected a nonzero number, got 0")
-        return device
-    if kind == "transmon":
-        _known(raw, ("type", "name", "josephson_energy_mhz", "charging_energy_mhz", "g1_mhz",
-                     "g2_mhz"), where)
-        return {
-            "type": "transmon",
-            "name": name,
-            "josephson_energy": _mhz(raw, "josephson_energy_mhz", where, _positive),
-            "charging_energy": _mhz(raw, "charging_energy_mhz", where, _positive),
-            "g1": _mhz(raw, "g1_mhz", where),
-            "g2": _mhz(raw, "g2_mhz", where),
-        }
-    raise ConfigError(f"{where}.type: unknown device type {kind!r}")
+    kind = raw.get("type")
+    # an absent or unknown type is reported after any key no device reads
+    leaves = DEVICES[kind] if kind in ("tcq", "transmon") else {**TCQ, **TRANSMON}
+    device = _read(raw, leaves, where)
+    if device["name"] is None:
+        device["name"] = f"q{index}"
+    return device
 
 
 def parse_config(tree, name="config"):
     """Validate a configuration tree into a ScenarioConfig (rad/us units)."""
     if not isinstance(tree, dict):
         raise ConfigError("top level: expected a JSON object")
-    _known(tree, ("name", "description", "devices", "bus", "targets", "pulse", "analysis",
-                  "validation", "output_dir"), "top level")
-    name = tree.get("name", name)
-    if not isinstance(name, str):
-        raise ConfigError(f"name: expected a string, got {name!r}")
+    top = _read(tree, LEAVES, "")
+    devices = tuple(_parse_device(d, i) for i, d in enumerate(top["devices"]))
+    bus = _read(top["bus"], BUS, "bus")
+    kappa = max(bus["kappa1"], bus["kappa2"])
+    chi_targets = (None if top["targets"] is None
+                   else tuple(_read(top["targets"], TARGETS, "targets", kappa).values()))
 
-    raw_devices = _require(tree, "devices", "top level")
-    if not isinstance(raw_devices, list) or not raw_devices:
-        raise ConfigError("devices: expected a non-empty list")
-    devices = tuple(_parse_device(d, i) for i, d in enumerate(raw_devices))
-
-    bus = _section(tree, "bus", ("resonator1_mhz", "resonator2_mhz", "kappa1_mhz",
-                                 "kappa2_mhz"), required=True)
-    resonator1 = _mhz(bus, "resonator1_mhz", "bus")
-    raw_r2 = _require(bus, "resonator2_mhz", "bus")
-    if raw_r2 == "auto-parity":
-        resonator2 = "auto-parity"
-    elif _is_number(raw_r2) and math.isfinite(raw_r2 * MHZ):
-        resonator2 = float(raw_r2) * MHZ
-    else:
-        raise ConfigError(f"bus.resonator2_mhz: expected a number or 'auto-parity', got {raw_r2!r}")
-    kappa1 = _rate(bus, "kappa1_mhz", "bus")
-    kappa2 = _rate(bus, "kappa2_mhz", "bus")
-    kappa = max(kappa1, kappa2)
-
-    chi_targets = None
-    if tree.get("targets") is not None:    # null means absent
-        targets = _section(tree, "targets", ("chi1_over_kappa", "chi2_over_kappa"))
-        # stored in units of kappa: (x * kappa) / kappa need not round-trip to x
-        chi_targets = (_number(targets, "chi1_over_kappa", "targets", scale=kappa),
-                       _number(targets, "chi2_over_kappa", "targets", scale=kappa))
-
-    raw_pulse = _section(tree, "pulse", ("amplitude", "ramp", "t_on", "t_off", "time_unit"),
-                         required=True)
-    amplitude = _number(raw_pulse, "amplitude", "pulse")
-    drive = amplitude * math.sqrt(kappa)
+    pulse = PulseConfig(**_read(top["pulse"], PULSE, "pulse"))
+    drive = pulse.amplitude * math.sqrt(kappa)
     if not math.isfinite(drive * drive):
-        raise ConfigError(f"pulse.amplitude: {amplitude!r} sqrt(kappa) drives a photon "
+        raise ConfigError(f"pulse.amplitude: {pulse.amplitude!r} sqrt(kappa) drives a photon "
                           f"flux beyond the float range")
-    pulse = PulseConfig(
-        amplitude=amplitude,
-        ramp=_number(raw_pulse, "ramp", "pulse"),
-        t_on=_number(raw_pulse, "t_on", "pulse"),
-        t_off=_number(raw_pulse, "t_off", "pulse"),
-        time_unit=raw_pulse.get("time_unit", "1/kappa"),
-    )
-    if pulse.time_unit not in ("1/kappa", "us"):
-        raise ConfigError(f"pulse.time_unit: unknown unit {pulse.time_unit!r}")
     try:
         pulse.resolve(1.0)      # the pulse-shape checks are scale-free
     except ValueError as exc:
@@ -308,74 +310,29 @@ def parse_config(tree, name="config"):
     if not pulse.ramp * pulse.time_scale(kappa) > 0:
         raise ConfigError(f"pulse.ramp: {pulse.ramp!r} {pulse.time_unit} underflows to 0 us")
 
-    raw_analysis = _section(tree, "analysis", ("measurement_time", "time_unit", "tau_points",
-                                               "phase", "sweep"))
-    raw_sweep = _section(raw_analysis, "sweep", ("minimum", "maximum", "points",
-                                                 "asymmetric_chi2"), "analysis.")
-    # in units of kappa, like the targets
-    sweep = SweepConfig(
-        minimum=_number(raw_sweep, "minimum", "analysis.sweep", 0.1, scale=kappa),
-        maximum=_number(raw_sweep, "maximum", "analysis.sweep", 1.2, scale=kappa),
-        points=_integer(raw_sweep, "points", "analysis.sweep", 61, 1, SWEEP_POINTS_MAX),
-        asymmetric_chi2=_number(raw_sweep, "asymmetric_chi2", "analysis.sweep", 0.3,
-                                scale=kappa),
-    )
+    analysis = _read(top["analysis"], ANALYSIS, "analysis")
+    sweep = SweepConfig(**_read(analysis["sweep"], SWEEP, "analysis.sweep", kappa))
     if sweep.minimum <= 0 or sweep.maximum < sweep.minimum:
         raise ConfigError("analysis.sweep: invalid range")
-    phase = raw_analysis.get("phase", "optimal")
-    if phase != "optimal" and not (_is_number(phase) and math.isfinite(phase)):
-        raise ConfigError(
-            f"analysis.phase: expected a number or 'optimal', got {phase!r}")
-    time_unit = raw_analysis.get("time_unit", "1/kappa")
-    if time_unit not in ("1/kappa", "us"):
-        raise ConfigError(f"analysis.time_unit: unknown unit {time_unit!r}")
-    analysis = AnalysisConfig(
-        measurement_time=_positive(raw_analysis, "measurement_time", "analysis", 28.0),
-        time_unit=time_unit,
-        tau_points=_integer(raw_analysis, "tau_points", "analysis", 57, 3, TAU_POINTS_MAX),
-        phase=phase,
-        sweep=sweep,
-    )
-    if not analysis.resolve_measurement_time(kappa) > 0:
+    analysis = AnalysisConfig(**dict(analysis, sweep=sweep))
+    tau, time_unit = analysis.resolve_measurement_time(kappa), analysis.time_unit
+    if not tau > 0:
         raise ConfigError(f"analysis.measurement_time: {analysis.measurement_time!r} "
                           f"{time_unit} underflows to 0 us")
     # RK4 steps of one trajectory at the default dt, rounded as evolve rounds them
-    steps = analysis.resolve_measurement_time(kappa) / (DEFAULT_STEP_FACTOR / kappa)
+    steps = tau / (DEFAULT_STEP_FACTOR / kappa)
     if steps > RK4_STEP_BUDGET + 0.5:
         raise ConfigError(
             f"analysis.measurement_time: {analysis.measurement_time!r} {time_unit} needs "
             f"{steps:.7g} RK4 steps at dt = {DEFAULT_STEP_FACTOR:g}/kappa, above the budget "
             f"of {RK4_STEP_BUDGET:.0e}")
-    raw_validation = _section(tree, "validation", ("coupling_ratio", "charge_cutoff",
-                                                   "dispersion_grid"))
-    validation = ValidationConfig(
-        coupling_ratio=_number(raw_validation, "coupling_ratio", "validation", 0.05),
-        # room for one cutoff + 4 convergence probe below the ceiling
-        charge_cutoff=_integer(raw_validation, "charge_cutoff", "validation", 12, 8,
-                               CHARGE_CUTOFF_CEILING - 4),
-        dispersion_grid=_integer(raw_validation, "dispersion_grid", "validation", 21,
-                                 DISPERSION_GRID_MIN, DISPERSION_GRID_MAX),
-    )
+    validation = ValidationConfig(**_read(top["validation"], VALIDATION, "validation"))
     if validation.coupling_ratio < COUPLING_RATIO_MIN:
         raise ConfigError(f"validation.coupling_ratio: expected at least "
                           f"{COUPLING_RATIO_MIN:g}, got {validation.coupling_ratio!r}")
-    output_dir = tree.get("output_dir", "out")
-    if not isinstance(output_dir, str):
-        raise ConfigError(f"output_dir: expected a path string, got {output_dir!r}")
-
-    return ScenarioConfig(
-        name=name,
-        devices=devices,
-        resonator1=resonator1,
-        resonator2=resonator2,
-        kappa1=kappa1,
-        kappa2=kappa2,
-        chi_targets=chi_targets,
-        pulse=pulse,
-        analysis=analysis,
-        validation=validation,
-        output_dir=output_dir,
-    )
+    return ScenarioConfig(name=name if top["name"] is None else top["name"], devices=devices,
+                          **bus, chi_targets=chi_targets, pulse=pulse, analysis=analysis,
+                          validation=validation, output_dir=top["output_dir"])
 
 
 def load_config(path):

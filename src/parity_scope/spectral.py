@@ -446,9 +446,24 @@ def duffing_pair_hamiltonian(spec, levels):
 
 def _beam_splitter_frame(angle, levels):
     """Rotated product-state dictionary: columns of U^dagger label the
-    dressed states |n+ n->."""
+    dressed states |n+ n->.  The generator keeps n+ + n- fixed, so U is one
+    stacked exponential of its excitation-manifold blocks, each zero-padded
+    to levels x levels: products that small stay below OpenBLAS's threading
+    threshold, where one levels^2 x levels^2 exponential set numpy's and
+    scipy's BLAS threads spinning against each other."""
+    size = levels * levels
     hop = _product((levels, levels), {0: _lowering(levels), 1: _lowering(levels).T})
-    return _expm(angle * (hop - hop.T)).T  # real orthogonal: U^dagger = U^T
+    generator = np.zeros((size + 1, size + 1))      # the last row and column pad
+    generator[:size, :size] = angle * (hop - hop.T)
+    manifold = np.add.outer(np.arange(levels), np.arange(levels)).ravel()
+    blocks = np.full((2 * levels - 1, levels), size)
+    for n in range(2 * levels - 1):
+        members = np.flatnonzero(manifold == n)
+        blocks[n, :len(members)] = members
+    rows, cols = blocks[:, :, None], blocks[:, None, :]
+    frame = np.zeros_like(generator)
+    frame[rows, cols] = _expm(generator[rows, cols])
+    return frame[:size, :size].T  # real orthogonal: U^dagger = U^T
 
 
 def _identify(eigvecs, target):

@@ -14,7 +14,10 @@ import pytest
 import parity_scope
 from parity_scope.cli import BLAS_THREAD_VARIABLES, _second_core, main
 from parity_scope.config import (
+    LEAVES,
     MHZ,
+    PRESETS,
+    REQUIRED,
     derive_scenario,
     load_config,
     parse_config,
@@ -496,6 +499,34 @@ def test_presets_and_benchmark_scenarios_parse(monkeypatch):
         for _ in range(8):
             scenario = next(stream)
             parse_config(json.loads(json.dumps(scenario.config)), name=scenario.key)
+
+
+def test_readme_tables_every_config_leaf():
+    # README's leaf table and the parser's agree on every leaf's kind,
+    # default and bounds, and on its MHz or kappa scale
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Configuration format\n", 1)[1].split("\n## ", 1)[0]
+    rows = {}
+    for line in section.splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if len(cells) == 5 and cells[0].startswith("`"):
+            rows[cells[0].strip("`")] = cells[1:]
+    expected = {}
+    one_of_each = {"devices": [{"type": kind} for kind in LEAVES["devices"][2]]}
+    for path, (kind, default, bounds, scale) in _table_leaves(one_of_each):
+        if kind == "integer":
+            bounds = f"{bounds[0]} to {bounds[1]}"
+        elif isinstance(bounds, tuple):
+            bounds = " or ".join(f"`{json.dumps(literal)}`" for literal in bounds)
+        elif not isinstance(bounds, str):
+            bounds = ""
+        default = ("required" if default is REQUIRED else "none" if default is None
+                   else f"`{json.dumps(default)}`")
+        expected[re.sub(r"\[\d+\]", "[i]", _dotted(path))] = (kind, default, bounds, scale)
+    assert rows.keys() == expected.keys()
+    for leaf, (kind, default, bounds, scale) in expected.items():
+        assert rows[leaf][:3] == [kind, default, bounds], leaf
+        assert scale is None or rows[leaf][3] == scale, leaf
 
 
 def test_cli_sweep_splits_cuts_in_order(tmp_path):
@@ -1023,44 +1054,129 @@ CONTRACT_VALUES = [0, -1, 1e-9, 1e9, 1e308, -1e308, 1e-300, "x", None, [], {}, T
                    5e-324, 2.2250738585072014e-308]
 
 
-def _leaves(node, path=()):
-    if isinstance(node, (dict, list)):
-        items = node.items() if isinstance(node, dict) else enumerate(node)
-        for key, child in items:
-            yield from _leaves(child, path + (key,))
-    else:
-        yield path
+def _table_leaves(node, leaves=LEAVES, path=()):
+    """(path, entry) of every leaf of the config table, absent ones and the
+    sections themselves included, for the config tree ``node``: each device
+    gets the leaves of its type's table."""
+    for key, leaf in leaves.items():
+        kind, _, bounds, _ = leaf
+        yield path + (key,), leaf
+        child = node.get(key) if isinstance(node, dict) else None
+        if kind == "object":
+            yield from _table_leaves(child or {}, bounds, path + (key,))
+        elif kind == "list":
+            for index, device in enumerate(child):
+                yield from _table_leaves(device, bounds[device["type"]], path + (key, index))
+
+
+def _section_of(tree, path):
+    """The object at ``path`` of ``tree``, made (as {}) where absent."""
+    node = tree
+    for key in path:
+        node = node[key] if isinstance(key, int) else node.setdefault(key, {})
+    return node
+
+
+def _with(base, path, value):
+    """A copy of the config tree ``base`` with ``value`` at ``path``."""
+    tree = json.loads(json.dumps(base))
+    _section_of(tree, path[:-1])[path[-1]] = value
+    return tree
+
+
+def _dotted(path):
+    return "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path)[1:]
 
 
 def _contract_walk(tmp_path, base, sections, command, skip=lambda path, value: False):
-    """Every leaf under the paths ``sections`` of the config tree ``base``,
-    one at a time, set to each of CONTRACT_VALUES but those ``skip`` names
-    and run in-process as ``command`` (the command and its options): the
-    runs that end in neither exit 0, 2, 3 nor 4."""
+    """Every table leaf under the paths ``sections`` of the config tree
+    ``base``, absent ones included, one at a time, set to each of
+    CONTRACT_VALUES but those ``skip`` names and run in-process as
+    ``command`` (the command and its options): the runs that end in neither
+    exit 0, 2, 3 nor 4."""
     config = tmp_path / "walk.json"
     failures = []
-    for section in sections:
-        node = base
-        for key in section:
-            node = node.get(key, {})
-        for path in _leaves(node, section):
-            for value in CONTRACT_VALUES:
-                if skip(path, value):
-                    continue
-                tree = json.loads(json.dumps(base))
-                node = tree
-                for key in path[:-1]:
-                    node = node[key]
-                node[path[-1]] = value
-                config.write_text(json.dumps(tree))
-                argv = [*command, "--config", str(config), "--out", str(tmp_path), "--quiet"]
-                try:
-                    code = run(argv)
-                except Exception as exc:  # noqa: BLE001 -- collect every traceback
-                    code = repr(exc)
-                if code not in (0, 2, 3, 4):
-                    failures.append((path, value, code))
+    for path, (kind, *_) in _table_leaves(base):
+        if kind in ("object", "list") or not any(path[:len(s)] == s for s in sections):
+            continue
+        for value in CONTRACT_VALUES:
+            if skip(path, value):
+                continue
+            config.write_text(json.dumps(_with(base, path, value)))
+            argv = [*command, "--config", str(config), "--out", str(tmp_path), "--quiet"]
+            try:
+                code = run(argv)
+            except Exception as exc:  # noqa: BLE001 -- collect every traceback
+                code = repr(exc)
+            if code not in (0, 2, 3, 4):
+                failures.append((path, value, code))
     return failures
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_parse_contract_walk(name):
+    # every leaf of the table, absent ones and whole sections included, set
+    # to each value: parse_config accepts it or exits 2 (ConfigError), never
+    # a traceback.  The command walks below run commands on a share of these
+    failures = []
+    for path, _ in _table_leaves(PRESETS[name]):
+        for value in CONTRACT_VALUES:
+            try:
+                parse_config(_with(PRESETS[name], path, value))
+            except ConfigError:
+                pass
+            except Exception as exc:  # noqa: BLE001 -- collect every traceback
+                failures.append((path, value, repr(exc)))
+    assert not failures
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_parse_fills_each_optional_leaf_with_its_default(name):
+    # a tree holding every optional leaf at its table default parses to the
+    # tree without them.  Sections whose default is {} are stepped into; the
+    # names' None default (the caller's name, q<i>) is not a value a tree
+    # may hold, and test_parse_defaults_absent_names covers it
+    full, bare = (json.loads(json.dumps(PRESETS[name])) for _ in range(2))
+    for path, (kind, default, _, _) in _table_leaves(PRESETS[name]):
+        if default is REQUIRED or default == {} or kind == "string" and default is None:
+            continue
+        _section_of(full, path[:-1])[path[-1]] = default
+        _section_of(bare, path[:-1]).pop(path[-1], None)
+    assert parse_config(full, name=name) == parse_config(bare, name=name)
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_parse_names_each_missing_required_leaf(name):
+    # a required leaf of a section the preset holds, removed: exit 2 naming
+    # its dotted path
+    for path, (_, default, _, _) in _table_leaves(PRESETS[name]):
+        tree = json.loads(json.dumps(PRESETS[name]))
+        section = _section_of(tree, path[:-1])
+        if default is not REQUIRED or path[-1] not in section:
+            continue        # optional, or in a section the preset leaves out
+        del section[path[-1]]
+        with pytest.raises(ConfigError) as failure:
+            parse_config(tree)
+        assert str(failure.value) == f"{_dotted(path)}: missing required field"
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_parse_rejects_every_key_misspelled(name):
+    # each table key with its last letter dropped, in its place (or added,
+    # where the leaf is absent): exit 2 naming the typo and the key
+    for path, _ in _table_leaves(PRESETS[name]):
+        *section, key = path
+        typo = key[:-1]
+        tree = json.loads(json.dumps(PRESETS[name]))
+        node = _section_of(tree, section)
+        items = list(node.items())
+        node.clear()
+        node.update((typo if k == key else k, v) for k, v in items)
+        node.setdefault(typo, 3)
+        with pytest.raises(ConfigError) as failure:
+            parse_config(tree)
+        assert str(failure.value) == (f"{_dotted(section) or 'top level'}: unknown key "
+                                      f"{typo!r}; did you mean {key!r}?")
 
 
 @pytest.mark.parametrize("name", ["paper-sec5-symmetric", "transmon-obstruction"])

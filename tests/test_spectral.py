@@ -874,11 +874,27 @@ def reference_frame_generator(angle, levels):
     return angle * (np.kron(a, a.T) - np.kron(a.T, a))
 
 
+def reference_manifold_frame(generator, levels):
+    """U^T from one _expm of the excitation-manifold blocks of a generator
+    on (n+, n-) that keeps n+ + n- fixed, each block zero-padded at its end
+    to levels x levels, in manifold order."""
+    states = [(n // levels, n % levels) for n in range(levels * levels)]
+    manifolds = [[i for i, (p, m) in enumerate(states) if p + m == total]
+                 for total in range(2 * levels - 1)]
+    stack = np.zeros((len(manifolds), levels, levels))
+    for block, members in zip(stack, manifolds):
+        block[:len(members), :len(members)] = generator[np.ix_(members, members)]
+    frame = np.zeros_like(generator)
+    for block, members in zip(_expm(stack), manifolds):
+        frame[np.ix_(members, members)] = block[:len(members), :len(members)]
+    return frame.T
+
+
 def test_duffing_pair_builder_matches_kron_reference():
     for spec, levels, angle in random_duffing_pairs():
         assert np.array_equal(duffing_pair_hamiltonian(spec, levels),
                               reference_duffing_pair(spec, levels))
-        frame = _expm(reference_frame_generator(angle, levels)).T
+        frame = reference_manifold_frame(reference_frame_generator(angle, levels), levels)
         assert np.array_equal(_beam_splitter_frame(angle, levels), frame)
 
 
