@@ -18,7 +18,6 @@ import math
 import numbers
 import os
 import sys
-from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -27,6 +26,7 @@ from pathlib import Path
 from .config import MHZ, derive_scenario, load_config, preset, preset_names
 from .dispersive import TcqSpec, tcq_dispersive, tcq_mixing
 from .errors import ConfigError, OutputError, ParityScopeError
+from .records import replace
 
 CONFIG_EXIT = 2
 PHYSICS_EXIT = 3

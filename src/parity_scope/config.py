@@ -16,7 +16,6 @@ import copy
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
 
 from .dispersive import (
     CHARGE_CUTOFF_CEILING,
@@ -34,6 +33,7 @@ from .dispersive import (
 )
 from .errors import ConfigError, ParityConditionUnsatisfiable
 from .measurement import DEFAULT_STEP_FACTOR, RK4_STEP_BUDGET, DrivePulse, MeasurementSetup
+from .records import Record, replace
 
 # ordinary frequency in MHz -> angular rad/us: omega = 2 pi f
 MHZ = 2.0 * math.pi
@@ -203,8 +203,7 @@ def _read(mapping, leaves, path, kappa=None):
             for key, leaf in leaves.items()}
 
 
-@dataclass(frozen=True)
-class PulseConfig:
+class PulseConfig(Record):
     amplitude: float          # drive amplitude in units of sqrt(kappa)
     ramp: float
     t_on: float
@@ -231,16 +230,14 @@ class PulseConfig:
         return 1.0 / kappa if self.time_unit == "1/kappa" else 1.0
 
 
-@dataclass(frozen=True)
-class SweepConfig:
+class SweepConfig(Record):
     minimum: float
     maximum: float
     points: int
     asymmetric_chi2: float
 
 
-@dataclass(frozen=True)
-class AnalysisConfig:
+class AnalysisConfig(Record):
     measurement_time: float
     time_unit: str
     tau_points: int
@@ -252,15 +249,13 @@ class AnalysisConfig:
                 if self.time_unit == "1/kappa" else self.measurement_time)
 
 
-@dataclass(frozen=True)
-class ValidationConfig:
+class ValidationConfig(Record):
     coupling_ratio: float
     charge_cutoff: int
     dispersion_grid: int
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(Record):
     name: str
     devices: tuple
     resonator1: float              # rad/us
@@ -369,13 +364,8 @@ def _tcq_preset(chi1, chi2, name, description):
         "bus": {"resonator1_mhz": 7500.0, "resonator2_mhz": "auto-parity",
                 "kappa1_mhz": 5.0, "kappa2_mhz": 5.0},
         "targets": {"chi1_over_kappa": chi1, "chi2_over_kappa": chi2},
-        "pulse": {"amplitude": 0.5, "ramp": 4.0, "t_on": 1.0, "t_off": 16.0,
-                  "time_unit": "1/kappa"},
-        "analysis": {"measurement_time": 28.0, "time_unit": "1/kappa",
-                     "tau_points": 57, "phase": "optimal",
-                     "sweep": {"minimum": 0.1, "maximum": 1.2, "points": 61,
-                               "asymmetric_chi2": 0.3}},
-        "output_dir": "out",
+        "pulse": {"amplitude": 0.5, "ramp": 4.0, "t_on": 1.0, "t_off": 16.0},
+        "analysis": {},
     }
 
 
@@ -396,10 +386,8 @@ PRESETS = {
         ],
         "bus": {"resonator1_mhz": 7500.0, "resonator2_mhz": 7491.3,
                 "kappa1_mhz": 5.0, "kappa2_mhz": 5.0},
-        "pulse": {"amplitude": 0.5, "ramp": 4.0, "t_on": 1.0, "t_off": 16.0,
-                  "time_unit": "1/kappa"},
-        "analysis": {"measurement_time": 28.0},
-        "output_dir": "out",
+        "pulse": {"amplitude": 0.5, "ramp": 4.0, "t_on": 1.0, "t_off": 16.0},
+        "analysis": {},
     },
     # the TCQs sit below the resonators, so the derivable shifts are negative;
     # the sweep reads no targets, and its gains are even in chi
@@ -423,8 +411,7 @@ def preset_names():
 # scenario derivation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class QubitResult:
+class QubitResult(Record):
     name: str
     model: object
     g1: float
@@ -432,8 +419,7 @@ class QubitResult:
     purcell: object
 
 
-@dataclass(frozen=True)
-class ScenarioReport:
+class ScenarioReport(Record):
     config: ScenarioConfig
     qubits: tuple
     resonator2: float

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, fields
 
 from .errors import (
     DegenerateDenominator,
@@ -25,6 +24,7 @@ from .errors import (
     ShiftOverflow,
     SingularCapacitanceMatrix,
 )
+from .records import Record
 
 # SI elementary charge (C) and reduced Planck constant (J s), from the exact SI e and h
 _ELEMENTARY_CHARGE = 1.602176634e-19
@@ -53,10 +53,10 @@ def _guard_denominator(value, scale, what):
 def _require_finite(record):
     """Raise ShiftOverflow at the first float field of a model or shift
     record that is not finite."""
-    for field in fields(record):
-        value = getattr(record, field.name)
-        if field.type == "float" and not math.isfinite(value):
-            raise ShiftOverflow(f"{field.name} = {value}: the dispersive model leaves "
+    for name, kind in record._fields.items():
+        value = getattr(record, name)
+        if kind == "float" and not math.isfinite(value):
+            raise ShiftOverflow(f"{name} = {value}: the dispersive model leaves "
                                 "the float range")
 
 
@@ -77,8 +77,7 @@ def _branch_shifts(g, k):
 # transmon
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TransmonSpec:
+class TransmonSpec(Record):
     """Bare transmon energies (angular frequency units, hbar = 1)."""
 
     josephson_energy: float
@@ -118,8 +117,7 @@ def transmon_levels(spec):
     return omega_t, -spec.charging_energy
 
 
-@dataclass(frozen=True)
-class QubitCavityCoupling:
+class QubitCavityCoupling(Record):
     """Linear couplings and qubit-resonator detunings for one transmon.
 
     ``detuning_i = Omega_e - omega_i`` where ``Omega_e`` is the qubit's g-e
@@ -141,8 +139,7 @@ class QubitCavityCoupling:
         )
 
 
-@dataclass(frozen=True)
-class DispersiveModel:
+class DispersiveModel(Record):
     """Effective two-level + two-resonator model parameters.
 
     ``quantum_switch`` multiplies ``sigma_z (a1 a2^dag + h.c.)`` and
@@ -217,8 +214,7 @@ def transmon_dispersive(spec, coupling):
 # TCQ
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TcqSpec:
+class TcqSpec(Record):
     """Two capacitively coupled Duffing modes (bare frame).
 
     ``transverse_coupling`` is the photon-hopping amplitude J between the two
@@ -236,8 +232,7 @@ class TcqSpec:
             raise ValueError("anharmonicities must be <= 0")
 
 
-@dataclass(frozen=True)
-class DressedTcq:
+class DressedTcq(Record):
     """Normal-form parameters of the diagonalized TCQ.
 
     The resonators are not part of it: the shift functions below take their
@@ -334,8 +329,7 @@ def effective_couplings(dressed, bare):
     return (g1p * c - g1m * s, g1p * s + g1m * c, g2p * c - g2m * s, g2p * s + g2m * c)
 
 
-@dataclass(frozen=True)
-class StateResolvedShifts:
+class StateResolvedShifts(Record):
     """Resonator shifts and switch couplings resolved by TCQ qubit state.
 
     ``*_excited`` refers to the qubit state |0+1->, ``*_ground`` to |0+0->.
@@ -487,8 +481,7 @@ def solve_couplings_for_chi(targets, dressed, resonators):
 # parity condition and Purcell estimate
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ParityDetunings:
+class ParityDetunings(Record):
     """Both sign branches of the parity-condition drive detunings.
 
     Detunings are quoted as drive-minus-resonator, ``omega_drive - omega_i``;
@@ -533,8 +526,7 @@ def parity_detunings(model, kappa1, kappa2):
     return ParityDetunings((d1, -d2), (-d1, d2))
 
 
-@dataclass(frozen=True)
-class PurcellEstimate:
+class PurcellEstimate(Record):
     """Qubit lifetime through the readout resonator's decay channel.
 
     ``time`` is in the inverse units of kappa; ``dimensionless`` is T_p*kappa.
@@ -563,8 +555,7 @@ def purcell_time(kappa, g1, omega_minus, omega1):
 # transmission-line placement and capacitance matrix
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LinePlacement:
+class LinePlacement(Record):
     """A transmon capacitively tapped onto a transmission-line resonator.
 
     SI units throughout (meters, farads, m/s); ``wave_velocity`` sets the
@@ -624,8 +615,7 @@ def capacitance_matrix(mode_capacitances, line_capacitance, total_capacitance):
     return mat
 
 
-@dataclass(frozen=True)
-class CapacitanceInverse:
+class CapacitanceInverse(Record):
     exact: np.ndarray
     approximate: np.ndarray
     deviation: float  # max-norm of (exact - approximate)

@@ -17,7 +17,6 @@ the intracavity field; observables are insensitive to the choice.)
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,6 +28,7 @@ from .measurement import (  # noqa: F401 -- re-exported
     DrivePulse,
     MeasurementSetup,
 )
+from .records import Record
 
 STEP_MARGIN = 0.01          # dt <= STEP_MARGIN * min(1/kappa, 1/|D + 3 chi|)
 PROBE_RTOL = 1e-8
@@ -85,8 +85,7 @@ def _drive_vector(setup):
     return np.array([math.sqrt(setup.kappa1), math.sqrt(setup.kappa2)])
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(Record):
     """Recorded coherent amplitudes and output field on a uniform grid."""
 
     times: np.ndarray

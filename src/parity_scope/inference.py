@@ -15,7 +15,6 @@ from the posterior Shannon entropies averaged over the signal distribution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -25,6 +24,7 @@ from .dynamics import _envelope_pieces, mode_matrix
 from .errors import GridTooCoarse, NonFiniteSignal, QuadratureNonconvergent
 from .matfuncs import _expm
 from .measurement import MeasurementSetup
+from .records import Record
 
 DEFAULT_QUADRATURE_POINTS = 4001  # most nodes of a gain grid
 QUADRATURE_DENSITY = 16          # gain-grid nodes per sigma
@@ -40,8 +40,7 @@ RATE_CONSISTENCY_BITS = 1e-3
 SWEEP_CHUNK = 8                  # sweep points scored in lockstep; bounds the phase-search stack
 
 
-@dataclass(frozen=True)
-class SignalModel:
+class SignalModel(Record):
     """Conditional Gaussian model of the integrated signal at one (tau, phi)."""
 
     measurement_time: float
@@ -426,8 +425,7 @@ def measurement_rates(taus, gains):
     return rates
 
 
-@dataclass(frozen=True)
-class InfoGainReport:
+class InfoGainReport(Record):
     """Information-gain summary of one measurement configuration."""
 
     measurement_time: float

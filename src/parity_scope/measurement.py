@@ -7,7 +7,7 @@ without loading numpy; ``dynamics`` integrates them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .records import Record
 
 # integrator defaults: classical fixed-step RK4, dt = 1e-3 / kappa, half-step
 # convergence probe on by default
@@ -17,8 +17,7 @@ DEFAULT_STEP_FACTOR = 1e-3
 RK4_STEP_BUDGET = 10 ** 6
 
 
-@dataclass(frozen=True)
-class DrivePulse:
+class DrivePulse(Record):
     """Piecewise cosine-ramped measurement pulse.
 
     Zero before ``t_on``, cosine ramp of duration ``ramp`` up to ``amplitude``,
@@ -40,8 +39,7 @@ class DrivePulse:
             raise ValueError("ramp must finish before t_off")
 
 
-@dataclass(frozen=True)
-class MeasurementSetup:
+class MeasurementSetup(Record):
     """Resonator bus, drive-frame detunings, dispersive model and pulse."""
 
     kappa1: float

@@ -28,7 +28,6 @@ import importlib.machinery
 import importlib.util
 import math
 import sys
-from dataclasses import dataclass, replace
 from functools import reduce
 
 import numpy as np
@@ -43,6 +42,7 @@ from .dispersive import (
 )
 from .errors import ConvergenceFailure, LevelIdentificationFailure
 from .matfuncs import _expm
+from .records import Record, replace
 
 CONVERGENCE_RTOL = 1e-8
 OVERLAP_FLOOR = 0.5
@@ -90,8 +90,7 @@ def eigh(a, eigvals_only=False, subset_by_index=None, overwrite_a=False):
 # charge basis
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ChargeBasisConfig:
+class ChargeBasisConfig(Record):
     """Two charge islands with Josephson hopping and a charge-charge term.
 
     Energies are angular frequencies; ``charge_cutoff`` is the initial
@@ -475,8 +474,7 @@ def _identify(eigvecs, target):
     return k, float(overlaps[k])
 
 
-@dataclass(frozen=True)
-class DressedCheckReport:
+class DressedCheckReport(Record):
     """Exact vs normal-form dressed parameters of the coupled-Duffing pair."""
 
     exact: dict
@@ -535,8 +533,7 @@ def dressed_tcq_check(spec, levels=8):
 # qubit + two-cavity ladders
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LadderConfig:
+class LadderConfig(Record):
     """Exact-diagonalization setup for one qubit model plus two cavities.
 
     ``kind="transmon"`` uses a Duffing qubit with couplings ``(g1, g2)``;
@@ -621,8 +618,7 @@ def _extract_chis(cfg, photon_levels=None):
     return 0.5 * (excited1 - ground1), 0.5 * (excited2 - ground2)
 
 
-@dataclass(frozen=True)
-class ChiOracleReport:
+class ChiOracleReport(Record):
     chi1: float
     chi2: float
     chi1_perturbative: float

@@ -6,7 +6,6 @@ with its runtime; the stated budgets are asserted.
 
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -42,6 +41,7 @@ from parity_scope.inference import (
     means_from_integrals,
     posteriors,
 )
+from parity_scope.records import replace
 from parity_scope.spectral import (
     ChargeBasisConfig,
     LadderConfig,

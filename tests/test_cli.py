@@ -14,6 +14,7 @@ import pytest
 import parity_scope
 from parity_scope.cli import BLAS_THREAD_VARIABLES, _second_core, main
 from parity_scope.config import (
+    ANALYSIS,
     LEAVES,
     MHZ,
     PRESETS,
@@ -801,9 +802,8 @@ def test_cli_validate_underflowed_coupling_ratio_fails(tmp_path, capsys, ratio):
     # below COUPLING_RATIO_MIN the parser exits 2.  The checks underneath see
     # the couplings' shifts underflow to 0: a FAIL row with a non-finite
     # value, not a ZeroDivisionError
-    from dataclasses import replace
-
     from parity_scope.cli import _validation_checks
+    from parity_scope.records import replace
     config = _write_variant(tmp_path, "ratio", lambda tree: tree.__setitem__(
         "validation", dict(SMALL_VALIDATION, coupling_ratio=ratio)))
     assert run(["validate", "--config", str(config), "--out", str(tmp_path), "--quiet"]) == 2
@@ -845,9 +845,9 @@ def _off_resonance_couplings(tree):
 
 
 @pytest.mark.parametrize("name, command, edit, code, message", [
-    ("fig4-cuts", "sweep", lambda tree: tree["analysis"]["sweep"].__setitem__(
+    ("fig4-cuts", "sweep", lambda tree: tree["analysis"].setdefault("sweep", {}).__setitem__(
         "maximum", 1e308), 2, "analysis.sweep.maximum"),
-    ("fig4-cuts", "sweep", lambda tree: tree["analysis"]["sweep"].__setitem__(
+    ("fig4-cuts", "sweep", lambda tree: tree["analysis"].setdefault("sweep", {}).__setitem__(
         "asymmetric_chi2", -1e308), 2, "analysis.sweep.asymmetric_chi2"),
     ("transmon-obstruction", "dispersive", lambda tree: tree["devices"][0].__setitem__(
         "g1_mhz", 1e154), 3, "qubit_frequency = -inf"),
@@ -938,6 +938,7 @@ def test_cli_simulate_metamorphic_relations(tmp_path):
         kappa = max(tree["bus"]["kappa1_mhz"], tree["bus"]["kappa2_mhz"]) * MHZ
         for key in ("ramp", "t_on", "t_off"):
             tree["pulse"][key] *= 1.0 / kappa
+        tree["analysis"].setdefault("measurement_time", ANALYSIS["measurement_time"][1])
         tree["analysis"]["measurement_time"] /= kappa
         tree["pulse"]["time_unit"] = tree["analysis"]["time_unit"] = "us"
 
@@ -1209,7 +1210,7 @@ def test_cli_sweep_contract_walk(tmp_path, capsys):
     # accepts are left out, as valid but long runs (7200 points take minutes)
     from parity_scope.config import PRESETS, SWEEP_POINTS_MAX
     base = json.loads(json.dumps(PRESETS["paper-sec5-symmetric"]))
-    base["analysis"]["sweep"]["points"] = 2
+    base["analysis"].setdefault("sweep", {})["points"] = 2
 
     def accepted_count(path, value):
         return path[-1] == "points" and type(value) is int and 1 <= value <= SWEEP_POINTS_MAX
@@ -1225,7 +1226,7 @@ def test_cli_sweep_contract_walk_of_the_scored_leaves(tmp_path, capsys):
     # scoring pipeline, at 1 point per cut (unequal kappas exit 2)
     from parity_scope.config import PRESETS
     base = json.loads(json.dumps(PRESETS["paper-sec5-symmetric"]))
-    base["analysis"]["sweep"]["points"] = 1
+    base["analysis"].setdefault("sweep", {})["points"] = 1
     sections = [("pulse",), ("analysis", "measurement_time"), ("analysis", "time_unit"),
                 ("bus", "kappa1_mhz"), ("bus", "kappa2_mhz")]
     failures = _contract_walk(tmp_path, base, sections, ["sweep"])
@@ -1301,6 +1302,7 @@ def test_cli_import_loads_no_numpy(tmp_path):
 
 
 def test_scenario_list_and_dispersive_load_no_numpy(tmp_path):
+    # nor dataclasses and its inspect chain: the records generate no code
     from parity_scope.config import PRESETS
     tcq = _write_variant(tmp_path, "tcq", lambda tree: None)
     transmon = tmp_path / "transmon.json"
@@ -1314,7 +1316,18 @@ def test_scenario_list_and_dispersive_load_no_numpy(tmp_path):
             (["dispersive", "--config", str(transmon), "--out", "out", "--quiet"], 3),
             (["dispersive", "--config", str(malformed), "--out", "out", "--quiet"], 2)))
     assert _modules_after("from parity_scope.cli import main\n" + code, tmp_path,
-                          ("numpy",)) == "[]"
+                          ("numpy", "dataclasses", "inspect")) == "[]"
+
+
+def test_no_class_of_the_package_is_a_dataclass():
+    import importlib
+    import pkgutil
+
+    import parity_scope
+    for info in pkgutil.iter_modules(parity_scope.__path__):
+        module = importlib.import_module(f"parity_scope.{info.name}")
+        for name, value in vars(module).items():
+            assert not hasattr(value, "__dataclass_fields__"), f"{module.__name__}.{name}"
 
 
 def test_validate_loads_neither_dynamics_nor_inference(tmp_path):

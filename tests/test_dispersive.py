@@ -305,7 +305,7 @@ def _sec5_dressed(omega_minus_mhz, chi1, chi2, kappa):
     J/2pi = -400 MHz with effective anharmonicities -300 MHz on both the
     minus branch and the cross term (the estimate is defined directly in
     dressed space)."""
-    from dataclasses import replace
+    from parity_scope.records import replace
     unit = TWO_PI * 1e-3  # MHz -> rad/us
     j = -400.0 * unit
     delta = -300.0 * unit

@@ -631,13 +631,12 @@ def three_points():
 
 def assert_same_report(stacked, alone):
     # field by field, bit for bit: numbers, the tau grid, series and rates
-    import dataclasses
-    for field in dataclasses.fields(InfoGainReport):
-        a, b = getattr(stacked, field.name), getattr(alone, field.name)
-        assert type(a) is type(b), field.name
+    for name in InfoGainReport._fields:
+        a, b = getattr(stacked, name), getattr(alone, name)
+        assert type(a) is type(b), name
         if a is not None:
-            assert np.shape(a) == np.shape(b), field.name
-            assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), field.name
+            assert np.shape(a) == np.shape(b), name
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), name
 
 
 @pytest.mark.parametrize("rates", [False, True])

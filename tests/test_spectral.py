@@ -1,7 +1,6 @@
 """Tests for the exact-diagonalization oracles."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +18,7 @@ from parity_scope import spectral
 from parity_scope.config import MHZ
 from parity_scope.errors import ConvergenceFailure, LevelIdentificationFailure
 from parity_scope.matfuncs import _expm
+from parity_scope.records import replace
 from parity_scope.spectral import (
     ChargeBasisConfig,
     LadderConfig,
